@@ -28,7 +28,7 @@ from .engine import (
     UpdateEvent,
     classify_delta_w,
     propose_and_apply,
-    replicate_seed,
+    replicate_seeds,
     run_model,
 )
 from .stats import (

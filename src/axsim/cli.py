@@ -1,14 +1,14 @@
 """Command-line experiment harness.
 
 Subcommands: simulate, bounds, urn-rounds, duality-check, lemma5-estimate,
-table1. A flat key=value config file can seed any flag; explicit flags win.
+table1. A flat key=value config file can seed any flag of the subcommand;
+explicit flags win.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
-from dataclasses import asdict
 
 from .bounds import table1_generate
 from .core import InvalidInput
@@ -27,21 +27,29 @@ def _parse_config_file(path: str) -> dict:
     return out
 
 
-_BOOL_KEYS = {"attach_urn", "save_events"}
-_INT_KEYS = {"F", "q", "N", "max_events", "replicates", "seed", "workers"}
-_FLOAT_KEYS = {"t_max", "t", "theta"}
+def _config_argv(parser: argparse.ArgumentParser, command: str, path: str) -> list:
+    """The config file's key=value lines as the equivalent flags of `command`.
+
+    A key that is not a flag of the subcommand is an error (exit code 2).
+    """
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    sub = subparsers.choices[command]
+    actions = {opt: a for a in sub._actions for opt in a.option_strings}
+    argv = []
+    for key, val in _parse_config_file(path).items():
+        flag = "--" + key.replace("_", "-")
+        action = actions.get(flag)
+        if action is None or action.dest in ("config", "help"):
+            sub.error(f"config key {key!r} is not a flag of {command}")
+        if action.nargs != 0:
+            argv.append(f"{flag}={val}")
+        elif val.lower() in ("1", "true", "yes"):
+            argv.append(flag)
+    return argv
 
 
-def _coerce(key: str, val: str):
-    if key in _BOOL_KEYS:
-        return val.lower() in ("1", "true", "yes")
-    if key in _INT_KEYS:
-        return int(val)
-    if key in _FLOAT_KEYS:
-        return float(val)
-    if key == "snapshots":
-        return val
-    return val
+def _snapshot_times(spec: str) -> tuple:
+    return tuple(float(s) for s in spec.split(",") if s.strip())
 
 
 def _add_common(p):
@@ -70,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--t-max", type=float, default=None)
     p.add_argument("--max-events", type=int, default=None)
-    p.add_argument("--snapshots", default=None, help="comma-separated sample times")
+    p.add_argument("--snapshots", type=_snapshot_times, default=None,
+                   help="comma-separated sample times")
     p.add_argument("--attach-urn", action="store_true", default=None)
     p.add_argument("--save-events", action="store_true", default=None)
 
@@ -112,58 +121,31 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-_DEFAULTS = {
-    "model": "axelrod", "F": 2, "q": 2, "topology": "path", "N": 100,
-    "replicates": 1, "seed": 0, "workers": 1, "attach_urn": False,
-    "save_events": False, "t_max": None, "max_events": None, "snapshots": None,
-    "out": None, "theta": None, "t": None, "x": None, "y": None, "z": None,
-}
+# CLI option -> ExperimentConfig field, where the names differ.
+_FIELDS = {"seed": "master_seed", "out": "output_dir", "t": "t_query",
+           "snapshots": "snapshot_times"}
 
 
-def _resolve(args) -> dict:
-    merged = dict(_DEFAULTS)
-    if getattr(args, "config", None):
-        for k, v in _parse_config_file(args.config).items():
-            merged[k] = _coerce(k, v)
-    for k, v in vars(args).items():
-        if k in ("command", "config"):
-            continue
-        if v is not None:
-            merged[k] = v
-    return merged
-
-
-def _snapshot_times(spec) -> tuple:
-    if not spec:
-        return ()
-    return tuple(float(s) for s in str(spec).split(",") if s.strip())
+def _experiment_config(args) -> ExperimentConfig:
+    """ExperimentConfig from the options actually given; the rest keep its defaults."""
+    given = {k: v for k, v in vars(args).items()
+             if v is not None and k not in ("command", "config", "format")}
+    xyz = tuple(given.pop(k) for k in ("x", "y", "z") if k in given)
+    if xyz:
+        given["xyz"] = xyz
+    return ExperimentConfig(kind=args.command, **{_FIELDS.get(k, k): v for k, v in given.items()})
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    opts = _resolve(args)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        # The config file's flags go ahead of the explicit ones, which win.
+        args = parser.parse_args(argv[:1] + _config_argv(parser, args.command, args.config)
+                                 + argv[1:])
     try:
-        config = ExperimentConfig(
-            kind=args.command,
-            model=opts["model"],
-            F=opts["F"],
-            q=opts["q"],
-            topology=opts["topology"],
-            N=opts["N"],
-            t_max=opts["t_max"],
-            max_events=opts["max_events"],
-            replicates=opts["replicates"],
-            master_seed=opts["seed"],
-            snapshot_times=_snapshot_times(opts["snapshots"]),
-            attach_urn=bool(opts["attach_urn"]),
-            save_events=bool(opts["save_events"]),
-            output_dir=opts["out"],
-            workers=opts["workers"],
-            theta=opts["theta"],
-            xyz=tuple(v for v in (opts["x"], opts["y"], opts["z"]) if v is not None),
-            t_query=opts["t"],
-        )
-        summary = execute(config)
+        summary = execute(_experiment_config(args))
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

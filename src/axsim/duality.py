@@ -10,10 +10,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import InvalidInput, ModelParams, Topology, random_config
-from .engine import AXELROD, VOTER, StopRule, run_model
+from .engine import AXELROD, VOTER, StopRule, replicate_seeds, run_model
 
 
 @dataclass(frozen=True)
@@ -153,10 +151,9 @@ def estimate_lemma_0edge_probability(params: ModelParams, N: int, x: int, y: int
     hits = 0
     successes = 0
     for r in range(replicates):
-        child = np.random.SeedSequence(entropy=seed, spawn_key=(r,))
-        s_init, s_run = child.generate_state(2, np.uint64)
-        cfg = random_config(params, topo, int(s_init))
-        traj = run_model(AXELROD, cfg, stop, int(s_run))
+        s_init, s_run = replicate_seeds(seed, r)
+        cfg = random_config(params, topo, s_init)
+        traj = run_model(AXELROD, cfg, stop, s_run)
         fx = traj.final.cultures[x][0]
         fy = traj.final.cultures[y][0]
         fz = traj.final.cultures[z][0]

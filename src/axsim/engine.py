@@ -5,7 +5,9 @@ edge proposes at rate 1/2 with a uniform feature draw (thinning) and a
 uniform tie-break among disagreeing features. Edges whose weight is 0 or F
 cannot produce an accepted proposal, so the engine keeps an active-edge set
 and only schedules clocks there; skipped proposals are rejected with
-probability 1, so the law is unchanged.
+probability 1, so the law is unchanged. The voter model and the constrained
+voter model run in the same event loop (`run_model`), each through its own
+small kernel.
 
 One trajectory uses one RNG stream in a fixed call order, which makes runs
 bit-reproducible from the seed. The attached urn (when requested) draws
@@ -14,19 +16,19 @@ from a separate substream so trajectories are identical with or without it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .core import (
     Configuration,
     InvalidInput,
-    ModelParams,
     OpinionConfig,
     Topology,
     edge_overlap_count,
 )
-from .stats import DomainStats, EdgeCensus, census_from_counts, domain_count_from_removed
+from .stats import DomainStats, EdgeCensus, census_from_counts, domains_from_census
 from .urn import UrnState, urn_coupled_step, urn_init, urn_potentials
 
 AXELROD = "axelrod"
@@ -138,27 +140,29 @@ def _rng_pair(seed: int):
     return np.random.default_rng(traj_ss), np.random.default_rng(urn_ss)
 
 
+def replicate_seeds(master_seed: int, r: int) -> tuple[int, int]:
+    """Independent (initial-state seed, run seed) of replicate r under master_seed."""
+    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(r,))
+    init_seed, run_seed = ss.generate_state(2, np.uint64)
+    return int(init_seed), int(run_seed)
+
+
 class _SnapshotTaker:
-    def __init__(self, times, kind: str, n_vertices: int):
+    def __init__(self, times, topology: Topology):
         self.times = sorted(times)
-        self.kind = kind
-        self.n_vertices = n_vertices
+        self.topology = topology
         self.out: list[Snapshot] = []
 
-    def flush(self, upto: float, counts):
-        # Left-limit semantics: called before applying any event at `upto`.
+    def flush(self, upto: float, counts) -> float:
+        """Record every pending time <= upto; returns the next pending time.
+
+        Left-limit semantics: called before applying any event at `upto`.
+        """
         while self.times and self.times[0] <= upto:
-            t = self.times.pop(0)
             census = census_from_counts(counts)
-            removed = census.n_edges - census.counts[-1]
-            n = domain_count_from_removed(self.kind, removed)
-            from fractions import Fraction
-
-            self.out.append(Snapshot(t, census, DomainStats(n, Fraction(self.n_vertices, n))))
-
-    def flush_all(self, counts):
-        if self.times:
-            self.flush(self.times[-1], counts)
+            self.out.append(Snapshot(self.times.pop(0), census,
+                                     domains_from_census(census, self.topology)))
+        return self.times[0] if self.times else math.inf
 
 
 class _ActiveSet:
@@ -167,9 +171,6 @@ class _ActiveSet:
     def __init__(self, n_edges: int):
         self.items: list[int] = []
         self.pos = [-1] * n_edges
-
-    def __len__(self):
-        return len(self.items)
 
     def set(self, e: int, active: bool):
         p = self.pos[e]
@@ -184,95 +185,50 @@ class _ActiveSet:
             self.pos[e] = -1
 
 
-def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
-              attach_urn: bool = False, record_urn_series: bool = False) -> Trajectory:
-    """Statistically exact trajectory of the chosen generator.
-
-    Deterministic given seed. `snapshot_times` record the state just
-    before each requested time.
-    """
-    if model == AXELROD:
-        if not isinstance(initial, Configuration):
-            raise InvalidInput("culture model takes a Configuration")
-        return _run_axelrod(initial, stop, seed, snapshot_times, attach_urn, record_urn_series)
-    if model in (VOTER, CVM):
-        if not isinstance(initial, OpinionConfig):
-            raise InvalidInput(f"{model} takes an OpinionConfig")
-        if attach_urn:
-            raise InvalidInput("urn coupling is defined for the culture model only")
-        if model == VOTER:
-            if set(initial.alphabet) != {0, 1}:
-                raise InvalidInput("voter initial must use opinions {0,1}")
-            return _run_voter(initial, stop, seed, snapshot_times)
-        if set(initial.alphabet) != {-1, 0, 1}:
-            raise InvalidInput("cvm initial must use opinions {-1,0,+1}")
-        return _run_cvm(initial, stop, seed, snapshot_times)
-    raise InvalidInput(f"unknown model {model!r}")
+class _Kernel(NamedTuple):
+    """One model's dynamics, as closures over its private state."""
+    rate: Callable[[], int]  # total proposal rate; 0 means nothing can change
+    step: Callable[[float], UpdateEvent | None]  # one proposal at time t; None if thinned
+    census: Callable[[], Sequence[int]]  # edge counts w_0..w_F (opinions: disagree, agree)
+    absorbed: Callable[[], bool]
+    final: Callable[[], object]
 
 
-def _run_axelrod(initial, stop, seed, snapshot_times, attach_urn, record_urn_series):
-    topo = initial.topology
-    F = initial.params.F
-    V = topo.n_vertices
-    states = [list(c) for c in initial.cultures]
+def _incidence(topo: Topology):
+    """Edge list and, per vertex, the indices of its (at most two) edges."""
     edges = topo.edges()
-    E = len(edges)
-    # edge index incident to each vertex (1D: at most two)
-    incident = [[] for _ in range(V)]
+    incident = [[] for _ in range(topo.n_vertices)]
     for e, (a, b) in enumerate(edges):
         incident[a].append(e)
         incident[b].append(e)
+    return edges, incident
 
-    weight = []
+
+def _culture_kernel(initial, rng) -> _Kernel:
+    """Both orientations of every active edge propose at rate 1/2."""
+    if not isinstance(initial, Configuration):
+        raise InvalidInput("culture model takes a Configuration")
+    F = initial.params.F
+    states = [list(c) for c in initial.cultures]
+    edges, incident = _incidence(initial.topology)
+    weight = [sum(1 for i in range(F) if states[a][i] == states[b][i]) for a, b in edges]
     counts = [0] * (F + 1)
-    for a, b in edges:
-        w = sum(1 for i in range(F) if states[a][i] == states[b][i])
-        weight.append(w)
+    active = _ActiveSet(len(edges))
+    for e, w in enumerate(weight):
         counts[w] += 1
-    active = _ActiveSet(E)
-    for e in range(E):
-        active.set(e, 0 < weight[e] < F)
+        active.set(e, 0 < w < F)
+    items, integers, uniform = active.items, rng.integers, rng.random
 
-    rng, urn_rng = _rng_pair(seed)
-    taker = _SnapshotTaker(snapshot_times, topo.kind, V)
-
-    urn = urn_init(census_from_counts(counts)) if attach_urn else None
-    urn_series = [] if (attach_urn and record_urn_series) else None
-    b0_viol = 0
-    pot_viol = 0
-
-    events: list[UpdateEvent] = []
-    t = 0.0
-    t_max = stop.t_max if stop.t_max is not None else math.inf
-    max_events = stop.max_events if stop.max_events is not None else math.inf
-
-    while True:
-        n_active = len(active)
-        if n_active == 0:
-            absorbed = True
-            break
-        if len(events) >= max_events:
-            absorbed = False
-            break
-        # Both oriented halves at rate 1/2: undirected edge proposes at rate 1.
-        dt = rng.exponential(1.0 / n_active)
-        if t + dt > t_max:
-            taker.flush(t_max, counts)
-            t = t_max
-            absorbed = False
-            break
-        t += dt
-        taker.flush(t, counts)
-        e = active.items[int(rng.integers(n_active))]
+    def step(t):
+        e = items[int(integers(len(items)))]
         a, b = edges[e]
-        u, v = (a, b) if rng.integers(2) == 0 else (b, a)
+        u, v = (a, b) if integers(2) == 0 else (b, a)
         su, sv = states[u], states[v]
-        U = int(rng.integers(F))
+        U = int(integers(F))
         if su[U] != sv[U]:
-            continue  # proposal thinned away: feature draw in disagreement set
+            return None  # proposal thinned away: feature draw in disagreement set
         disagree = [i for i in range(F) if su[i] != sv[i]]
-        k = len(disagree)  # >= 1 on an active edge
-        feat = disagree[int(k * rng.random())]
+        feat = disagree[int(len(disagree) * uniform())]  # >= 1 on an active edge
         old, new = sv[feat], su[feat]
         delta = 1
         _bump(weight, counts, active, e, 1, F)
@@ -286,32 +242,11 @@ def _run_axelrod(initial, stop, seed, snapshot_times, attach_urn, record_urn_ser
                 _bump(weight, counts, active, e2, dd, F)
             delta += dd
         sv[feat] = new
-        events.append(UpdateEvent(t, v, u, feat, delta))
-        if urn is not None:
-            urn = urn_coupled_step(urn, delta, urn_rng)
-            beta, eps = urn_potentials(urn, census_from_counts(counts))
-            if urn.boxes[0] > counts[0]:
-                b0_viol += 1
-            if urn.boxes[0] > 0 and beta < eps:
-                pot_viol += 1
-            if urn_series is not None:
-                urn_series.append((len(events) - 1,) + urn.boxes + (counts[0], beta, eps))
-        if stop.stop_on_absorption and len(active) == 0:
-            absorbed = True
-            break
+        return UpdateEvent(t, v, u, feat, delta)
 
-    if absorbed:
-        # State is constant from t on; honor any later sample times too.
-        end_time = t_max if (stop.t_max is not None and not stop.stop_on_absorption) else t
-        taker.flush_all(counts)
-    else:
-        end_time = t
-        taker.flush(end_time, counts)
-
-    final = Configuration(topo, initial.params, tuple(tuple(s) for s in states))
-    return Trajectory(AXELROD, initial, events, taker.out, final, absorbed, end_time, seed,
-                      urn_final=urn, urn_series=urn_series,
-                      urn_b0_violations=b0_viol, urn_potential_violations=pot_viol)
+    return _Kernel(items.__len__, step, lambda: counts, lambda: not items,
+                   lambda: Configuration(initial.topology, initial.params,
+                                         tuple(tuple(s) for s in states)))
 
 
 def _bump(weight, counts, active, e, d, F):
@@ -321,54 +256,37 @@ def _bump(weight, counts, active, e, d, F):
     active.set(e, 0 < weight[e] < F)
 
 
-def _run_voter(initial, stop, seed, snapshot_times):
-    """Each vertex mimics a uniform neighbor at rate 1; every arrival is logged."""
+def _opinions(initial, model: str, alphabet: set) -> list:
+    if not isinstance(initial, OpinionConfig):
+        raise InvalidInput(f"{model} takes an OpinionConfig")
+    if set(initial.alphabet) != alphabet:
+        raise InvalidInput(f"{model} initial must use opinions {sorted(alphabet)}")
+    return list(initial.opinions)
+
+
+def _voter_kernel(initial, rng) -> _Kernel:
+    """Each vertex mimics a uniform neighbor at rate 1; every arrival is an event."""
+    ops = _opinions(initial, VOTER, {0, 1})
     topo = initial.topology
-    V = topo.n_vertices
-    ops = list(initial.opinions)
-    edges = topo.edges()
-    agree = sum(1 for a, b in edges if ops[a] == ops[b])
-    E = len(edges)
+    V, E = topo.n_vertices, topo.n_edges
+    agree = sum(1 for a, b in topo.edges() if ops[a] == ops[b])
     nbrs = [topo.neighbors(x) for x in range(V)]
+    integers = rng.integers
 
-    rng, _ = _rng_pair(seed)
-    taker = _SnapshotTaker(snapshot_times, topo.kind, V)
-    events: list[UpdateEvent] = []
-    t = 0.0
-    t_max = stop.t_max if stop.t_max is not None else math.inf
-    max_events = stop.max_events if stop.max_events is not None else math.inf
-
-    while True:
-        if stop.stop_on_absorption and agree == E:
-            absorbed = True
-            break
-        if len(events) >= max_events:
-            absorbed = agree == E
-            break
-        dt = rng.exponential(1.0 / V)
-        if t + dt > t_max:
-            taker.flush(t_max, counts=(E - agree, agree))
-            t = t_max
-            absorbed = agree == E
-            break
-        t += dt
-        taker.flush(t, counts=(E - agree, agree))
-        x = int(rng.integers(V))
+    def step(t):
+        nonlocal agree
+        x = int(integers(V))
         nx = nbrs[x]
-        y = nx[int(rng.integers(len(nx)))]
+        y = nx[int(integers(len(nx)))]
         flipped = ops[x] != ops[y]
         if flipped:
             for z in nx:
                 agree += 1 if ops[z] == ops[y] else -1
             ops[x] = ops[y]
-        events.append(UpdateEvent(t, x, y, -1, int(flipped)))
+        return UpdateEvent(t, x, y, -1, int(flipped))
 
-    if absorbed:
-        taker.flush_all(counts=(E - agree, agree))
-    end_time = t
-    taker.flush(end_time, counts=(E - agree, agree))
-    final = OpinionConfig(topo, tuple(ops), initial.alphabet)
-    return Trajectory(VOTER, initial, events, taker.out, final, absorbed, end_time, seed)
+    return _Kernel(lambda: V, step, lambda: (E - agree, agree), lambda: agree == E,
+                   lambda: OpinionConfig(topo, tuple(ops), initial.alphabet))
 
 
 def _cvm_edge_active(ops, a, b) -> bool:
@@ -376,68 +294,106 @@ def _cvm_edge_active(ops, a, b) -> bool:
     return ops[a] != ops[b] and ops[a] + ops[b] != 0
 
 
-def _run_cvm(initial, stop, seed, snapshot_times):
-    """Oriented-edge proposals at rate 1/2; extremes never interact."""
+def _cvm_kernel(initial, rng) -> _Kernel:
+    """Both orientations of every active edge propose at rate 1/2; extremes never interact."""
+    ops = _opinions(initial, CVM, {-1, 0, 1})
     topo = initial.topology
-    V = topo.n_vertices
-    ops = list(initial.opinions)
-    edges = topo.edges()
+    edges, incident = _incidence(topo)
     E = len(edges)
-    incident = [[] for _ in range(V)]
-    for e, (a, b) in enumerate(edges):
-        incident[a].append(e)
-        incident[b].append(e)
     agree = sum(1 for a, b in edges if ops[a] == ops[b])
     active = _ActiveSet(E)
     for e, (a, b) in enumerate(edges):
         active.set(e, _cvm_edge_active(ops, a, b))
+    items, integers = active.items, rng.integers
 
-    rng, _ = _rng_pair(seed)
-    taker = _SnapshotTaker(snapshot_times, topo.kind, V)
-    events: list[UpdateEvent] = []
-    t = 0.0
-    t_max = stop.t_max if stop.t_max is not None else math.inf
-    max_events = stop.max_events if stop.max_events is not None else math.inf
-
-    while True:
-        if len(active) == 0:
-            absorbed = True
-            break
-        if len(events) >= max_events:
-            absorbed = False
-            break
-        dt = rng.exponential(1.0 / len(active))
-        if t + dt > t_max:
-            taker.flush(t_max, counts=(E - agree, agree))
-            t = t_max
-            absorbed = False
-            break
-        t += dt
-        taker.flush(t, counts=(E - agree, agree))
-        e = active.items[int(rng.integers(len(active)))]
+    def step(t):
+        nonlocal agree
+        e = items[int(integers(len(items)))]
         a, b = edges[e]
-        y, x = (a, b) if rng.integers(2) == 0 else (b, a)  # x mimics y
-        ops_x_old = ops[x]
+        y, x = (a, b) if integers(2) == 0 else (b, a)  # x mimics y
+        old = ops[x]
         ops[x] = ops[y]
         for e2 in incident[x]:
             za, zb = edges[e2]
             z = zb if za == x else za
-            agree += (ops[z] == ops[x]) - (ops[z] == ops_x_old)
+            agree += (ops[z] == ops[x]) - (ops[z] == old)
             active.set(e2, _cvm_edge_active(ops, za, zb))
-        events.append(UpdateEvent(t, x, y, -1, 1))
-        if stop.stop_on_absorption and len(active) == 0:
-            absorbed = True
+        return UpdateEvent(t, x, y, -1, 1)
+
+    return _Kernel(items.__len__, step, lambda: (E - agree, agree), lambda: not items,
+                   lambda: OpinionConfig(topo, tuple(ops), initial.alphabet))
+
+
+_KERNELS = {AXELROD: _culture_kernel, VOTER: _voter_kernel, CVM: _cvm_kernel}
+
+
+def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
+              attach_urn: bool = False, record_urn_series: bool = False) -> Trajectory:
+    """Statistically exact trajectory of the chosen generator.
+
+    Deterministic given seed. `snapshot_times` record the state just
+    before each requested time. The model's kernel proposes; this loop draws
+    the waiting times and owns the stop rule, snapshots and urn coupling. A
+    run stops once the rate is 0, and on absorption only under
+    `stop_on_absorption` (the voter model keeps logging arrivals after
+    consensus). A run whose rate reached 0 is reported up to `t_max`.
+    """
+    if model not in _KERNELS:
+        raise InvalidInput(f"unknown model {model!r}")
+    rng, urn_rng = _rng_pair(seed)
+    kernel = _KERNELS[model](initial, rng)
+    if attach_urn and model != AXELROD:
+        raise InvalidInput("urn coupling is defined for the culture model only")
+    rate, step, census, absorbed = kernel.rate, kernel.step, kernel.census, kernel.absorbed
+    exponential = rng.exponential
+    taker = _SnapshotTaker(snapshot_times, initial.topology)
+    next_snap = min(snapshot_times, default=math.inf)
+
+    urn = urn_init(census_from_counts(census())) if attach_urn else None
+    urn_series = [] if (attach_urn and record_urn_series) else None
+    b0_viol = 0
+    pot_viol = 0
+
+    events: list[UpdateEvent] = []
+    t = 0.0
+    t_max = stop.t_max if stop.t_max is not None else math.inf
+    max_events = stop.max_events if stop.max_events is not None else math.inf
+    until_absorbed = stop.stop_on_absorption
+
+    while True:
+        r = rate()
+        if r == 0 or len(events) >= max_events or (until_absorbed and absorbed()):
             break
+        dt = exponential(1.0 / r)
+        if t + dt > t_max:
+            taker.flush(t_max, census())
+            t = t_max
+            break
+        t += dt
+        if t >= next_snap:
+            next_snap = taker.flush(t, census())
+        ev = step(t)
+        if ev is None:
+            continue
+        events.append(ev)
+        if urn is not None:
+            counts = census()
+            urn = urn_coupled_step(urn, ev.delta_w, urn_rng)
+            beta, eps = urn_potentials(urn, census_from_counts(counts))
+            if urn.boxes[0] > counts[0]:
+                b0_viol += 1
+            if urn.boxes[0] > 0 and beta < eps:
+                pot_viol += 1
+            if urn_series is not None:
+                urn_series.append((len(events) - 1,) + urn.boxes + (counts[0], beta, eps))
 
-    if absorbed:
-        taker.flush_all(counts=(E - agree, agree))
     end_time = t
-    taker.flush(end_time, counts=(E - agree, agree))
-    final = OpinionConfig(topo, tuple(ops), initial.alphabet)
-    return Trajectory(CVM, initial, events, taker.out, final, absorbed, end_time, seed)
-
-
-def replicate_seed(master_seed: int, r: int) -> int:
-    """Independent per-replicate seed derived from (master_seed, r)."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(r,))
-    return int(ss.generate_state(1, np.uint64)[0])
+    if rate() == 0 and stop.t_max is not None and not until_absorbed:
+        end_time = stop.t_max  # frozen: the state holds until t_max
+    if absorbed():
+        taker.flush(math.inf, census())  # the state is constant from here on
+    else:
+        taker.flush(end_time, census())
+    return Trajectory(model, initial, events, taker.out, kernel.final(), absorbed(), end_time,
+                      seed, urn_final=urn, urn_series=urn_series,
+                      urn_b0_violations=b0_viol, urn_potential_violations=pot_viol)

@@ -21,7 +21,7 @@ from .duality import (
     check_voter_duality,
     estimate_lemma_0edge_probability,
 )
-from .engine import AXELROD, CVM, MODELS, VOTER, StopRule, run_model
+from .engine import AXELROD, MODELS, VOTER, StopRule, replicate_seeds, run_model
 from .logio import atomic_write_text, event_log_text, final_stats_row
 from .stats import edge_census
 from .urn import UrnState, urn_rounds_run
@@ -54,6 +54,8 @@ class ExperimentConfig:
     def validate(self):
         if self.kind not in EXPERIMENT_KINDS:
             raise InvalidInput(f"unknown experiment kind {self.kind!r}")
+        if self.workers < 1:
+            raise InvalidInput("workers must be >= 1")
         if self.kind == "simulate" and self.model not in MODELS:
             raise InvalidInput(f"unknown model {self.model!r}")
         if self.kind == "simulate":
@@ -92,11 +94,6 @@ class ExperimentSummary:
     outputs: list = field(default_factory=list)
 
 
-def _rep_seeds(master_seed: int, r: int, n: int = 2):
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(r,))
-    return [int(s) for s in ss.generate_state(n, np.uint64)]
-
-
 def _mean_se(values):
     n = len(values)
     if n == 0:
@@ -108,12 +105,12 @@ def _mean_se(values):
     return m, math.sqrt(var / n)
 
 
-def _random_initial(config: ExperimentConfig, seed: int):
+def _random_initial(model: str, config: ExperimentConfig, seed: int):
     topo = config.make_topology()
-    if config.model == AXELROD:
+    if model == AXELROD:
         return random_config(ModelParams(config.F, config.q), topo, seed)
     rng = np.random.default_rng(seed)
-    if config.model == VOTER:
+    if model == VOTER:
         ops = tuple(int(v) for v in rng.integers(0, 2, size=topo.n_vertices))
         return OpinionConfig(topo, ops, (0, 1))
     ops = tuple(int(v) for v in rng.integers(-1, 2, size=topo.n_vertices))
@@ -121,8 +118,8 @@ def _random_initial(config: ExperimentConfig, seed: int):
 
 
 def _simulate_replicate(config: ExperimentConfig, r: int) -> dict:
-    init_seed, run_seed = _rep_seeds(config.master_seed, r)
-    initial = _random_initial(config, init_seed)
+    init_seed, run_seed = replicate_seeds(config.master_seed, r)
+    initial = _random_initial(config.model, config, init_seed)
     traj = run_model(config.model, initial, config.stop_rule(), run_seed,
                      snapshot_times=config.snapshot_times,
                      attach_urn=config.attach_urn)
@@ -139,7 +136,7 @@ def _simulate_replicate(config: ExperimentConfig, r: int) -> dict:
 
 
 def _rounds_replicate(config: ExperimentConfig, r: int) -> dict:
-    init_seed, run_seed = _rep_seeds(config.master_seed, r)
+    init_seed, run_seed = replicate_seeds(config.master_seed, r)
     params = ModelParams(config.F, config.q)
     census = edge_census(random_config(params, config.make_topology(), init_seed))
     rec = urn_rounds_run(UrnState(census.counts), params, run_seed)
@@ -155,11 +152,8 @@ def _rounds_replicate(config: ExperimentConfig, r: int) -> dict:
 def _duality_replicate(config: ExperimentConfig, r: int) -> dict:
     # The pathwise duality identity is a voter-model property; the initial
     # state is a random binary opinion profile regardless of config.model.
-    init_seed, run_seed = _rep_seeds(config.master_seed, r)
-    topo = config.make_topology()
-    rng = np.random.default_rng(init_seed)
-    ops = tuple(int(v) for v in rng.integers(0, 2, size=topo.n_vertices))
-    initial = OpinionConfig(topo, ops, (0, 1))
+    init_seed, run_seed = replicate_seeds(config.master_seed, r)
+    initial = _random_initial(VOTER, config, init_seed)
     traj = run_model(VOTER, initial, StopRule(t_max=config.t_query), run_seed)
     report = check_voter_duality(arrow_log_from_trajectory(traj), initial, config.t_query)
     return {"replicate": r, "mismatches": report.mismatches,
@@ -168,9 +162,10 @@ def _duality_replicate(config: ExperimentConfig, r: int) -> dict:
 
 def _map_replicates(fn, config: ExperimentConfig):
     rs = range(config.replicates)
-    if config.workers <= 1:
+    workers = min(config.workers, config.replicates, os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(config, r) for r in rs]
-    with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, [config] * config.replicates, rs, chunksize=16))
 
 
@@ -215,8 +210,7 @@ def _simulate(config: ExperimentConfig) -> ExperimentSummary:
             checks["urn_pathwise_b0_le_w0"] = agg["urn_b0_violations"] == 0
             checks["urn_pathwise_beta_ge_eps"] = agg["urn_potential_violations"] == 0
             removed_mean = _mean_se(
-                [(row["N_domains"] - (1 if config.topology == "path" else 0)) / n_edges
-                 for row in absorbed])[0]
+                [(n_edges - row["w_counts"][-1]) / n_edges for row in absorbed])[0]
             checks["chain_b0_le_w0_le_domains"] = b0 <= w0 + 1e-12 <= removed_mean + 1e-12
         if config.model == AXELROD and config.F != config.q:
             b = bounds_mod.theorem2_bound(config.F, config.q)
@@ -227,7 +221,7 @@ def _simulate(config: ExperimentConfig) -> ExperimentSummary:
                 nd >= b.lower_bound_density - margin)
     files = {"aggregate.csv": _aggregate_csv(rows, config)}
     if config.snapshot_times:
-        files["snapshots_mean.csv"] = _snapshot_mean_csv(rows, n_edges, config.F)
+        files["snapshots_mean.csv"] = _snapshot_mean_csv(rows, n_edges)
     if config.save_events:
         for row in rows:
             files[f"events_{row['replicate']:05d}.csv"] = row.pop("event_log")
@@ -253,15 +247,16 @@ def _aggregate_csv(rows, config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _snapshot_mean_csv(rows, n_edges: int, F: int) -> str:
+def _snapshot_mean_csv(rows, n_edges: int) -> str:
     depth = min(len(row["snapshots"]) for row in rows)
-    lines = ["t," + ",".join(f"mean_w_{j}_frac" for j in range(F + 1))
+    width = len(rows[0]["w_counts"])  # F + 1 for the culture model, 2 for opinions
+    lines = ["t," + ",".join(f"mean_w_{j}_frac" for j in range(width))
              + ",mean_W,mean_N_domains"]
     for k in range(depth):
         t = rows[0]["snapshots"][k][0]
         counts = [row["snapshots"][k][1] for row in rows]
         mean_fracs = [sum(c[j] for c in counts) / (len(counts) * n_edges)
-                      for j in range(F + 1)]
+                      for j in range(width)]
         mean_w = sum(row["snapshots"][k][2] for row in rows) / len(rows)
         mean_nd = sum(row["snapshots"][k][3] for row in rows) / len(rows)
         lines.append(f"{t!r}," + ",".join(repr(v) for v in mean_fracs)

@@ -51,31 +51,17 @@ def edge_census(cfg) -> EdgeCensus:
     return census_from_counts(counts)
 
 
-def _full_weight(cfg) -> int:
-    return cfg.params.F if isinstance(cfg, Configuration) else 1
-
-
-def _edge_weights(cfg):
-    if isinstance(cfg, Configuration):
-        return [edge_overlap_count(cfg, u, v) for u, v in cfg.topology.edges()]
-    return [int(cfg.opinions[u] == cfg.opinions[v]) for u, v in cfg.topology.edges()]
-
-
 def count_domains(cfg) -> DomainStats:
     """Connected components after deleting every edge with weight < F."""
-    F = _full_weight(cfg)
-    weights = _edge_weights(cfg)
-    removed = sum(1 for w in weights if w < F)
-    n = domain_count_from_removed(cfg.topology.kind, removed)
-    return DomainStats(n, Fraction(cfg.topology.n_vertices, n))
+    return domains_from_census(edge_census(cfg), cfg.topology)
 
 
-def domain_count_from_removed(kind: str, removed_edges: int) -> int:
+def domains_from_census(census: EdgeCensus, topology) -> DomainStats:
     # On a path (tree) components = removed + 1; on a cycle removing k >= 1
     # edges leaves k components, and 0 removals leave the single cycle.
-    if kind == "path":
-        return removed_edges + 1
-    return removed_edges if removed_edges > 0 else 1
+    removed = census.n_edges - census.counts[-1]
+    n = removed + 1 if topology.kind == "path" else max(removed, 1)
+    return DomainStats(n, Fraction(topology.n_vertices, n))
 
 
 def domains_equals_w0_plus_1(cfg: Configuration) -> bool:

@@ -27,6 +27,7 @@ from axsim import (
     estimate_lemma_0edge_probability,
     execute,
     random_config,
+    replicate_seeds,
     rounds_expectations,
     run_model,
     table1_generate,
@@ -40,12 +41,6 @@ from axsim import (
 def report(criterion: int, name: str, ok: bool) -> bool:
     print(f"\n[acceptance {criterion:02d}] {name}: {'PASS' if ok else 'FAIL'}")
     return ok
-
-
-def rep_seeds(master: int, r: int):
-    ss = np.random.SeedSequence(entropy=master, spawn_key=(r,))
-    a, b = ss.generate_state(2, np.uint64)
-    return int(a), int(b)
 
 
 def mean_se(values):
@@ -132,7 +127,7 @@ def theorem2_runs():
     for (F, q), master in THEOREM2_SETTINGS.items():
         trajs = []
         for r in range(N_REPS):
-            init_seed, run_seed = rep_seeds(master, r)
+            init_seed, run_seed = replicate_seeds(master, r)
             cfg = random_config(ModelParams(F, q), topo, init_seed)
             trajs.append(run_model("axelrod", cfg, stop, run_seed,
                                    attach_urn=True))
@@ -280,7 +275,7 @@ def test_criterion_09_lineage_ordering():
     topo = Topology("path", 65)
     ordered_logs = 0
     for seed in range(100):
-        init_seed, run_seed = rep_seeds(808, seed)
+        init_seed, run_seed = replicate_seeds(808, seed)
         cfg = random_config(params, topo, init_seed)
         traj = run_model("axelrod", cfg,
                          StopRule(t_max=3.0, stop_on_absorption=False), run_seed)
@@ -308,7 +303,7 @@ def test_criterion_10_clustering_proxy():
     sums_w1 = [0.0] * 3
     n_reps = 50
     for r in range(n_reps):
-        init_seed, run_seed = rep_seeds(1010, r)
+        init_seed, run_seed = replicate_seeds(1010, r)
         cfg = random_config(params, topo, init_seed)
         traj = run_model("axelrod", cfg,
                          StopRule(t_max=1000.0, stop_on_absorption=False),
@@ -345,7 +340,7 @@ def test_criterion_11_rounds_urn_oracle():
     topo = Topology("path", N + 1)
     fracs = []
     for r in range(200):
-        init_seed, run_seed = rep_seeds(1111, r)
+        init_seed, run_seed = replicate_seeds(1111, r)
         census = edge_census(random_config(params2, topo, init_seed))
         rec = urn_rounds_run(UrnState(census.counts), params2, run_seed)
         fracs.append(rec.final.boxes[0] / N)

@@ -1,10 +1,16 @@
 """Command-line interface: subcommands, config files, and rerun determinism."""
 import json
 import os
+import re
+import shlex
+from dataclasses import asdict
 
 import pytest
 
+from axsim import ExperimentConfig
 from axsim.cli import build_parser, main
+
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +113,70 @@ class TestConfigFile:
                                "--q", "8")
         assert code == 0
         assert json.loads(out)["aggregates"]["q"] == 8
+
+    def test_unknown_key_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("replicats=5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg), "--t-max", "1.0"])
+        assert exc.value.code == 2
+        assert "replicats" in capsys.readouterr().err
+
+    def test_key_of_another_subcommand_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("theta=0.5\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg), "--t-max", "1.0"])
+        assert exc.value.code == 2
+        assert "theta" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value,urn", [("no", False), ("yes", True)])
+    def test_boolean_and_list_keys(self, capsys, tmp_path, value, urn):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"attach_urn={value}\nF=2\nq=4\nN=10\nreplicates=2\n"
+                       "snapshots=0.5,1.0\n")
+        code, _, _ = run_cli(capsys, "simulate", "--config", str(cfg),
+                             "--out", str(tmp_path / "out"))
+        assert code == 0
+        config = json.loads((tmp_path / "out" / "summary.json").read_text())["config"]
+        assert config["attach_urn"] is urn
+        assert config["snapshot_times"] == [0.5, 1.0]
+        header = (tmp_path / "out" / "aggregate.csv").read_text().splitlines()[0]
+        assert ("B_0" in header) is urn
+
+
+class TestDefaults:
+    def test_unset_flags_keep_experiment_defaults(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "table1", "--out", str(tmp_path))
+        assert code == 0
+        expected = asdict(ExperimentConfig(kind="table1"))
+        del expected["workers"], expected["output_dir"]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["config"] == json.loads(json.dumps(expected))
+
+
+def readme_cli_commands():
+    """Every `axsim ...` line of README's CLI section, continuations joined."""
+    with open(README) as fh:
+        text = fh.read()
+    section = re.search(r"^## CLI\n(.*?)(?=^## )", text, re.S | re.M).group(1)
+    lines = section.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in map(str.strip, lines) if line.startswith("axsim ")]
+
+
+class TestReadmeCommands:
+    def test_every_readme_command_parses(self):
+        commands = readme_cli_commands()
+        assert len(commands) >= 10
+        parser = build_parser()
+        seen = set()
+        for argv in commands:
+            try:
+                seen.add(parser.parse_args(argv[1:]).command)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+        assert seen == {"simulate", "bounds", "table1", "urn-rounds", "duality-check",
+                        "lemma5-estimate"}
 
 
 class TestDeterminism:

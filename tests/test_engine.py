@@ -263,6 +263,14 @@ class TestVoterRun:
         traj = run_model("voter", init, StopRule(t_max=4.0), 8)
         assert replay(init, traj.events, "voter") == traj.final
 
+    def test_consensus_keeps_logging_until_t_max(self):
+        # Duality needs every arrival up to the horizon, also after consensus.
+        topo = Topology("cycle", 10)
+        init = OpinionConfig(topo, (1,) * 10, (0, 1))
+        traj = run_model("voter", init, StopRule(t_max=3.0), 0)
+        assert traj.absorbed and traj.end_time == 3.0
+        assert traj.events and all(ev.delta_w == 0 for ev in traj.events)
+
 
 class TestCvmRun:
     def test_extremes_never_interact(self):
@@ -296,3 +304,14 @@ class TestCvmRun:
             assert ev.source in topo.neighbors(ev.target)
             ops[ev.target] = eps
         assert tuple(ops) == traj.final.opinions
+
+    def test_frozen_run_reports_t_max(self):
+        # (0, +1) on one edge freezes after its first event, long before t_max.
+        init = OpinionConfig(Topology("path", 2), (0, 1), (-1, 0, 1))
+        traj = run_model("cvm", init, StopRule(t_max=50.0), 4)
+        assert traj.absorbed and len(traj.events) == 1
+        assert traj.events[0].time < 50.0
+        assert traj.end_time == 50.0
+        stopped = run_model("cvm", init, StopRule(t_max=50.0, stop_on_absorption=True), 4)
+        assert stopped.events == traj.events
+        assert stopped.end_time == stopped.events[-1].time
