@@ -187,7 +187,7 @@ def random_config(params: ModelParams, topology: Topology, seed: int) -> Configu
     """Every feature of every vertex i.i.d. uniform on {0,...,q-1}."""
     rng = np.random.default_rng(seed)
     arr = rng.integers(0, params.q, size=(topology.n_vertices, params.F))
-    cultures = tuple(tuple(int(v) for v in row) for row in arr)
+    cultures = tuple(map(tuple, arr.tolist()))  # Python ints, as event logs repr them
     return Configuration(topology, params, cultures)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import InvalidInput, ModelParams, Topology, random_config
 from .engine import AXELROD, VOTER, StopRule, replicate_seeds, run_model
@@ -27,6 +28,12 @@ class ArrowLog:
     arrows: tuple
     horizon: float
     labeled: bool
+
+    @cached_property
+    def _incoming(self) -> dict:
+        # Built on first use and kept in the instance __dict__, which the
+        # frozen dataclass's eq, hash and repr never read.
+        return _incoming_index(self)
 
 
 @dataclass(frozen=True)
@@ -71,16 +78,15 @@ def arrow_log_from_trajectory(traj) -> ArrowLog:
     raise InvalidInput(f"no arrow-log form for model {traj.model!r}")
 
 
-def _incoming_index(log: ArrowLog, label: int | None):
-    """Per-vertex time-sorted incoming arrows, optionally feature-filtered."""
-    times: dict[int, list[float]] = {}
-    sources: dict[int, list[int]] = {}
+def _incoming_index(log: ArrowLog) -> dict:
+    """Per feature label (None for an unlabeled log), per target vertex: the
+    time-sorted times and sources of its incoming arrows."""
+    index: dict = {}
     for a in log.arrows:
-        if label is not None and a.label != label:
-            continue
+        times, sources = index.setdefault(a.label if log.labeled else None, ({}, {}))
         times.setdefault(a.target, []).append(a.time)
         sources.setdefault(a.target, []).append(a.source)
-    return times, sources
+    return index
 
 
 def _trace(times, sources, x: int, t: float) -> DualWalkResult:
@@ -103,7 +109,7 @@ def trace_dual_walk(log: ArrowLog, x: int, t: float) -> DualWalkResult:
         raise InvalidInput("dual walk needs a voter (unlabeled) log")
     if t > log.horizon:
         raise InvalidInput(f"t={t} beyond log horizon {log.horizon}")
-    times, sources = _incoming_index(log, None)
+    times, sources = log._incoming.get(None, ({}, {}))
     return _trace(times, sources, x, t)
 
 
@@ -113,7 +119,7 @@ def trace_lineage(log: ArrowLog, i: int, u: int, t: float) -> DualWalkResult:
         raise InvalidInput("lineage tracing needs a labeled log")
     if t > log.horizon:
         raise InvalidInput(f"t={t} beyond log horizon {log.horizon}")
-    times, sources = _incoming_index(log, i)
+    times, sources = log._incoming.get(i, ({}, {}))
     return _trace(times, sources, u, t)
 
 
@@ -129,7 +135,7 @@ def check_voter_duality(log: ArrowLog, initial, t: float) -> DualityReport:
         if a.time > t:
             break
         ops[a.target] = ops[a.source]
-    times, sources = _incoming_index(log, None)
+    times, sources = log._incoming.get(None, ({}, {}))
     per_vertex = []
     for x in range(initial.topology.n_vertices):
         end = _trace(times, sources, x, t).end_vertex

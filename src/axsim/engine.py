@@ -1,17 +1,36 @@
-"""Exact continuous-time simulation via per-edge Poisson proposals.
+"""Exact continuous-time simulation by rejection-free event selection.
 
-The culture model is driven by the graphical construction: every oriented
-edge proposes at rate 1/2 with a uniform feature draw (thinning) and a
-uniform tie-break among disagreeing features. Edges whose weight is 0 or F
-cannot produce an accepted proposal, so the engine keeps an active-edge set
-and only schedules clocks there; skipped proposals are rejected with
-probability 1, so the law is unchanged. The voter model and the constrained
-voter model run in the same event loop (`run_model`), each through its own
-small kernel.
+In the culture model an edge whose endpoints share j of the F features
+fires at rate j/F: one of its two orientations is chosen uniformly, and the
+target copies a uniformly chosen disagreeing feature of the source. This is
+the law of the graphical construction in `propose_and_apply`, where each
+oriented edge proposes at rate 1/2 and a proposal is kept iff its uniform
+feature draw lands in the agreement set; a thinned proposal changes nothing,
+so leaving it out keeps the law. The culture kernel never proposes what it
+would reject (the n-fold way of Bortz, Kalos and Lebowitz, 1975). It keeps
+the edges of weight 1..F-1 in one swap-remove list per weight class and
+tracks S = sum_j j*n_j, so the total rate is S/F and a run is absorbed
+exactly when S == 0. One step picks class j with probability j*n_j/S, then a
+uniform edge in that class, a uniform orientation and a uniform disagreeing
+feature; every step is an accepted event. The CVM kernel is the one-class
+case: every active edge fires at rate 1. The voter kernel picks a uniform
+vertex and a uniform neighbor at total rate V. One event loop (`run_model`)
+draws the waiting times and owns the stop rule, snapshots and urn coupling.
 
-One trajectory uses one RNG stream in a fixed call order, which makes runs
-bit-reproducible from the seed. The attached urn (when requested) draws
-from a separate substream so trajectories are identical with or without it.
+Randomness is drawn in blocks. Each run makes one `_Draws` source on its
+trajectory Generator, which refills Python lists from `rng.random(n)` and
+`rng.standard_exponential(n)`; n doubles from 16 up to 4096 per refill, so
+short runs draw little they do not use. An index below k is drawn as
+int(u*k) from a uniform double u, which takes 2**53 equally likely values in
+[0, 1): each index then has probability within 2**-52 of 1/k (rounding the
+product moves a cell boundary by at most one value of u), so the draw is
+within total-variation distance k*2**-53 of uniform. The class-and-edge pick
+is one such draw with k = S: it selects the class by cumulative j*n_j, and
+the remainder divided by j is exactly uniform over the class.
+
+One trajectory uses one Generator in a fixed order of calls, which makes
+runs bit-reproducible from the seed. The attached urn draws from a separate
+substream, so trajectories are identical with or without it.
 """
 from __future__ import annotations
 
@@ -29,7 +48,7 @@ from .core import (
     edge_overlap_count,
 )
 from .stats import DomainStats, EdgeCensus, census_from_counts, domains_from_census
-from .urn import UrnState, urn_coupled_step, urn_init, urn_potentials
+from .urn import UrnState, urn_coupled_step, urn_init
 
 AXELROD = "axelrod"
 VOTER = "voter"
@@ -165,30 +184,75 @@ class _SnapshotTaker:
         return self.times[0] if self.times else math.inf
 
 
-class _ActiveSet:
-    """Swap-remove list of active edge indices with O(1) membership updates."""
+_FIRST_BLOCK, _MAX_BLOCK = 16, 4096  # block sizes of `_Draws`, doubling per refill
 
-    def __init__(self, n_edges: int):
-        self.items: list[int] = []
-        self.pos = [-1] * n_edges
 
-    def set(self, e: int, active: bool):
-        p = self.pos[e]
-        if active and p < 0:
-            self.pos[e] = len(self.items)
-            self.items.append(e)
-        elif not active and p >= 0:
-            last = self.items[-1]
-            self.items[p] = last
-            self.pos[last] = p
-            self.items.pop()
-            self.pos[e] = -1
+class _Draws:
+    """Block-drawn uniforms on [0, 1) and Exp(1) variates of one run's Generator."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._u: list[float] = []
+        self._e: list[float] = []
+        self._nu = self._ne = _FIRST_BLOCK
+
+    def uniform(self) -> float:
+        if not self._u:
+            self._u = self._rng.random(self._nu).tolist()
+            self._nu = min(2 * self._nu, _MAX_BLOCK)
+        return self._u.pop()
+
+    def exponential(self) -> float:
+        if not self._e:
+            self._e = self._rng.standard_exponential(self._ne).tolist()
+            self._ne = min(2 * self._ne, _MAX_BLOCK)
+        return self._e.pop()
+
+
+class _Buckets:
+    """Edges in swap-remove lists by weight class 1..K; class 0 means absent.
+
+    `total` is S = sum_j j*n_j over the classes, kept as edges move.
+    """
+
+    def __init__(self, n_edges: int, n_classes: int):
+        self.lists: list[list[int]] = [[] for _ in range(n_classes + 1)]
+        self.cls = [0] * n_edges
+        self.pos = [0] * n_edges
+        self.total = 0
+
+    def move(self, e: int, c: int):
+        old = self.cls[e]
+        if c == old:
+            return
+        pos = self.pos
+        if old:
+            items = self.lists[old]
+            last = items.pop()
+            if last != e:
+                pos[last] = pos[e]
+                items[pos[e]] = last
+        if c:
+            items = self.lists[c]
+            pos[e] = len(items)
+            items.append(e)
+        self.cls[e] = c
+        self.total += c - old
+
+    def pick(self, u: float) -> int:
+        """An edge of class j with probability j*n_j/S, uniform within the class."""
+        x = int(u * self.total)  # < S, so some class takes it
+        j = 1
+        while x >= j * len(self.lists[j]):
+            x -= j * len(self.lists[j])
+            j += 1
+        return self.lists[j][x // j]
 
 
 class _Kernel(NamedTuple):
     """One model's dynamics, as closures over its private state."""
-    rate: Callable[[], int]  # total proposal rate; 0 means nothing can change
-    step: Callable[[float], UpdateEvent | None]  # one proposal at time t; None if thinned
+    rate: Callable[[], float]  # total event rate; 0 means nothing can change
+    step: Callable[[float], UpdateEvent]  # one event at time t
     census: Callable[[], Sequence[int]]  # edge counts w_0..w_F (opinions: disagree, agree)
     absorbed: Callable[[], bool]
     final: Callable[[], object]
@@ -204,8 +268,8 @@ def _incidence(topo: Topology):
     return edges, incident
 
 
-def _culture_kernel(initial, rng) -> _Kernel:
-    """Both orientations of every active edge propose at rate 1/2."""
+def _culture_kernel(initial, uniform) -> _Kernel:
+    """An edge of weight j fires at rate j/F; classes 1..F-1 hold the active edges."""
     if not isinstance(initial, Configuration):
         raise InvalidInput("culture model takes a Configuration")
     F = initial.params.F
@@ -213,25 +277,22 @@ def _culture_kernel(initial, rng) -> _Kernel:
     edges, incident = _incidence(initial.topology)
     weight = [sum(1 for i in range(F) if states[a][i] == states[b][i]) for a, b in edges]
     counts = [0] * (F + 1)
-    active = _ActiveSet(len(edges))
+    buckets = _Buckets(len(edges), F - 1)
     for e, w in enumerate(weight):
         counts[w] += 1
-        active.set(e, 0 < w < F)
-    items, integers, uniform = active.items, rng.integers, rng.random
+        buckets.move(e, w if w < F else 0)
+    pick = buckets.pick
 
     def step(t):
-        e = items[int(integers(len(items)))]
+        e = pick(uniform())
         a, b = edges[e]
-        u, v = (a, b) if integers(2) == 0 else (b, a)
+        u, v = (a, b) if uniform() < 0.5 else (b, a)
         su, sv = states[u], states[v]
-        U = int(integers(F))
-        if su[U] != sv[U]:
-            return None  # proposal thinned away: feature draw in disagreement set
         disagree = [i for i in range(F) if su[i] != sv[i]]
-        feat = disagree[int(len(disagree) * uniform())]  # >= 1 on an active edge
+        feat = disagree[int(uniform() * len(disagree))]  # >= 1 on an active edge
         old, new = sv[feat], su[feat]
         delta = 1
-        _bump(weight, counts, active, e, 1, F)
+        _bump(weight, counts, buckets, e, 1, F)
         for e2 in incident[v]:
             if e2 == e:
                 continue
@@ -239,21 +300,22 @@ def _culture_kernel(initial, rng) -> _Kernel:
             z = zb if za == v else za
             dd = (states[z][feat] == new) - (states[z][feat] == old)
             if dd:
-                _bump(weight, counts, active, e2, dd, F)
+                _bump(weight, counts, buckets, e2, dd, F)
             delta += dd
         sv[feat] = new
         return UpdateEvent(t, v, u, feat, delta)
 
-    return _Kernel(items.__len__, step, lambda: counts, lambda: not items,
+    return _Kernel(lambda: buckets.total / F, step, lambda: counts,
+                   lambda: buckets.total == 0,
                    lambda: Configuration(initial.topology, initial.params,
                                          tuple(tuple(s) for s in states)))
 
 
-def _bump(weight, counts, active, e, d, F):
+def _bump(weight, counts, buckets, e, d, F):
     counts[weight[e]] -= 1
-    weight[e] += d
-    counts[weight[e]] += 1
-    active.set(e, 0 < weight[e] < F)
+    w = weight[e] = weight[e] + d
+    counts[w] += 1
+    buckets.move(e, w if w < F else 0)
 
 
 def _opinions(initial, model: str, alphabet: set) -> list:
@@ -264,20 +326,19 @@ def _opinions(initial, model: str, alphabet: set) -> list:
     return list(initial.opinions)
 
 
-def _voter_kernel(initial, rng) -> _Kernel:
+def _voter_kernel(initial, uniform) -> _Kernel:
     """Each vertex mimics a uniform neighbor at rate 1; every arrival is an event."""
     ops = _opinions(initial, VOTER, {0, 1})
     topo = initial.topology
     V, E = topo.n_vertices, topo.n_edges
     agree = sum(1 for a, b in topo.edges() if ops[a] == ops[b])
     nbrs = [topo.neighbors(x) for x in range(V)]
-    integers = rng.integers
 
     def step(t):
         nonlocal agree
-        x = int(integers(V))
+        x = int(uniform() * V)
         nx = nbrs[x]
-        y = nx[int(integers(len(nx)))]
+        y = nx[int(uniform() * len(nx))]
         flipped = ops[x] != ops[y]
         if flipped:
             for z in nx:
@@ -294,33 +355,33 @@ def _cvm_edge_active(ops, a, b) -> bool:
     return ops[a] != ops[b] and ops[a] + ops[b] != 0
 
 
-def _cvm_kernel(initial, rng) -> _Kernel:
-    """Both orientations of every active edge propose at rate 1/2; extremes never interact."""
+def _cvm_kernel(initial, uniform) -> _Kernel:
+    """Every active edge fires at rate 1 in a uniform orientation; extremes never interact."""
     ops = _opinions(initial, CVM, {-1, 0, 1})
     topo = initial.topology
     edges, incident = _incidence(topo)
     E = len(edges)
     agree = sum(1 for a, b in edges if ops[a] == ops[b])
-    active = _ActiveSet(E)
+    buckets = _Buckets(E, 1)
     for e, (a, b) in enumerate(edges):
-        active.set(e, _cvm_edge_active(ops, a, b))
-    items, integers = active.items, rng.integers
+        buckets.move(e, int(_cvm_edge_active(ops, a, b)))
+    pick = buckets.pick
 
     def step(t):
         nonlocal agree
-        e = items[int(integers(len(items)))]
-        a, b = edges[e]
-        y, x = (a, b) if integers(2) == 0 else (b, a)  # x mimics y
+        a, b = edges[pick(uniform())]
+        y, x = (a, b) if uniform() < 0.5 else (b, a)  # x mimics y
         old = ops[x]
         ops[x] = ops[y]
         for e2 in incident[x]:
             za, zb = edges[e2]
             z = zb if za == x else za
             agree += (ops[z] == ops[x]) - (ops[z] == old)
-            active.set(e2, _cvm_edge_active(ops, za, zb))
+            buckets.move(e2, int(_cvm_edge_active(ops, za, zb)))
         return UpdateEvent(t, x, y, -1, 1)
 
-    return _Kernel(items.__len__, step, lambda: (E - agree, agree), lambda: not items,
+    return _Kernel(lambda: buckets.total, step, lambda: (E - agree, agree),
+                   lambda: buckets.total == 0,
                    lambda: OpinionConfig(topo, tuple(ops), initial.alphabet))
 
 
@@ -332,27 +393,37 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
     """Statistically exact trajectory of the chosen generator.
 
     Deterministic given seed. `snapshot_times` record the state just
-    before each requested time. The model's kernel proposes; this loop draws
-    the waiting times and owns the stop rule, snapshots and urn coupling. A
-    run stops once the rate is 0, and on absorption only under
-    `stop_on_absorption` (the voter model keeps logging arrivals after
-    consensus). A run whose rate reached 0 is reported up to `t_max`.
+    before each requested time; under a `t_max` none may lie beyond it. The
+    model's kernel makes the events; this loop draws the waiting times and
+    owns the stop rule, snapshots and urn coupling. A run stops once the
+    rate is 0, and on absorption only under `stop_on_absorption` (the voter
+    model keeps logging arrivals after consensus). A run whose rate reached
+    0 is reported up to `t_max`.
     """
     if model not in _KERNELS:
         raise InvalidInput(f"unknown model {model!r}")
+    if stop.t_max is not None and any(s > stop.t_max for s in snapshot_times):
+        raise InvalidInput(f"snapshot times beyond t_max={stop.t_max}")
     rng, urn_rng = _rng_pair(seed)
-    kernel = _KERNELS[model](initial, rng)
+    draws = _Draws(rng)
+    kernel = _KERNELS[model](initial, draws.uniform)
     if attach_urn and model != AXELROD:
         raise InvalidInput("urn coupling is defined for the culture model only")
     rate, step, census, absorbed = kernel.rate, kernel.step, kernel.census, kernel.absorbed
-    exponential = rng.exponential
+    exponential = draws.exponential
     taker = _SnapshotTaker(snapshot_times, initial.topology)
     next_snap = min(snapshot_times, default=math.inf)
 
-    urn = urn_init(census_from_counts(census())) if attach_urn else None
-    urn_series = [] if (attach_urn and record_urn_series) else None
+    urn = urn_series = None
     b0_viol = 0
     pot_viol = 0
+    if attach_urn:
+        start = census_from_counts(census())
+        urn = urn_init(start)
+        urn_series = [] if record_urn_series else None
+        # beta and eps as in `urn_potentials`, from running counts: eps = F*(E - w_0) - W.
+        F, E, W = len(urn.boxes) - 1, start.n_edges, start.total_agreement
+        beta = sum((F - j) * urn.boxes[j] for j in range(1, F + 1))
 
     events: list[UpdateEvent] = []
     t = 0.0
@@ -364,28 +435,30 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
         r = rate()
         if r == 0 or len(events) >= max_events or (until_absorbed and absorbed()):
             break
-        dt = exponential(1.0 / r)
-        if t + dt > t_max:
+        t_next = t + exponential() / r
+        if t_next > t_max:
             taker.flush(t_max, census())
             t = t_max
             break
-        t += dt
+        t = t_next
         if t >= next_snap:
             next_snap = taker.flush(t, census())
         ev = step(t)
-        if ev is None:
-            continue
         events.append(ev)
         if urn is not None:
-            counts = census()
-            urn = urn_coupled_step(urn, ev.delta_w, urn_rng)
-            beta, eps = urn_potentials(urn, census_from_counts(counts))
-            if urn.boxes[0] > counts[0]:
+            W += ev.delta_w
+            if ev.delta_w == 2:  # the urn moves on no other event
+                urn = urn_coupled_step(urn, 2, urn_rng)
+                beta = sum((F - j) * urn.boxes[j] for j in range(1, F + 1))
+            w0 = census()[0]
+            eps = F * (E - w0) - W
+            b0 = urn.boxes[0]
+            if b0 > w0:
                 b0_viol += 1
-            if urn.boxes[0] > 0 and beta < eps:
+            if b0 > 0 and beta < eps:
                 pot_viol += 1
             if urn_series is not None:
-                urn_series.append((len(events) - 1,) + urn.boxes + (counts[0], beta, eps))
+                urn_series.append((len(events) - 1,) + urn.boxes + (w0, beta, eps))
 
     end_time = t
     if rate() == 0 and stop.t_max is not None and not until_absorbed:

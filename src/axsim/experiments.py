@@ -65,6 +65,8 @@ class ExperimentConfig:
                      stop_on_absorption=self.t_max is None and self.max_events is None)
             if self.replicates < 1:
                 raise InvalidInput("replicates must be >= 1")
+            if self.t_max is not None and any(s > self.t_max for s in self.snapshot_times):
+                raise InvalidInput(f"snapshot times beyond t_max={self.t_max}")
             if self.attach_urn and self.model != AXELROD:
                 raise InvalidInput("urn coupling applies to the culture model only")
         if self.kind == "lemma5-estimate":

@@ -127,8 +127,35 @@ def urn_rounds_run(initial: UrnState, params: ModelParams, seed: int) -> RoundsR
     return RoundsRecord(tuple(round_ends), tuple(box1_at_end), UrnState(tuple(final)))
 
 
+def _rounds_moves(state, F: int, p: Fraction):
+    """(probability, next state) of each move of the rounds game; () once it halts."""
+    whites, black0, black1 = state
+    eligible = _round_eligible(whites, F)
+    if not eligible:
+        if black1 == 0:
+            return ()
+        return ((Fraction(1), ((0, black1) + whites[2:], black0, 0)),)  # repaint
+    share = Fraction(1, len(eligible))
+    moves = []
+    for j in eligible:
+        w2 = list(whites)
+        w2[j] -= 1
+        w2[j + 1] += 1
+        w2 = tuple(w2)
+        if black0 > 0:
+            moves.append((share * p, (w2, black0 - 1, black1 + 1)))
+            moves.append((share * (1 - p), (w2, black0, black1)))
+        else:
+            moves.append((share, (w2, black0, black1)))
+    return moves
+
+
 def urn_exact_expectation(initial: UrnState, params: ModelParams) -> Fraction:
-    """Exact E(final box-0 count) of the rounds game by exhaustive expansion."""
+    """Exact E(final box-0 count) of the rounds game by exhaustive expansion.
+
+    States (whites, black0, black1) form an acyclic graph; an explicit stack
+    values each state after all its successors, so no recursion is needed.
+    """
     F = params.F
     if len(initial.boxes) != F + 1:
         raise InvalidInput("urn state does not match F")
@@ -136,42 +163,22 @@ def urn_exact_expectation(initial: UrnState, params: ModelParams) -> Fraction:
         raise CapacityError(
             f"exact expansion capped at {EXACT_BALL_CAP} balls / F <= {EXACT_F_CAP}")
     p = Fraction(1, params.q - 1)
-    cache: dict = {}
-
-    def expect(whites, black0, black1) -> Fraction:
-        key = (whites, black0, black1)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        eligible = _round_eligible(whites, F)
-        if not eligible:
-            if black1 == 0:
-                val = Fraction(black0)
-            else:
-                repainted = (0, black1) + whites[2:]
-                val = expect(repainted, black0, 0)
+    root = ((0,) + tuple(initial.boxes[1:]), initial.boxes[0], 0)
+    value: dict = {}
+    stack = [root]
+    while stack:
+        state = stack[-1]
+        if state in value:
+            stack.pop()
+            continue
+        moves = _rounds_moves(state, F, p)
+        pending = [nxt for _, nxt in moves if nxt not in value]
+        if pending:
+            stack.extend(pending)
+            continue
+        stack.pop()
+        if moves:
+            value[state] = sum((w * value[nxt] for w, nxt in moves), Fraction(0))
         else:
-            val = Fraction(0)
-            share = Fraction(1, len(eligible))
-            for j in eligible:
-                w2 = list(whites)
-                w2[j] -= 1
-                w2[j + 1] += 1
-                w2 = tuple(w2)
-                if black0 > 0:
-                    val += share * (p * expect(w2, black0 - 1, black1 + 1)
-                                    + (1 - p) * expect(w2, black0, black1))
-                else:
-                    val += share * expect(w2, black0, black1)
-        cache[key] = val
-        return val
-
-    import sys
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 100_000))
-    try:
-        whites0 = (0,) + tuple(initial.boxes[1:])
-        return expect(whites0, initial.boxes[0], 0)
-    finally:
-        sys.setrecursionlimit(old)
+            value[state] = Fraction(state[1])
+    return value[root]

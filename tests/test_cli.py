@@ -98,6 +98,14 @@ class TestValidation:
         assert "error" in err
 
 
+    def test_snapshot_beyond_t_max_returns_2(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", "--N", "10", "--t-max", "1",
+                               "--snapshots", "5", "--replicates", "2", "--out", str(out))
+        assert code == 2
+        assert "t_max" in err and not out.exists()
+
+
 class TestConfigFile:
     def test_config_file_supplies_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -143,6 +143,14 @@ class TestRandomConfig:
         p, topo = ModelParams(3, 5), Topology("cycle", 20)
         assert random_config(p, topo, 9).cultures == random_config(p, topo, 9).cultures
 
+    def test_python_ints_from_the_seeded_stream(self):
+        # Event logs write cultures with repr, which differs for numpy scalars.
+        p, topo = ModelParams(3, 5), Topology("path", 7)
+        cfg = random_config(p, topo, 4)
+        assert all(type(v) is int for c in cfg.cultures for v in c)
+        expected = np.random.default_rng(4).integers(0, 5, size=(7, 3))
+        assert cfg.cultures == tuple(tuple(int(v) for v in row) for row in expected)
+
     def test_uniform_frequencies_chi_square(self):
         # chi-square against uniform over 1e4 vertices, 3-sigma on each cell
         q = 4

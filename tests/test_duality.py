@@ -14,10 +14,12 @@ from axsim import (
     check_voter_duality,
     estimate_lemma_0edge_probability,
     random_config,
+    replicate_seeds,
     run_model,
     trace_dual_walk,
     trace_lineage,
 )
+from axsim import duality
 
 
 def voter_log(n, t_max, seed, init_seed=0):
@@ -138,6 +140,54 @@ class TestTraceLineage:
                 ends = [trace_lineage(log, i, u, traj.end_time).end_vertex
                         for u in range(33)]
                 assert all(a <= b for a, b in zip(ends, ends[1:]))
+
+
+def scan_lineage(log, i, u, t):
+    """Lineage endpoint by a backward scan over the whole log (no index)."""
+    for a in reversed(log.arrows):
+        if a.time < t and a.target == u and a.label == i:
+            u, t = a.source, a.time
+    return u
+
+
+class TestIncomingIndexCache:
+    def test_cached_index_matches_fresh_build(self):
+        # Criterion-09 kind of logs: F=2, q=4 on a path of 65 vertices up to t=3.
+        params, topo = ModelParams(2, 4), Topology("path", 65)
+        for r in range(4):
+            init_seed, run_seed = replicate_seeds(808, r)
+            traj = run_model("axelrod", random_config(params, topo, init_seed),
+                             StopRule(t_max=3.0), run_seed)
+            log = arrow_log_from_trajectory(traj)
+            for t in (1.5, traj.end_time):
+                for i in range(params.F):
+                    for u in range(65):
+                        cached = trace_lineage(log, i, u, t)
+                        fresh = ArrowLog(log.arrows, log.horizon, log.labeled)
+                        assert cached == trace_lineage(fresh, i, u, t)
+                        assert cached.end_vertex == scan_lineage(log, i, u, t)
+
+    def test_index_built_once_per_log(self, monkeypatch):
+        builds = []
+        build = duality._incoming_index
+        monkeypatch.setattr(duality, "_incoming_index",
+                            lambda log: builds.append(log) or build(log))
+        init, traj = voter_log(16, 5.0, 3)
+        log = arrow_log_from_trajectory(traj)
+        assert check_voter_duality(log, init, 5.0).all_true
+        for x in range(16):
+            trace_dual_walk(log, x, 2.5)
+        assert len(builds) == 1
+        cfg = random_config(ModelParams(3, 3), Topology("cycle", 10), 2)
+        traj = run_model("axelrod", cfg, StopRule(t_max=4.0), 2)
+        log = arrow_log_from_trajectory(traj)
+        for i in range(3):
+            for u in range(10):
+                trace_lineage(log, i, u, traj.end_time)
+        assert len(builds) == 2
+        # The cache is no field: equality and hashing see only the arrows.
+        same = ArrowLog(log.arrows, log.horizon, log.labeled)
+        assert log == same and hash(log) == hash(same)
 
 
 class TestConditionalEstimate:

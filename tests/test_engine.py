@@ -1,3 +1,7 @@
+import math
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,7 @@ from axsim import (
     UpdateEvent,
     classify_delta_w,
     cvm_projection,
+    edge_census,
     is_absorbed,
     propose_and_apply,
     random_config,
@@ -102,6 +107,59 @@ class TestClassifyDeltaW:
         bogus = UpdateEvent(1.0, 1, 0, 1, 1)
         with pytest.raises(InvalidInput):
             classify_delta_w(before, bogus, before)
+
+
+def first_event_law(cfg):
+    """Exact law of the first accepted event and its total rate, from the oracle.
+
+    Every oriented edge proposes at rate 1/2 with a uniform feature draw U and
+    a uniform tie draw W. W is taken at the midpoints of L equal intervals,
+    L = lcm(1..F), so the tie cells of every disagreement-set size align.
+    """
+    F = cfg.params.F
+    L = math.lcm(*range(1, F + 1))
+    rates = Counter()
+    for a, b in cfg.topology.edges():
+        for u, v in ((a, b), (b, a)):
+            for U in range(F):
+                for m in range(L):
+                    _, ev = propose_and_apply(cfg, GraphicalDraw(1.0, u, v, U, (m + 0.5) / L))
+                    if ev is not None:
+                        key = (ev.target, ev.source, ev.copied_feature, ev.delta_w)
+                        rates[key] += Fraction(1, 2 * F * L)
+    total = sum(rates.values())
+    return {k: r / total for k, r in rates.items()}, total
+
+
+class TestExactKernelOracle:
+    # F=3, q=3 with edges of weight 1 and 2; the cycle also has a 0-edge.
+    CASES = {
+        "path3": ("path", [(0, 0, 0), (0, 1, 1), (0, 1, 2)]),
+        "path4": ("path", [(0, 0, 0), (0, 0, 1), (1, 2, 1), (1, 2, 2)]),
+        "cycle4": ("cycle", [(0, 0, 0), (0, 1, 1), (0, 1, 2), (2, 2, 2)]),
+    }
+    RUNS = 4000
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_first_event_matches_enumerated_law(self, name):
+        kind, cultures = self.CASES[name]
+        cfg = make_cfg(kind, cultures, 3, 3)
+        law, rate = first_event_law(cfg)
+        counts = edge_census(cfg).counts
+        assert rate == Fraction(sum(j * c for j, c in enumerate(counts[:-1])), 3)  # S/F
+        assert {1, 2} <= {j for j, c in enumerate(counts) if c}
+        n = self.RUNS
+        hits, time_sum = Counter(), 0.0
+        for seed in range(n):
+            (ev,) = run_model("axelrod", cfg, StopRule(max_events=1), seed).events
+            hits[(ev.target, ev.source, ev.copied_feature, ev.delta_w)] += 1
+            time_sum += ev.time
+        assert set(hits) <= set(law)
+        for key, p in law.items():
+            p = float(p)
+            assert abs(hits[key] - n * p) <= 3 * math.sqrt(n * p * (1 - p)), (key, hits[key], n * p)
+        mean = float(1 / rate)  # Exp(S/F) has standard deviation equal to its mean
+        assert abs(time_sum / n - mean) <= 3 * mean / math.sqrt(n)
 
 
 class TestRunModel:
@@ -210,6 +268,14 @@ class TestRunModel:
         from axsim import edge_census
 
         assert traj.snapshots[-1].census == edge_census(traj.final)
+
+    def test_snapshot_beyond_t_max_rejected(self):
+        cfg = random_config(ModelParams(2, 4), Topology("path", 11), 3)
+        for stop in (StopRule(t_max=1.0), StopRule(t_max=1.0, stop_on_absorption=True)):
+            with pytest.raises(InvalidInput):
+                run_model("axelrod", cfg, stop, 3, snapshot_times=(0.5, 5.0))
+        traj = run_model("axelrod", cfg, StopRule(t_max=1.0), 3, snapshot_times=(0.5, 1.0))
+        assert [s.time for s in traj.snapshots] == [0.5, 1.0]
 
     def test_projection_jumps_are_event_times(self):
         cfg = random_config(ModelParams(2, 2), Topology("cycle", 16), 21)

@@ -27,6 +27,14 @@ class TestSnapshotMeans:
             assert sum(float(v) for v in r[1:1 + width]) == pytest.approx(1.0)
 
 
+class TestSnapshotsBeyondTmax:
+    def test_rejected_by_validate(self):
+        config = ExperimentConfig(kind="simulate", N=10, t_max=1.0, snapshot_times=(0.5, 5.0))
+        with pytest.raises(InvalidInput):
+            config.validate()
+        ExperimentConfig(kind="simulate", N=10, t_max=1.0, snapshot_times=(0.5, 1.0)).validate()
+
+
 class TestChainCheck:
     def test_urn_attached_cycle_run(self):
         summary = execute(ExperimentConfig(kind="simulate", F=2, q=3, topology="cycle",

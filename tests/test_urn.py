@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -19,6 +21,7 @@ from axsim import (
     urn_potentials,
     urn_rounds_run,
 )
+from axsim.logio import replay
 from axsim.stats import census_from_counts
 
 
@@ -94,12 +97,34 @@ class TestCoupledInvariants:
                     assert beta >= eps
 
     def test_urn_does_not_perturb_trajectory(self):
-        cfg = random_config(ModelParams(2, 3), Topology("cycle", 24), 5)
-        bare = run_model("axelrod", cfg, StopRule(stop_on_absorption=True), 9)
-        coupled = run_model("axelrod", cfg, StopRule(stop_on_absorption=True), 9,
-                            attach_urn=True)
-        assert bare.events == coupled.events
-        assert bare.final == coupled.final
+        for kind in ("path", "cycle"):
+            for seed in range(6):
+                cfg = random_config(ModelParams(2 + seed % 2, 3), Topology(kind, 24), seed + 5)
+                stop = StopRule(stop_on_absorption=True)
+                bare = run_model("axelrod", cfg, stop, seed + 9)
+                coupled = run_model("axelrod", cfg, stop, seed + 9, attach_urn=True)
+                assert bare.events == coupled.events
+                assert bare.final == coupled.final
+                assert bare.end_time == coupled.end_time
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_series_matches_potentials_of_replayed_state(self, kind, seed):
+        # Each row holds (event idx, B_0..B_F, w_0, beta, eps) after that event.
+        F = 2 + seed % 3
+        cfg = random_config(ModelParams(F, 4), Topology(kind, 16), seed)
+        traj = run_model("axelrod", cfg, StopRule(stop_on_absorption=True), seed + 50,
+                         attach_urn=True, record_urn_series=True)
+        assert len(traj.urn_series) == len(traj.events) > 0
+        state = cfg
+        for k, (row, ev) in enumerate(zip(traj.urn_series, traj.events)):
+            state = replay(state, [ev], "axelrod")
+            census = edge_census(state)
+            boxes = row[1:F + 2]
+            assert row[0] == k
+            assert row[-3] == census.counts[0]
+            assert row[-2:] == urn_potentials(UrnState(boxes), census)
+        assert boxes == traj.urn_final.boxes
 
 
 class TestRoundsUrn:
@@ -153,6 +178,15 @@ class TestExactOracle:
     def test_capacity_guard(self):
         with pytest.raises(CapacityError):
             urn_exact_expectation(UrnState((100, 0, 0)), ModelParams(2, 3))
+
+    def test_at_the_cap_without_raising_the_recursion_limit(self, monkeypatch):
+        # 12 balls and F=4; the value is that of the former recursive expansion.
+        def refuse(limit):
+            raise AssertionError("recursion limit changed")
+
+        monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+        assert urn_exact_expectation(UrnState((4, 3, 3, 2, 0)), ModelParams(4, 5)) == \
+            Fraction(197156866310307, 2 ** 50)
 
     def test_small_instance_value(self):
         assert urn_exact_expectation(UrnState((1, 1, 0)), ModelParams(2, 3)) == \
