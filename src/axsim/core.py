@@ -5,8 +5,10 @@ an I/O concern. All types here are immutable values.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 import numpy as np
 
@@ -101,6 +103,13 @@ class Configuration:
     def __post_init__(self):
         if len(self.cultures) != self.topology.n_vertices:
             raise InvalidInput("one culture per vertex required")
+        # Bulk test first: every length is F and every distinct state lies in
+        # 0..q-1. Only a failing state pays for the per-culture loop, which
+        # finds the first fault and words its error.
+        F, q = self.params.F, self.params.q
+        if set(map(len, self.cultures)) == {F} and all(
+                0 <= v < q for v in set(chain.from_iterable(self.cultures))):
+            return
         for c in self.cultures:
             _check_culture(c, self.params)
 
@@ -119,6 +128,8 @@ class OpinionConfig:
         if len(self.opinions) != self.topology.n_vertices:
             raise InvalidInput("one opinion per vertex required")
         allowed = set(self.alphabet)
+        if allowed.issuperset(self.opinions):
+            return
         for o in self.opinions:
             if o not in allowed:
                 raise InvalidInput(f"opinion {o} outside alphabet {self.alphabet}")
@@ -192,8 +203,7 @@ def random_config(params: ModelParams, topology: Topology, seed: int) -> Configu
 
 
 def edge_overlap_count(cfg: Configuration, u: int, v: int) -> int:
-    a, b = cfg.cultures[u], cfg.cultures[v]
-    return sum(1 for x, y in zip(a, b) if x == y)
+    return sum(map(operator.eq, cfg.cultures[u], cfg.cultures[v]))
 
 
 def is_absorbed(cfg: Configuration) -> bool:

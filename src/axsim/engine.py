@@ -35,7 +35,9 @@ substream, so trajectories are identical with or without it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -65,8 +67,8 @@ class GraphicalDraw:
     tie_draw: float  # W, uniform over (0,1)
 
 
-@dataclass(frozen=True)
-class UpdateEvent:
+class UpdateEvent(NamedTuple):
+    """One accepted event; a tuple, so a run's log is cheap to build and hold."""
     time: float
     target: int
     source: int
@@ -102,6 +104,7 @@ class Trajectory:
     absorbed: bool
     end_time: float
     seed: int
+    final_census: EdgeCensus  # census of `final`, from the engine's running counts
     urn_final: UrnState | None = None
     urn_series: list | None = None  # (event idx, B_0..B_F, w_0, beta, eps)
     urn_b0_violations: int = 0
@@ -153,10 +156,15 @@ def classify_delta_w(before: Configuration, event: UpdateEvent, after: Configura
     return delta
 
 
-def _rng_pair(seed: int):
-    ss = np.random.SeedSequence(seed)
-    traj_ss, urn_ss = ss.spawn(2)
-    return np.random.default_rng(traj_ss), np.random.default_rng(urn_ss)
+def _rng_pair(seed: int, with_urn: bool):
+    """Trajectory and urn Generators: the two children of `SeedSequence(seed).spawn(2)`.
+
+    Each child is built directly from its spawn key, the urn's only when it
+    is used; the streams are those of the spawned children.
+    """
+    def child(k):
+        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+    return child(0), child(1) if with_urn else None
 
 
 def replicate_seeds(master_seed: int, r: int) -> tuple[int, int]:
@@ -215,11 +223,17 @@ class _Buckets:
     `total` is S = sum_j j*n_j over the classes, kept as edges move.
     """
 
-    def __init__(self, n_edges: int, n_classes: int):
+    def __init__(self, classes: list[int], n_classes: int):
+        """Edge e starts in class `classes[e]`; the list is kept, not copied."""
         self.lists: list[list[int]] = [[] for _ in range(n_classes + 1)]
-        self.cls = [0] * n_edges
-        self.pos = [0] * n_edges
-        self.total = 0
+        self.cls = classes
+        self.pos = pos = [0] * len(classes)
+        for e, c in enumerate(classes):
+            if c:
+                items = self.lists[c]
+                pos[e] = len(items)
+                items.append(e)
+        self.total = sum(classes)
 
     def move(self, e: int, c: int):
         old = self.cls[e]
@@ -258,14 +272,18 @@ class _Kernel(NamedTuple):
     final: Callable[[], object]
 
 
+@lru_cache(maxsize=8)
 def _incidence(topo: Topology):
-    """Edge list and, per vertex, the indices of its (at most two) edges."""
-    edges = topo.edges()
+    """Edge tuple and, per vertex, the indices of its (at most two) edges.
+
+    Shared by every run on the same topology, so both are tuples.
+    """
+    edges = tuple(topo.edges())
     incident = [[] for _ in range(topo.n_vertices)]
     for e, (a, b) in enumerate(edges):
         incident[a].append(e)
         incident[b].append(e)
-    return edges, incident
+    return edges, tuple(map(tuple, incident))
 
 
 def _culture_kernel(initial, uniform) -> _Kernel:
@@ -273,14 +291,13 @@ def _culture_kernel(initial, uniform) -> _Kernel:
     if not isinstance(initial, Configuration):
         raise InvalidInput("culture model takes a Configuration")
     F = initial.params.F
-    states = [list(c) for c in initial.cultures]
+    states = list(map(list, initial.cultures))
     edges, incident = _incidence(initial.topology)
-    weight = [sum(1 for i in range(F) if states[a][i] == states[b][i]) for a, b in edges]
+    weight = [sum(map(operator.eq, states[a], states[b])) for a, b in edges]
     counts = [0] * (F + 1)
-    buckets = _Buckets(len(edges), F - 1)
-    for e, w in enumerate(weight):
+    for w in weight:
         counts[w] += 1
-        buckets.move(e, w if w < F else 0)
+    buckets = _Buckets([w if w < F else 0 for w in weight], F - 1)
     pick = buckets.pick
 
     def step(t):
@@ -308,7 +325,7 @@ def _culture_kernel(initial, uniform) -> _Kernel:
     return _Kernel(lambda: buckets.total / F, step, lambda: counts,
                    lambda: buckets.total == 0,
                    lambda: Configuration(initial.topology, initial.params,
-                                         tuple(tuple(s) for s in states)))
+                                         tuple(map(tuple, states))))
 
 
 def _bump(weight, counts, buckets, e, d, F):
@@ -362,9 +379,7 @@ def _cvm_kernel(initial, uniform) -> _Kernel:
     edges, incident = _incidence(topo)
     E = len(edges)
     agree = sum(1 for a, b in edges if ops[a] == ops[b])
-    buckets = _Buckets(E, 1)
-    for e, (a, b) in enumerate(edges):
-        buckets.move(e, int(_cvm_edge_active(ops, a, b)))
+    buckets = _Buckets([int(_cvm_edge_active(ops, a, b)) for a, b in edges], 1)
     pick = buckets.pick
 
     def step(t):
@@ -404,7 +419,7 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
         raise InvalidInput(f"unknown model {model!r}")
     if stop.t_max is not None and any(s > stop.t_max for s in snapshot_times):
         raise InvalidInput(f"snapshot times beyond t_max={stop.t_max}")
-    rng, urn_rng = _rng_pair(seed)
+    rng, urn_rng = _rng_pair(seed, attach_urn)
     draws = _Draws(rng)
     kernel = _KERNELS[model](initial, draws.uniform)
     if attach_urn and model != AXELROD:
@@ -468,5 +483,6 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
     else:
         taker.flush(end_time, census())
     return Trajectory(model, initial, events, taker.out, kernel.final(), absorbed(), end_time,
-                      seed, urn_final=urn, urn_series=urn_series,
-                      urn_b0_violations=b0_viol, urn_potential_violations=pot_viol)
+                      seed, census_from_counts(census()), urn_final=urn,
+                      urn_series=urn_series, urn_b0_violations=b0_viol,
+                      urn_potential_violations=pot_viol)

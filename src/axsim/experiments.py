@@ -11,6 +11,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -67,6 +68,9 @@ class ExperimentConfig:
                 raise InvalidInput("replicates must be >= 1")
             if self.t_max is not None and any(s > self.t_max for s in self.snapshot_times):
                 raise InvalidInput(f"snapshot times beyond t_max={self.t_max}")
+            if self.max_events is not None and self.snapshot_times:
+                # A run cut by its event count may stop before any of them.
+                raise InvalidInput("snapshot times cannot be combined with max_events")
             if self.attach_urn and self.model != AXELROD:
                 raise InvalidInput("urn coupling applies to the culture model only")
         if self.kind == "lemma5-estimate":
@@ -162,13 +166,39 @@ def _duality_replicate(config: ExperimentConfig, r: int) -> dict:
             "n_vertices": len(report.per_vertex)}
 
 
+# Serial seconds of replicate work below which a process pool does not pay.
+# On a 2-core host (Python 3.11.7, fork start) a 2-worker pool finished 20
+# busy-wait tasks of 2.5 to 10 ms about 30 ms later than half their serial
+# time, so it wins only on more than twice that.
+POOL_BREAK_EVEN_S = 0.06
+MAX_CHUNK = 16  # replicates per pool task; larger chunks add little on short runs
+
+
+def _chunksize(n: int, workers: int) -> int:
+    """At most MAX_CHUNK, with a chunk count that is a multiple of `workers`
+    where possible, so the workers' shares differ by at most one chunk."""
+    rounds = -(-n // (workers * MAX_CHUNK))
+    return -(-n // (workers * rounds))
+
+
 def _map_replicates(fn, config: ExperimentConfig):
-    rs = range(config.replicates)
-    workers = min(config.workers, config.replicates, os.cpu_count() or 1)
+    """fn(config, r) for every replicate r, in replicate order.
+
+    Replicate 0 runs here and is timed; the rest go to a process pool only
+    when that time, times the replicates left, exceeds POOL_BREAK_EVEN_S.
+    """
+    n = config.replicates
+    workers = min(config.workers, n, os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(config, r) for r in rs]
+        return [fn(config, r) for r in range(n)]
+    start = perf_counter()
+    rows = [fn(config, 0)]
+    if (perf_counter() - start) * (n - 1) <= POOL_BREAK_EVEN_S:
+        return rows + [fn(config, r) for r in range(1, n)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, [config] * config.replicates, rs, chunksize=16))
+        rows += pool.map(fn, [config] * (n - 1), range(1, n),
+                         chunksize=_chunksize(n - 1, workers))
+    return rows
 
 
 def _emit(summary: ExperimentSummary, config: ExperimentConfig, extra_files: dict):

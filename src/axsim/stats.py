@@ -1,6 +1,7 @@
 """Observables: edge census, domain counts, interface density, flip counts."""
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,8 +100,8 @@ def flip_count(traj, x: int, window_boundaries) -> list[int]:
             continue
         if traj.model != "axelrod" and ev.delta_w == 0:
             continue  # arrival that copied an equal opinion
-        for k in range(len(counts)):
-            if bounds[k] < ev.time <= bounds[k + 1]:
-                counts[k] += 1
-                break
+        # The first boundary >= t closes t's window: b_{k} < t <= b_{k+1}.
+        k = bisect_left(bounds, ev.time) - 1
+        if 0 <= k < len(counts):
+            counts[k] += 1
     return counts

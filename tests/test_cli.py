@@ -105,6 +105,13 @@ class TestValidation:
         assert code == 2
         assert "t_max" in err and not out.exists()
 
+    def test_snapshots_with_max_events_return_2(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, _, err = run_cli(capsys, "simulate", "--N", "10", "--max-events", "3",
+                               "--snapshots", "100", "--replicates", "2", "--out", str(out))
+        assert code == 2
+        assert "max_events" in err and not out.exists()
+
 
 class TestConfigFile:
     def test_config_file_supplies_defaults(self, capsys, tmp_path):

@@ -19,6 +19,7 @@ from axsim import (
     random_config,
     voter_projection,
 )
+from axsim.core import _check_culture
 
 
 def make_cfg(kind, cultures, F, q):
@@ -173,3 +174,68 @@ class TestAbsorption:
         for seed in range(5):
             cfg = random_config(ModelParams(1, 3), Topology("cycle", 10), seed)
             assert is_absorbed(cfg)
+
+
+def _error(make):
+    try:
+        make()
+    except Exception as exc:  # the type and the message are compared
+        return type(exc), str(exc)
+    return None
+
+
+def _culture_loop(cultures, params):
+    """Reference: the per-culture check the bulk test falls back to."""
+    for c in cultures:
+        _check_culture(c, params)
+
+
+def _opinion_loop(opinions, alphabet):
+    """Reference: the per-opinion check the bulk test falls back to."""
+    for o in opinions:
+        if o not in set(alphabet):
+            raise InvalidInput(f"opinion {o} outside alphabet {alphabet}")
+
+
+class TestBulkValidation:
+    GOOD = ((0, 1, 2), (2, 2, 0), (1, 0, 1), (0, 0, 0))
+
+    @pytest.mark.parametrize("vertex,culture", [
+        (1, (2, 2)), (3, (0, 0, 0, 1)), (0, ()),  # wrong length
+        (2, (1, -1, 1)), (0, (0, 0, -7)),  # a negative state
+        (1, (2, 3, 0)), (3, (3, 3, 3)),  # a state equal to q
+        (2, (0, 9, 1)), (1, (0.5, 1, 4)),  # above q, and a fault after a non-integer
+        (0, (0, float("nan"), 1)),  # passes neither 0 <= v nor v < q
+    ])
+    def test_culture_faults_match_the_loop(self, vertex, culture):
+        params, topo = ModelParams(3, 3), Topology("path", 4)
+        cultures = self.GOOD[:vertex] + (culture,) + self.GOOD[vertex + 1:]
+        expected = _error(lambda: _culture_loop(cultures, params))
+        assert expected is not None and expected[0] is InvalidInput
+        assert _error(lambda: Configuration(topo, params, cultures)) == expected
+
+    def test_first_fault_in_vertex_order_is_reported(self):
+        params, topo = ModelParams(3, 3), Topology("cycle", 4)
+        cultures = ((0, 1, 2), (0, 5, 0), (1, 1), (-1, 0, 0))
+        assert _error(lambda: Configuration(topo, params, cultures)) == (
+            InvalidInput, "feature state 5 outside 0..2")
+
+    @pytest.mark.parametrize("alphabet,opinions", [
+        ((0, 1), (0, 1, 2, 1)), ((0, 1), (-1, 0, 0, 0)), ((0, 1), (1, 1, 0, 0.5)),
+        ((-1, 0, 1), (0, 2, -2, 1)), ((-1, 0, 1), (1, 0, None, 0)),
+    ])
+    def test_opinion_faults_match_the_loop(self, alphabet, opinions):
+        topo = Topology("cycle", 4)
+        expected = _error(lambda: _opinion_loop(opinions, alphabet))
+        assert expected is not None and expected[0] is InvalidInput
+        assert _error(lambda: OpinionConfig(topo, opinions, alphabet)) == expected
+
+    @given(st.integers(1, 4), st.integers(2, 5), st.data())
+    def test_accepts_exactly_what_the_loop_accepts(self, F, q, data):
+        n = data.draw(st.integers(2, 6))
+        cultures = tuple(
+            tuple(data.draw(st.lists(st.integers(-1, q), min_size=F - 1, max_size=F + 1)))
+            for _ in range(n))
+        params, topo = ModelParams(F, q), Topology("path", n)
+        assert (_error(lambda: Configuration(topo, params, cultures))
+                == _error(lambda: _culture_loop(cultures, params)))

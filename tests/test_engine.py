@@ -23,6 +23,7 @@ from axsim import (
     run_model,
     voter_projection,
 )
+from axsim.engine import _rng_pair
 from axsim.logio import replay
 
 
@@ -381,3 +382,39 @@ class TestCvmRun:
         stopped = run_model("cvm", init, StopRule(t_max=50.0, stop_on_absorption=True), 4)
         assert stopped.events == traj.events
         assert stopped.end_time == stopped.events[-1].time
+
+
+class TestSeedingAndEvents:
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**63 + 5])
+    def test_generators_are_the_spawned_children(self, seed):
+        children = np.random.SeedSequence(seed).spawn(2)
+        traj, urn = _rng_pair(seed, True)
+        for rng, child in zip((traj, urn), children):
+            ref = np.random.default_rng(child)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.random(64).tolist() == ref.random(64).tolist()
+        traj, urn = _rng_pair(seed, False)
+        assert urn is None
+        assert traj.random(64).tolist() == np.random.default_rng(children[0]).random(64).tolist()
+
+    def test_update_event_is_an_immutable_value(self):
+        ev = UpdateEvent(1.5, 1, 0, 2, 1)
+        assert repr(ev) == ("UpdateEvent(time=1.5, target=1, source=0, "
+                            "copied_feature=2, delta_w=1)")
+        assert ev == UpdateEvent(1.5, 1, 0, 2, 1) and ev != UpdateEvent(1.5, 1, 0, 2, 2)
+        assert hash(ev) == hash(UpdateEvent(1.5, 1, 0, 2, 1))
+        assert (ev.time, ev.target, ev.source, ev.copied_feature, ev.delta_w) == (1.5, 1, 0, 2, 1)
+        with pytest.raises(AttributeError):
+            ev.delta_w = 0
+
+    @pytest.mark.parametrize("model", ["axelrod", "voter", "cvm"])
+    def test_final_census_is_the_census_of_the_final_state(self, model):
+        topo = Topology("cycle", 12)
+        if model == "axelrod":
+            init = random_config(ModelParams(3, 3), topo, 2)
+        else:
+            ops = (0, 1, 1, 0, 0, 0, 1, 1, 0, 1, 0, 1)
+            init = OpinionConfig(topo, ops, (0, 1)) if model == "voter" else cvm_projection(
+                random_config(ModelParams(2, 2), topo, 2))
+        traj = run_model(model, init, StopRule(t_max=2.0), 9)
+        assert traj.final_census == edge_census(traj.final)

@@ -9,6 +9,10 @@ from axsim import (
     OpinionConfig,
     StopRule,
     Topology,
+    UpdateEvent,
+    count_domains,
+    cvm_projection,
+    edge_census,
     event_log_text,
     final_stats_row,
     load_event_log,
@@ -39,6 +43,7 @@ class TestEventLogRoundtrip:
         assert len(bundle.events) == len(traj.events)
         for a, b in zip(bundle.events, traj.events):
             assert a == b  # includes float times, bit-exact
+            assert type(a) is UpdateEvent and a.time.hex() == b.time.hex()
 
     def test_voter_roundtrip(self, tmp_path):
         topo = Topology("path", 9)
@@ -133,3 +138,26 @@ class TestCsvArtifacts:
         assert "urn_boxes" in row
         assert row["urn_b0_violations"] == 0
         assert row["urn_potential_violations"] == 0
+
+
+class TestFinalStatsRowOracle:
+    @pytest.mark.parametrize("model,urn", [("axelrod", False), ("axelrod", True),
+                                           ("voter", False), ("cvm", False)])
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    @pytest.mark.parametrize("stop", [StopRule(stop_on_absorption=True), StopRule(t_max=0.7)])
+    def test_matches_a_recount_of_the_final_state(self, model, urn, kind, stop):
+        topo = Topology(kind, 9)
+        for seed in range(3):
+            cfg = random_config(ModelParams(2, 2 if model != "axelrod" else 3), topo, seed)
+            if model == "voter":
+                init = OpinionConfig(topo, tuple(c[0] for c in cfg.cultures), (0, 1))
+            else:
+                init = cvm_projection(cfg) if model == "cvm" else cfg
+            traj = run_model(model, init, stop, seed, attach_urn=urn)
+            assert traj.absorbed or stop.t_max is not None
+            row = final_stats_row(traj)
+            census = edge_census(traj.final)
+            assert row["w_counts"] == census.counts
+            assert row["W"] == census.total_agreement
+            assert row["N_domains"] == count_domains(traj.final).domain_count
+            assert ("urn_boxes" in row) == urn

@@ -162,3 +162,51 @@ class TestFlipCount:
             for k, c in enumerate(counts):
                 totals[k] += c
         assert all(t >= 1 for t in totals)
+
+
+def _flip_count_by_scan(traj, x, bounds):
+    """Reference: scan every window for each event of x."""
+    counts = [0] * (len(bounds) - 1)
+    for ev in traj.events:
+        if ev.target != x or (traj.model != "axelrod" and ev.delta_w == 0):
+            continue
+        for k in range(len(counts)):
+            if bounds[k] < ev.time <= bounds[k + 1]:
+                counts[k] += 1
+                break
+    return counts
+
+
+class TestFlipCountBisection:
+    @pytest.mark.parametrize("model", ["voter", "cvm", "axelrod"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_window_scan(self, model, seed):
+        rng = np.random.default_rng(seed)
+        topo = Topology("cycle", 16)
+        if model == "axelrod":
+            init = random_config(ModelParams(2, 2), topo, seed)
+        elif model == "voter":
+            init = OpinionConfig(topo, tuple(int(v) for v in rng.integers(0, 2, 16)), (0, 1))
+        else:
+            init = OpinionConfig(topo, tuple(int(v) for v in rng.integers(-1, 2, 16)),
+                                 (-1, 0, 1))
+        traj = run_model(model, init, StopRule(t_max=6.0), seed)
+        assert traj.events
+        times = [ev.time for ev in traj.events]
+        # Boundaries on event times (each event then closes a window), a repeated
+        # boundary, and windows that start after the first event or end early.
+        picks = sorted(rng.choice(times, size=min(6, len(times)), replace=False).tolist())
+        for bounds in ([0.0, 1.0, 2.0, 4.0, 6.0],
+                       [0.0] + picks + [6.0],
+                       [picks[0], picks[0], 3.0, 3.0, 5.0],
+                       [picks[-1], 6.0]):
+            for x in range(16):
+                assert flip_count(traj, x, bounds) == _flip_count_by_scan(traj, x, bounds)
+
+    def test_event_on_a_boundary_counts_in_the_window_it_closes(self):
+        topo = Topology("path", 2)
+        traj = run_model("voter", OpinionConfig(topo, (0, 1), (0, 1)),
+                         StopRule(max_events=1), 3)
+        (ev,) = traj.events
+        assert flip_count(traj, ev.target, [0.0, ev.time, ev.time + 1]) == [1, 0]
+        assert flip_count(traj, ev.target, [ev.time, ev.time + 1]) == [0]
