@@ -11,7 +11,6 @@ from .core import (
     UnsupportedTopology,
     apply_feature_copy,
     cvm_projection,
-    cvm_update,
     is_absorbed,
     overlap,
     random_config,
@@ -25,12 +24,12 @@ from .engine import (
     Snapshot,
     StopRule,
     Trajectory,
-    UpdateEvent,
     classify_delta_w,
     propose_and_apply,
     replicate_seeds,
     run_model,
 )
+from .events import EventTable, UpdateEvent
 from .stats import (
     DomainStats,
     EdgeCensus,
@@ -61,12 +60,10 @@ from .bounds import (
 from .duality import (
     Arrow,
     ArrowLog,
-    ConditionalEstimate,
     DualityReport,
     DualWalkResult,
     arrow_log_from_trajectory,
     check_voter_duality,
-    estimate_lemma_0edge_probability,
     trace_dual_walk,
     trace_lineage,
 )
@@ -78,9 +75,14 @@ from .logio import (
     load_event_log,
     replay,
     save_event_log,
-    save_snapshot_csv,
     snapshot_csv_text,
 )
-from .experiments import ExperimentConfig, ExperimentSummary, execute
+from .experiments import (
+    ConditionalEstimate,
+    ExperimentConfig,
+    ExperimentSummary,
+    estimate_lemma_0edge_probability,
+    execute,
+)
 
 __version__ = "0.1.0"

@@ -182,18 +182,6 @@ def cvm_projection(cfg: Configuration) -> OpinionConfig:
     return OpinionConfig(cfg.topology, ops, CVM_ALPHABET)
 
 
-def cvm_update(eta: OpinionConfig, x: int, eps: int) -> OpinionConfig:
-    """Set the opinion of x to eps.
-
-    Pure assignment; the engine only invokes it when a neighbor of x
-    holds eps and eta(x) != -eps.
-    """
-    if eps not in CVM_ALPHABET:
-        raise InvalidInput(f"opinion {eps} outside {{-1,0,+1}}")
-    ops = eta.opinions[:x] + (eps,) + eta.opinions[x + 1:]
-    return OpinionConfig(eta.topology, ops, eta.alphabet)
-
-
 def random_config(params: ModelParams, topology: Topology, seed: int) -> Configuration:
     """Every feature of every vertex i.i.d. uniform on {0,...,q-1}."""
     rng = np.random.default_rng(seed)

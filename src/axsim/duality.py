@@ -8,15 +8,19 @@ feature yields that feature's ancestral lineage.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 
-from .core import InvalidInput, ModelParams, Topology, random_config
-from .engine import AXELROD, VOTER, StopRule, replicate_seeds, run_model
+from .core import InvalidInput
+from .engine import AXELROD, VOTER
+from .events import EventTable, UpdateEvent
+from .logio import replay
 
 
 @dataclass(frozen=True)
 class Arrow:
+    """One arrow of a hand-built log."""
     time: float
     source: int
     target: int
@@ -25,9 +29,22 @@ class Arrow:
 
 @dataclass(frozen=True)
 class ArrowLog:
-    arrows: tuple
+    """Arrows up to `horizon` as the columns of an event table: time, source,
+    target and, in a `labeled` log, the copied feature as the label.
+
+    `arrow_log_from_trajectory` shares the trajectory's table. A sequence of
+    `Arrow`s is converted to a table here, with label None as -1 and
+    delta_w 0.
+    """
+    arrows: EventTable = field(hash=False)
     horizon: float
     labeled: bool
+
+    def __post_init__(self):
+        if not isinstance(self.arrows, EventTable):
+            object.__setattr__(self, "arrows", EventTable.of(
+                UpdateEvent(a.time, a.target, a.source, -1 if a.label is None else a.label, 0)
+                for a in self.arrows))
 
     @cached_property
     def _incoming(self) -> dict:
@@ -53,39 +70,23 @@ class DualityReport:
         return self.mismatches == 0
 
 
-@dataclass(frozen=True)
-class ConditionalEstimate:
-    estimate: float | None  # None when no replicate hit the conditioning event
-    std_error: float | None
-    hits: int
-    successes: int
-    replicates: int
-
-    @property
-    def defined(self) -> bool:
-        return self.hits > 0
-
-
 def arrow_log_from_trajectory(traj) -> ArrowLog:
-    if traj.model == VOTER:
-        arrows = tuple(Arrow(e.time, e.source, e.target, None) for e in traj.events)
-        return ArrowLog(arrows, traj.end_time, labeled=False)
-    if traj.model == AXELROD:
-        arrows = tuple(
-            Arrow(e.time, e.source, e.target, e.copied_feature) for e in traj.events
-        )
-        return ArrowLog(arrows, traj.end_time, labeled=True)
-    raise InvalidInput(f"no arrow-log form for model {traj.model!r}")
+    """The trajectory's arrows, sharing its event table."""
+    if traj.model not in (VOTER, AXELROD):
+        raise InvalidInput(f"no arrow-log form for model {traj.model!r}")
+    return ArrowLog(EventTable.of(traj.events), traj.end_time, labeled=traj.model == AXELROD)
 
 
 def _incoming_index(log: ArrowLog) -> dict:
     """Per feature label (None for an unlabeled log), per target vertex: the
     time-sorted times and sources of its incoming arrows."""
+    ev = log.arrows
+    labels = ev.copied_feature if log.labeled else repeat(None)
     index: dict = {}
-    for a in log.arrows:
-        times, sources = index.setdefault(a.label if log.labeled else None, ({}, {}))
-        times.setdefault(a.target, []).append(a.time)
-        sources.setdefault(a.target, []).append(a.source)
+    for label, v, t, u in zip(labels, ev.target, ev.time, ev.source):
+        times, sources = index.setdefault(label, ({}, {}))
+        times.setdefault(v, []).append(t)
+        sources.setdefault(v, []).append(u)
     return index
 
 
@@ -130,45 +131,10 @@ def check_voter_duality(log: ArrowLog, initial, t: float) -> DualityReport:
         raise InvalidInput("duality check needs a voter log")
     if t > log.horizon:
         raise InvalidInput(f"t={t} beyond log horizon {log.horizon}")
-    ops = list(initial.opinions)
-    for a in log.arrows:
-        if a.time > t:
-            break
-        ops[a.target] = ops[a.source]
+    ops = replay(initial, log.arrows, VOTER, upto=t).opinions
     times, sources = log._incoming.get(None, ({}, {}))
     per_vertex = []
     for x in range(initial.topology.n_vertices):
         end = _trace(times, sources, x, t).end_vertex
         per_vertex.append(ops[x] == initial.opinions[end])
     return DualityReport(tuple(per_vertex), sum(1 for ok in per_vertex if not ok))
-
-
-def estimate_lemma_0edge_probability(params: ModelParams, N: int, x: int, y: int,
-                                     z: int, t: float, replicates: int,
-                                     seed: int) -> ConditionalEstimate:
-    """Monte Carlo estimate of P(feature-0 of x equals feature-0 of z | the
-    feature-0 of y differs from both) at time t on the path {0,...,N}."""
-    if not 0 <= x < y < z <= N:
-        raise InvalidInput("need 0 <= x < y < z <= N")
-    if replicates < 1:
-        raise InvalidInput("replicates must be >= 1")
-    topo = Topology("path", N + 1)
-    stop = StopRule(t_max=t, stop_on_absorption=False)
-    hits = 0
-    successes = 0
-    for r in range(replicates):
-        s_init, s_run = replicate_seeds(seed, r)
-        cfg = random_config(params, topo, s_init)
-        traj = run_model(AXELROD, cfg, stop, s_run)
-        fx = traj.final.cultures[x][0]
-        fy = traj.final.cultures[y][0]
-        fz = traj.final.cultures[z][0]
-        if fy != fx and fy != fz:
-            hits += 1
-            if fx == fz:
-                successes += 1
-    if hits == 0:
-        return ConditionalEstimate(None, None, 0, 0, replicates)
-    p = successes / hits
-    se = (p * (1 - p) / hits) ** 0.5
-    return ConditionalEstimate(p, se, hits, successes, replicates)

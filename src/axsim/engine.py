@@ -15,7 +15,9 @@ uniform edge in that class, a uniform orientation and a uniform disagreeing
 feature; every step is an accepted event. The CVM kernel is the one-class
 case: every active edge fires at rate 1. The voter kernel picks a uniform
 vertex and a uniform neighbor at total rate V. One event loop (`run_model`)
-draws the waiting times and owns the stop rule, snapshots and urn coupling.
+draws the waiting times and owns the stop rule, snapshots and urn coupling;
+each step appends its event to the run's `EventTable` and returns only its
+delta_w.
 
 Randomness is drawn in blocks. Each run makes one `_Draws` source on its
 trajectory Generator, which refills Python lists from `rng.random(n)` and
@@ -49,6 +51,7 @@ from .core import (
     Topology,
     edge_overlap_count,
 )
+from .events import EventTable, UpdateEvent
 from .stats import DomainStats, EdgeCensus, census_from_counts, domains_from_census
 from .urn import UrnState, urn_coupled_step, urn_init
 
@@ -65,15 +68,6 @@ class GraphicalDraw:
     target: int
     feature_draw: int  # U, uniform over {0,...,F-1}
     tie_draw: float  # W, uniform over (0,1)
-
-
-class UpdateEvent(NamedTuple):
-    """One accepted event; a tuple, so a run's log is cheap to build and hold."""
-    time: float
-    target: int
-    source: int
-    copied_feature: int  # -1 for opinion models
-    delta_w: int  # change of total agreement W; flip flag for opinion models
 
 
 @dataclass(frozen=True)
@@ -98,7 +92,7 @@ class Snapshot:
 class Trajectory:
     model: str
     initial: object
-    events: list
+    events: EventTable
     snapshots: list
     final: object
     absorbed: bool
@@ -266,7 +260,7 @@ class _Buckets:
 class _Kernel(NamedTuple):
     """One model's dynamics, as closures over its private state."""
     rate: Callable[[], float]  # total event rate; 0 means nothing can change
-    step: Callable[[float], UpdateEvent]  # one event at time t
+    step: Callable[[float], int]  # appends one event at time t to the table; returns delta_w
     census: Callable[[], Sequence[int]]  # edge counts w_0..w_F (opinions: disagree, agree)
     absorbed: Callable[[], bool]
     final: Callable[[], object]
@@ -286,7 +280,7 @@ def _incidence(topo: Topology):
     return edges, tuple(map(tuple, incident))
 
 
-def _culture_kernel(initial, uniform) -> _Kernel:
+def _culture_kernel(initial, uniform, log: EventTable) -> _Kernel:
     """An edge of weight j fires at rate j/F; classes 1..F-1 hold the active edges."""
     if not isinstance(initial, Configuration):
         raise InvalidInput("culture model takes a Configuration")
@@ -299,6 +293,7 @@ def _culture_kernel(initial, uniform) -> _Kernel:
         counts[w] += 1
     buckets = _Buckets([w if w < F else 0 for w in weight], F - 1)
     pick = buckets.pick
+    add_time, add_target, add_source, add_feature, add_delta = log.appenders()
 
     def step(t):
         e = pick(uniform())
@@ -320,7 +315,12 @@ def _culture_kernel(initial, uniform) -> _Kernel:
                 _bump(weight, counts, buckets, e2, dd, F)
             delta += dd
         sv[feat] = new
-        return UpdateEvent(t, v, u, feat, delta)
+        add_time(t)
+        add_target(v)
+        add_source(u)
+        add_feature(feat)
+        add_delta(delta)
+        return delta
 
     return _Kernel(lambda: buckets.total / F, step, lambda: counts,
                    lambda: buckets.total == 0,
@@ -343,25 +343,31 @@ def _opinions(initial, model: str, alphabet: set) -> list:
     return list(initial.opinions)
 
 
-def _voter_kernel(initial, uniform) -> _Kernel:
+def _voter_kernel(initial, uniform, log: EventTable) -> _Kernel:
     """Each vertex mimics a uniform neighbor at rate 1; every arrival is an event."""
     ops = _opinions(initial, VOTER, {0, 1})
     topo = initial.topology
     V, E = topo.n_vertices, topo.n_edges
     agree = sum(1 for a, b in topo.edges() if ops[a] == ops[b])
     nbrs = [topo.neighbors(x) for x in range(V)]
+    add_time, add_target, add_source, add_feature, add_delta = log.appenders()
 
     def step(t):
         nonlocal agree
         x = int(uniform() * V)
         nx = nbrs[x]
         y = nx[int(uniform() * len(nx))]
-        flipped = ops[x] != ops[y]
+        flipped = int(ops[x] != ops[y])
         if flipped:
             for z in nx:
                 agree += 1 if ops[z] == ops[y] else -1
             ops[x] = ops[y]
-        return UpdateEvent(t, x, y, -1, int(flipped))
+        add_time(t)
+        add_target(x)
+        add_source(y)
+        add_feature(-1)
+        add_delta(flipped)
+        return flipped
 
     return _Kernel(lambda: V, step, lambda: (E - agree, agree), lambda: agree == E,
                    lambda: OpinionConfig(topo, tuple(ops), initial.alphabet))
@@ -372,7 +378,7 @@ def _cvm_edge_active(ops, a, b) -> bool:
     return ops[a] != ops[b] and ops[a] + ops[b] != 0
 
 
-def _cvm_kernel(initial, uniform) -> _Kernel:
+def _cvm_kernel(initial, uniform, log: EventTable) -> _Kernel:
     """Every active edge fires at rate 1 in a uniform orientation; extremes never interact."""
     ops = _opinions(initial, CVM, {-1, 0, 1})
     topo = initial.topology
@@ -381,6 +387,7 @@ def _cvm_kernel(initial, uniform) -> _Kernel:
     agree = sum(1 for a, b in edges if ops[a] == ops[b])
     buckets = _Buckets([int(_cvm_edge_active(ops, a, b)) for a, b in edges], 1)
     pick = buckets.pick
+    add_time, add_target, add_source, add_feature, add_delta = log.appenders()
 
     def step(t):
         nonlocal agree
@@ -393,7 +400,12 @@ def _cvm_kernel(initial, uniform) -> _Kernel:
             z = zb if za == x else za
             agree += (ops[z] == ops[x]) - (ops[z] == old)
             buckets.move(e2, int(_cvm_edge_active(ops, za, zb)))
-        return UpdateEvent(t, x, y, -1, 1)
+        add_time(t)
+        add_target(x)
+        add_source(y)
+        add_feature(-1)
+        add_delta(1)
+        return 1
 
     return _Kernel(lambda: buckets.total, step, lambda: (E - agree, agree),
                    lambda: buckets.total == 0,
@@ -421,7 +433,8 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
         raise InvalidInput(f"snapshot times beyond t_max={stop.t_max}")
     rng, urn_rng = _rng_pair(seed, attach_urn)
     draws = _Draws(rng)
-    kernel = _KERNELS[model](initial, draws.uniform)
+    events = EventTable()
+    kernel = _KERNELS[model](initial, draws.uniform, events)
     if attach_urn and model != AXELROD:
         raise InvalidInput("urn coupling is defined for the culture model only")
     rate, step, census, absorbed = kernel.rate, kernel.step, kernel.census, kernel.absorbed
@@ -440,7 +453,7 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
         F, E, W = len(urn.boxes) - 1, start.n_edges, start.total_agreement
         beta = sum((F - j) * urn.boxes[j] for j in range(1, F + 1))
 
-    events: list[UpdateEvent] = []
+    recorded = events.time
     t = 0.0
     t_max = stop.t_max if stop.t_max is not None else math.inf
     max_events = stop.max_events if stop.max_events is not None else math.inf
@@ -448,7 +461,7 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
 
     while True:
         r = rate()
-        if r == 0 or len(events) >= max_events or (until_absorbed and absorbed()):
+        if r == 0 or len(recorded) >= max_events or (until_absorbed and absorbed()):
             break
         t_next = t + exponential() / r
         if t_next > t_max:
@@ -458,11 +471,10 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
         t = t_next
         if t >= next_snap:
             next_snap = taker.flush(t, census())
-        ev = step(t)
-        events.append(ev)
+        dw = step(t)
         if urn is not None:
-            W += ev.delta_w
-            if ev.delta_w == 2:  # the urn moves on no other event
+            W += dw
+            if dw == 2:  # the urn moves on no other event
                 urn = urn_coupled_step(urn, 2, urn_rng)
                 beta = sum((F - j) * urn.boxes[j] for j in range(1, F + 1))
             w0 = census()[0]
@@ -473,7 +485,7 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
             if b0 > 0 and beta < eps:
                 pot_viol += 1
             if urn_series is not None:
-                urn_series.append((len(events) - 1,) + urn.boxes + (w0, beta, eps))
+                urn_series.append((len(recorded) - 1,) + urn.boxes + (w0, beta, eps))
 
     end_time = t
     if rate() == 0 and stop.t_max is not None and not until_absorbed:

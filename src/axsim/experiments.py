@@ -17,11 +17,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from .core import InvalidInput, ModelParams, OpinionConfig, Topology, random_config
-from .duality import (
-    arrow_log_from_trajectory,
-    check_voter_duality,
-    estimate_lemma_0edge_probability,
-)
+from .duality import arrow_log_from_trajectory, check_voter_duality
 from .engine import AXELROD, MODELS, VOTER, StopRule, replicate_seeds, run_model
 from .logio import atomic_write_text, event_log_text, final_stats_row
 from .stats import edge_census
@@ -74,10 +70,16 @@ class ExperimentConfig:
             if self.attach_urn and self.model != AXELROD:
                 raise InvalidInput("urn coupling applies to the culture model only")
         if self.kind == "lemma5-estimate":
+            ModelParams(self.F, self.q)
             if len(self.xyz) != 3:
                 raise InvalidInput("lemma5-estimate needs x,y,z")
+            x, y, z = self.xyz
+            if not 0 <= x < y < z <= self.N:
+                raise InvalidInput("need 0 <= x < y < z <= N")
             if self.t_query is None:
                 raise InvalidInput("lemma5-estimate needs a time t")
+            if self.replicates < 1:
+                raise InvalidInput("replicates must be >= 1")
         if self.kind == "duality-check" and self.t_query is None:
             raise InvalidInput("duality-check needs a time t")
 
@@ -164,6 +166,18 @@ def _duality_replicate(config: ExperimentConfig, r: int) -> dict:
     report = check_voter_duality(arrow_log_from_trajectory(traj), initial, config.t_query)
     return {"replicate": r, "mismatches": report.mismatches,
             "n_vertices": len(report.per_vertex)}
+
+
+def _lemma5_replicate(config: ExperimentConfig, r: int) -> tuple[bool, bool]:
+    """(hit, success) at time t on the path {0,...,N}: feature 0 of y differs
+    from those of x and z, and those of x and z agree."""
+    init_seed, run_seed = replicate_seeds(config.master_seed, r)
+    initial = random_config(ModelParams(config.F, config.q), Topology("path", config.N + 1),
+                            init_seed)
+    final = run_model(AXELROD, initial, StopRule(t_max=config.t_query), run_seed).final
+    fx, fy, fz = (final.cultures[v][0] for v in config.xyz)
+    hit = fy != fx and fy != fz
+    return hit, hit and fx == fz
 
 
 # Serial seconds of replicate work below which a process pool does not pay.
@@ -328,11 +342,44 @@ def _duality_check(config: ExperimentConfig) -> ExperimentSummary:
     return summary
 
 
+@dataclass(frozen=True)
+class ConditionalEstimate:
+    estimate: float | None  # None when no replicate hit the conditioning event
+    std_error: float | None
+    hits: int
+    successes: int
+    replicates: int
+
+    @property
+    def defined(self) -> bool:
+        return self.hits > 0
+
+
+def _conditional_estimate(config: ExperimentConfig) -> ConditionalEstimate:
+    rows = _map_replicates(_lemma5_replicate, config)
+    hits = sum(hit for hit, _ in rows)
+    successes = sum(success for _, success in rows)
+    if hits == 0:
+        return ConditionalEstimate(None, None, 0, 0, config.replicates)
+    p = successes / hits
+    se = (p * (1 - p) / hits) ** 0.5
+    return ConditionalEstimate(p, se, hits, successes, config.replicates)
+
+
+def estimate_lemma_0edge_probability(params: ModelParams, N: int, x: int, y: int,
+                                     z: int, t: float, replicates: int,
+                                     seed: int) -> ConditionalEstimate:
+    """Monte Carlo estimate of P(feature-0 of x equals feature-0 of z | the
+    feature-0 of y differs from both) at time t on the path {0,...,N}."""
+    config = ExperimentConfig(kind="lemma5-estimate", F=params.F, q=params.q, N=N,
+                              xyz=(x, y, z), t_query=t, replicates=replicates,
+                              master_seed=seed)
+    config.validate()
+    return _conditional_estimate(config)
+
+
 def _lemma5(config: ExperimentConfig) -> ExperimentSummary:
-    x, y, z = config.xyz
-    est = estimate_lemma_0edge_probability(
-        ModelParams(config.F, config.q), config.N, x, y, z, config.t_query,
-        config.replicates, config.master_seed)
+    est = _conditional_estimate(config)
     target = 1.0 / (config.q - 1)
     agg = {"estimate": est.estimate, "std_error": est.std_error, "hits": est.hits,
            "successes": est.successes, "replicates": est.replicates,

@@ -3,12 +3,14 @@
 The event log is a CSV with '#'-prefixed metadata lines (model, topology,
 parameters, seed, initial state) followed by one row per event:
 time,source,target,feature,delta_w. Times are written with repr so reimport
-is bit-exact and replay reproduces the final configuration.
+is bit-exact and replay reproduces the final configuration. Rows are written
+from, and parsed into, the columns of an `EventTable`.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 
 from .core import (
     Configuration,
@@ -19,17 +21,20 @@ from .core import (
     CVM_ALPHABET,
     VOTER_ALPHABET,
 )
-from .engine import AXELROD, CVM, VOTER, UpdateEvent
+from .engine import AXELROD, MODELS, VOTER
+from .events import EventTable
 # `edge_census` and `count_domains` stay importable from here by name: the
 # benchmark's tracer wraps them as the census layer.
 from .stats import count_domains, domains_from_census, edge_census
+
+_HEADER = "time,source,target,feature,delta_w"
 
 
 @dataclass(frozen=True)
 class LogBundle:
     model: str
     initial: object
-    events: tuple
+    events: EventTable = field(hash=False)
     end_time: float
     absorbed: bool
     seed: int
@@ -44,8 +49,11 @@ def atomic_write_text(path: str, text: str):
 
 def _initial_line(initial) -> str:
     if isinstance(initial, Configuration):
-        return ";".join(",".join(str(v) for v in c) for c in initial.cultures)
-    return ";".join(str(o) for o in initial.opinions)
+        # Each distinct state is formatted once; a culture is F values.
+        text = {v: str(v) for v in set(chain.from_iterable(initial.cultures))}
+        values = map(text.__getitem__, chain.from_iterable(initial.cultures))
+        return ";".join(map(",".join, zip(*[values] * initial.params.F)))
+    return ";".join(map(str, initial.opinions))
 
 
 def event_log_text(traj) -> str:
@@ -62,66 +70,144 @@ def event_log_text(traj) -> str:
         f"# end_time={traj.end_time!r}",
         f"# absorbed={int(traj.absorbed)}",
         f"# initial={_initial_line(traj.initial)}",
-        "time,source,target,feature,delta_w",
+        _HEADER,
     ]
-    for e in traj.events:
-        lines.append(f"{e.time!r},{e.source},{e.target},{e.copied_feature},{e.delta_w}")
-    return "\n".join(lines) + "\n"
+    ev = EventTable.of(traj.events)
+    rows = map("{!r},{},{},{},{}".format, ev.time.tolist(), ev.source.tolist(),
+               ev.target.tolist(), ev.copied_feature.tolist(), ev.delta_w.tolist())
+    return "\n".join(chain(lines, rows)) + "\n"
 
 
 def save_event_log(traj, path: str):
     atomic_write_text(path, event_log_text(traj))
 
 
+def _row_fault(row: str, n_vertices: int, features: range, end_time: float) -> str | None:
+    """Why `row` is no event row of its log, or None; the per-row form of the
+    column checks in `load_event_log`."""
+    fields = row.split(",")
+    if len(fields) != 5:
+        return f"{len(fields)} fields, expected 5 ({_HEADER})"
+    try:
+        t = float(fields[0])
+        source, target, feature, delta_w = map(int, fields[1:])
+    except ValueError:
+        return f"non-numeric field in {row!r}"
+    if not 0 <= t <= end_time:
+        return f"time {t!r} outside [0, end_time={end_time!r}]"
+    if not (0 <= source < n_vertices and 0 <= target < n_vertices):
+        return f"vertex outside 0..{n_vertices - 1}"
+    if feature not in features:
+        return f"feature {feature} outside {features.start}..{features.stop - 1}"
+    if not 0 <= delta_w <= 2:
+        return f"delta_w {delta_w} outside 0..2"
+    return None
+
+
+def _columns(rows: list, n_vertices: int, features: range,
+             end_time: float) -> EventTable | None:
+    """Event rows parsed in bulk into columns; None if any row is faulty."""
+    if not rows:
+        return EventTable()
+    if set(map(str.count, rows, repeat(","))) != {4}:
+        return None
+    fields = ",".join(rows).split(",")
+    try:
+        table = EventTable(map(float, fields[0::5]), map(int, fields[2::5]),
+                           map(int, fields[1::5]), map(int, fields[3::5]),
+                           map(int, fields[4::5]))
+    except (ValueError, OverflowError):
+        return None
+    ok = (0 <= min(table.time) and max(table.time) <= end_time
+          and 0 <= min(table.source) and max(table.source) < n_vertices
+          and 0 <= min(table.target) and max(table.target) < n_vertices
+          and features.start <= min(table.copied_feature)
+          and max(table.copied_feature) < features.stop
+          and 0 <= min(table.delta_w) and max(table.delta_w) <= 2)
+    return table if ok else None
+
+
+def _meta(meta: dict, key: str, parse, path: str):
+    if key not in meta:
+        raise InvalidInput(f"{path}: no '# {key}=' line")
+    try:
+        return parse(meta[key])
+    except ValueError as exc:
+        raise InvalidInput(f"{path}: bad '# {key}={meta[key]}': {exc}") from exc
+
+
+def _cultures(text: str, n_vertices: int, F: int) -> tuple:
+    chunks = text.split(";")
+    if len(chunks) != n_vertices or set(map(str.count, chunks, repeat(","))) != {F - 1}:
+        raise ValueError(f"expected {n_vertices} cultures of {F} features")
+    tokens = text.replace(";", ",").split(",")
+    value = {tok: int(tok) for tok in set(tokens)}  # each distinct state parsed once
+    return tuple(zip(*[map(value.__getitem__, tokens)] * F))
+
+
 def load_event_log(path: str) -> LogBundle:
-    meta = {}
-    events = []
+    """Read an event log written by `save_event_log`.
+
+    A log that is not of that form raises InvalidInput naming the missing
+    metadata key or the first faulty line.
+    """
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                k, _, v = line[1:].strip().partition("=")
-                meta[k.strip()] = v
-                continue
-            if line.startswith("time,"):
-                continue
-            t, src, dst, feat, dw = line.split(",")
-            events.append(UpdateEvent(float(t), int(dst), int(src), int(feat), int(dw)))
-    model = meta["model"]
-    topo = Topology(meta["topology"], int(meta["size"]))
+        lines = fh.read().splitlines()
+    meta = {}
+    k = 0
+    while k < len(lines) and lines[k].startswith("#"):
+        key, _, value = lines[k][1:].strip().partition("=")
+        meta[key.strip()] = value
+        k += 1
+    model = _meta(meta, "model", str, path)
+    if model not in MODELS:
+        raise InvalidInput(f"{path}: unknown model {model!r}")
+    topo = Topology(_meta(meta, "topology", str, path), _meta(meta, "size", int, path))
+    end_time = _meta(meta, "end_time", float, path)
     if model == AXELROD:
-        params = ModelParams(int(meta["F"]), int(meta["q"]))
-        cultures = tuple(
-            tuple(int(v) for v in chunk.split(",")) for chunk in meta["initial"].split(";")
-        )
+        params = ModelParams(_meta(meta, "F", int, path), _meta(meta, "q", int, path))
+        cultures = _meta(meta, "initial", lambda v: _cultures(v, topo.n_vertices, params.F),
+                         path)
         initial = Configuration(topo, params, cultures)
+        features = range(params.F)
     else:
         alphabet = VOTER_ALPHABET if model == VOTER else CVM_ALPHABET
-        opinions = tuple(int(v) for v in meta["initial"].split(";"))
+        opinions = _meta(meta, "initial", lambda v: tuple(map(int, v.split(";"))), path)
         initial = OpinionConfig(topo, opinions, alphabet)
-    return LogBundle(model, initial, tuple(events), float(meta["end_time"]),
-                     bool(int(meta["absorbed"])), int(meta["seed"]))
+        features = range(-1, 0)
+    if k == len(lines) or lines[k] != _HEADER:
+        raise InvalidInput(f"{path}, line {k + 1}: expected the row header {_HEADER!r}")
+    rows = lines[k + 1:]
+    events = _columns(rows, topo.n_vertices, features, end_time)
+    if events is None:
+        for n, row in enumerate(rows, start=k + 2):
+            fault = _row_fault(row, topo.n_vertices, features, end_time)
+            if fault:
+                raise InvalidInput(f"{path}, line {n}: {fault}")
+    return LogBundle(model, initial, events, end_time,
+                     bool(_meta(meta, "absorbed", int, path)), _meta(meta, "seed", int, path))
 
 
 def replay(initial, events, model: str, upto: float | None = None):
-    """Re-apply a recorded event sequence; returns the resulting state."""
+    """Re-apply recorded events, up to the first one with time > upto;
+    returns the resulting state."""
+    ev = EventTable.of(events)
+    n = len(ev)
+    if upto is not None:
+        n = next((k for k, t in enumerate(ev.time) if t > upto), n)
     if isinstance(initial, Configuration):
         if model != AXELROD:
             raise InvalidInput("culture replay needs the culture model")
-        states = [list(c) for c in initial.cultures]
-        for e in events:
-            if upto is not None and e.time > upto:
-                break
-            states[e.target][e.copied_feature] = states[e.source][e.copied_feature]
-        return Configuration(initial.topology, initial.params,
-                             tuple(tuple(s) for s in states))
+        # One list per feature, not one per vertex: F objects for the
+        # collector to track instead of one per vertex.
+        features = list(map(list, zip(*initial.cultures)))
+        for v, u, i in islice(zip(ev.target, ev.source, ev.copied_feature), n):
+            column = features[i]
+            column[v] = column[u]
+        return Configuration(initial.topology, initial.params, tuple(zip(*features)))
     ops = list(initial.opinions)
-    for e in events:
-        if upto is not None and e.time > upto:
-            break
-        ops[e.target] = ops[e.source]
+    for v, u in islice(zip(ev.target, ev.source), n):
+        ops[v] = ops[u]
     return OpinionConfig(initial.topology, tuple(ops), initial.alphabet)
 
 
@@ -139,10 +225,6 @@ def snapshot_csv_text(traj) -> str:
             + f",{s.census.total_agreement},{s.domains.domain_count},{float(s.domains.mean_size)!r}"
         )
     return "\n".join(lines) + "\n"
-
-
-def save_snapshot_csv(traj, path: str):
-    atomic_write_text(path, snapshot_csv_text(traj))
 
 
 def final_stats_row(traj) -> dict:

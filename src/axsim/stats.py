@@ -13,6 +13,7 @@ from .core import (
     edge_overlap_count,
     is_absorbed,
 )
+from .events import EventTable
 
 
 @dataclass(frozen=True)
@@ -95,13 +96,13 @@ def flip_count(traj, x: int, window_boundaries) -> list[int]:
     if sorted(bounds) != bounds or len(bounds) < 2:
         raise InvalidInput("window boundaries must be sorted, length >= 2")
     counts = [0] * (len(bounds) - 1)
-    for ev in traj.events:
-        if ev.target != x:
-            continue
-        if traj.model != "axelrod" and ev.delta_w == 0:
-            continue  # arrival that copied an equal opinion
+    opinions = traj.model != "axelrod"
+    ev = EventTable.of(traj.events)
+    for target, t, delta_w in zip(ev.target, ev.time, ev.delta_w):
+        if target != x or (opinions and delta_w == 0):
+            continue  # another vertex, or an arrival that copied an equal opinion
         # The first boundary >= t closes t's window: b_{k} < t <= b_{k+1}.
-        k = bisect_left(bounds, ev.time) - 1
+        k = bisect_left(bounds, t) - 1
         if 0 <= k < len(counts):
             counts[k] += 1
     return counts

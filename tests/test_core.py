@@ -13,7 +13,6 @@ from axsim import (
     UnsupportedProjection,
     apply_feature_copy,
     cvm_projection,
-    cvm_update,
     is_absorbed,
     overlap,
     random_config,
@@ -129,14 +128,6 @@ class TestProjections:
         cfg = make_cfg("path", [(0, 0), (0, 1), (1, 0), (1, 1)], 2, 2)
         ops = cvm_projection(cfg).opinions
         assert sorted(ops) == [-1, 0, 0, 1]
-
-    def test_cvm_update(self):
-        topo = Topology("path", 3)
-        eta = OpinionConfig(topo, (0, 1, -1), (-1, 0, 1))
-        assert cvm_update(eta, 0, 1).opinions == (1, 1, -1)
-        assert cvm_update(eta, 1, 1).opinions == eta.opinions
-        with pytest.raises(InvalidInput):
-            cvm_update(eta, 0, 5)
 
 
 class TestRandomConfig:

@@ -145,7 +145,7 @@ class TestTraceLineage:
 def scan_lineage(log, i, u, t):
     """Lineage endpoint by a backward scan over the whole log (no index)."""
     for a in reversed(log.arrows):
-        if a.time < t and a.target == u and a.label == i:
+        if a.time < t and a.target == u and a.copied_feature == i:
             u, t = a.source, a.time
     return u
 

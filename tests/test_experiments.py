@@ -135,3 +135,23 @@ class TestWorkers:
         assert sum(shares) == n
         assert max(shares) - min(shares) <= size
         assert size <= -(-n // workers)  # no chunk exceeds an even share
+
+
+class TestLemma5Workers:
+    def test_replicates_go_through_the_pool(self, monkeypatch, tmp_path):
+        # 40 replicates at 2 workers: replicate 0 here, 1..39 to the pool in
+        # chunks of 10; the artifacts and the estimate equal the serial run's.
+        kwargs = dict(kind="lemma5-estimate", F=2, q=5, N=20, xyz=(5, 10, 15), t_query=1.0,
+                      replicates=40, master_seed=6)
+        serial = execute(ExperimentConfig(output_dir=str(tmp_path / "w1"), **kwargs))
+        _patch_pool(monkeypatch, cpus=2)
+        pooled = execute(ExperimentConfig(output_dir=str(tmp_path / "w2"), workers=2, **kwargs))
+        assert _RecordingPool.sizes == [2]
+        assert _RecordingPool.tasks == [(list(range(1, 40)), 10)]
+        assert pooled == serial
+        for name in serial.outputs:
+            assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
+        est = experiments.estimate_lemma_0edge_probability(
+            experiments.ModelParams(2, 5), 20, 5, 10, 15, 1.0, 40, 6)
+        assert serial.aggregates["hits"] == est.hits > 0
+        assert serial.aggregates["estimate"] == est.estimate

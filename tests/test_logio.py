@@ -161,3 +161,69 @@ class TestFinalStatsRowOracle:
             assert row["W"] == census.total_agreement
             assert row["N_domains"] == count_domains(traj.final).domain_count
             assert ("urn_boxes" in row) == urn
+
+
+class TestCorruptLogs:
+    """A log that is not what `save_event_log` writes fails with InvalidInput
+    naming the first faulty line or the missing key."""
+
+    def write(self, tmp_path, edit):
+        _, traj = axelrod_traj(seed=2)
+        lines = event_log_text(traj).splitlines()
+        first_row = lines.index("time,source,target,feature,delta_w") + 1
+        assert len(lines) > first_row + 3
+        edit(lines, first_row)
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path), first_row + 1  # line number of the first event row
+
+    def test_short_row(self, tmp_path):
+        def edit(lines, k):
+            lines[k + 2] = lines[k + 2].rsplit(",", 1)[0]
+        path, line = self.write(tmp_path, edit)
+        with pytest.raises(InvalidInput, match=f"line {line + 2}: 4 fields"):
+            load_event_log(path)
+
+    def test_non_numeric_field(self, tmp_path):
+        def edit(lines, k):
+            t, src, dst, feat, dw = lines[k + 1].split(",")
+            lines[k + 1] = ",".join((t, src, "x", feat, dw))
+        path, line = self.write(tmp_path, edit)
+        with pytest.raises(InvalidInput, match=f"line {line + 1}: non-numeric"):
+            load_event_log(path)
+
+    def test_missing_model_key(self, tmp_path):
+        path, _ = self.write(tmp_path, lambda lines, k: lines.remove("# model=axelrod"))
+        with pytest.raises(InvalidInput, match="no '# model=' line"):
+            load_event_log(path)
+
+    def test_row_after_end_time(self, tmp_path):
+        def edit(lines, k):
+            end = float(next(l for l in lines if l.startswith("# end_time="))[11:])
+            lines.append(f"{end + 0.5!r},0,1,0,1")
+        path, _ = self.write(tmp_path, edit)
+        last = len(open(path).read().splitlines())
+        with pytest.raises(InvalidInput, match=fr"line {last}: time .* outside \[0, end_time="):
+            load_event_log(path)
+
+    @pytest.mark.parametrize("row,why", [("0.1,0,12,0,1", "vertex"),
+                                         ("0.1,0,1,2,1", "feature"),
+                                         ("0.1,0,1,0,3", "delta_w"),
+                                         ("0.1,0,1,0,99999999999999999999", "delta_w")])
+    def test_value_out_of_range(self, tmp_path, row, why):
+        path, line = self.write(tmp_path, lambda lines, k: lines.insert(k, row))
+        with pytest.raises(InvalidInput, match=f"line {line}: {why}"):
+            load_event_log(path)
+
+    def test_missing_row_header(self, tmp_path):
+        path, line = self.write(tmp_path, lambda lines, k: lines.pop(k - 1))
+        with pytest.raises(InvalidInput, match=f"line {line - 1}: expected the row header"):
+            load_event_log(path)
+
+    def test_malformed_initial_state(self, tmp_path):
+        def edit(lines, k):
+            i = next(j for j, l in enumerate(lines) if l.startswith("# initial="))
+            lines[i] = lines[i].replace(";", ",", 1)  # two cultures run together
+        path, _ = self.write(tmp_path, edit)
+        with pytest.raises(InvalidInput, match="initial"):
+            load_event_log(path)
