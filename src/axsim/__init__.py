@@ -9,10 +9,8 @@ from .core import (
     Topology,
     UnsupportedProjection,
     UnsupportedTopology,
-    apply_feature_copy,
     cvm_projection,
     is_absorbed,
-    overlap,
     random_config,
     voter_projection,
 )
@@ -37,7 +35,6 @@ from .stats import (
     domains_equals_w0_plus_1,
     edge_census,
     flip_count,
-    interface_series,
 )
 from .urn import (
     RoundsRecord,
@@ -75,7 +72,6 @@ from .logio import (
     load_event_log,
     replay,
     save_event_log,
-    snapshot_csv_text,
 )
 from .experiments import (
     ConditionalEstimate,

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 
 import numpy as np
@@ -135,26 +134,6 @@ class OpinionConfig:
                 raise InvalidInput(f"opinion {o} outside alphabet {self.alphabet}")
 
 
-def overlap(a, b, params: ModelParams) -> tuple[int, Fraction]:
-    """Number and fraction of features on which two cultures agree."""
-    _check_culture(a, params)
-    _check_culture(b, params)
-    shared = sum(1 for x, y in zip(a, b) if x == y)
-    return shared, Fraction(shared, params.F)
-
-
-def apply_feature_copy(cfg: Configuration, x: int, y: int, i: int) -> Configuration:
-    """Vertex x adopts feature i of its neighbor y; everything else unchanged."""
-    if not cfg.topology.are_adjacent(x, y):
-        raise InvalidInput(f"vertices {x},{y} not adjacent")
-    if not 0 <= i < cfg.params.F:
-        raise InvalidInput(f"feature index {i} out of range")
-    cx = list(cfg.cultures[x])
-    cx[i] = cfg.cultures[y][i]
-    cultures = cfg.cultures[:x] + (tuple(cx),) + cfg.cultures[x + 1:]
-    return Configuration(cfg.topology, cfg.params, cultures)
-
-
 def voter_projection(cfg: Configuration) -> OpinionConfig:
     """Two-feature two-state configurations collapse to {0,1} opinions.
 
@@ -168,6 +147,7 @@ def voter_projection(cfg: Configuration) -> OpinionConfig:
 
 
 _CVM_MAP = {(0, 0): 0, (1, 1): 0, (0, 1): 1, (1, 0): -1}
+_CVM_LIFT = {0: (0, 0), 1: (0, 1), -1: (1, 0)}
 
 
 def cvm_projection(cfg: Configuration) -> OpinionConfig:
@@ -180,6 +160,16 @@ def cvm_projection(cfg: Configuration) -> OpinionConfig:
         raise UnsupportedProjection("cvm projection requires F = q = 2")
     ops = tuple(_CVM_MAP[c] for c in cfg.cultures)
     return OpinionConfig(cfg.topology, ops, CVM_ALPHABET)
+
+
+def cvm_lift(cfg: OpinionConfig) -> Configuration:
+    """The F=q=2 configuration that `cvm_projection` maps back to `cfg`.
+
+    Every centrist lifts to (0,0), so a (1,1) culture never arises: the only
+    edge that could make one, (0,1)-(1,0), shares no feature and never fires.
+    """
+    return Configuration(cfg.topology, ModelParams(2, 2),
+                         tuple(_CVM_LIFT[o] for o in cfg.opinions))
 
 
 def random_config(params: ModelParams, topology: Topology, seed: int) -> Configuration:

@@ -12,12 +12,12 @@ the edges of weight 1..F-1 in one swap-remove list per weight class and
 tracks S = sum_j j*n_j, so the total rate is S/F and a run is absorbed
 exactly when S == 0. One step picks class j with probability j*n_j/S, then a
 uniform edge in that class, a uniform orientation and a uniform disagreeing
-feature; every step is an accepted event. The CVM kernel is the one-class
-case: every active edge fires at rate 1. The voter kernel picks a uniform
-vertex and a uniform neighbor at total rate V. One event loop (`run_model`)
-draws the waiting times and owns the stop rule, snapshots and urn coupling;
-each step appends its event to the run's `EventTable` and returns only its
-delta_w.
+feature; every step is an accepted event. The CVM runs as this kernel on
+its F=q=2 lift (`cvm_lift`) at twice the rate, so every active edge fires at
+rate 1. The voter kernel picks a uniform vertex and a uniform neighbor at
+total rate V. One event loop (`run_model`) draws the waiting times and owns
+the stop rule, snapshots and urn coupling; each step appends its event
+through the run's `EventTable` appenders and returns its delta_w.
 
 Randomness is drawn in blocks. Each run makes one `_Draws` source on its
 trajectory Generator, which refills Python lists from `rng.random(n)` and
@@ -49,6 +49,8 @@ from .core import (
     InvalidInput,
     OpinionConfig,
     Topology,
+    cvm_lift,
+    cvm_projection,
     edge_overlap_count,
 )
 from .events import EventTable, UpdateEvent
@@ -260,7 +262,9 @@ class _Buckets:
 class _Kernel(NamedTuple):
     """One model's dynamics, as closures over its private state."""
     rate: Callable[[], float]  # total event rate; 0 means nothing can change
-    step: Callable[[float], int]  # appends one event at time t to the table; returns delta_w
+    # Appends one event at time t and returns its delta_w, which the loop
+    # reads only for the urn; the CVM, which cannot attach it, returns its lift's.
+    step: Callable[[float], int]
     census: Callable[[], Sequence[int]]  # edge counts w_0..w_F (opinions: disagree, agree)
     absorbed: Callable[[], bool]
     final: Callable[[], object]
@@ -280,7 +284,7 @@ def _incidence(topo: Topology):
     return edges, tuple(map(tuple, incident))
 
 
-def _culture_kernel(initial, uniform, log: EventTable) -> _Kernel:
+def _culture_kernel(initial, uniform, appenders) -> _Kernel:
     """An edge of weight j fires at rate j/F; classes 1..F-1 hold the active edges."""
     if not isinstance(initial, Configuration):
         raise InvalidInput("culture model takes a Configuration")
@@ -293,7 +297,7 @@ def _culture_kernel(initial, uniform, log: EventTable) -> _Kernel:
         counts[w] += 1
     buckets = _Buckets([w if w < F else 0 for w in weight], F - 1)
     pick = buckets.pick
-    add_time, add_target, add_source, add_feature, add_delta = log.appenders()
+    add_time, add_target, add_source, add_feature, add_delta = appenders
 
     def step(t):
         e = pick(uniform())
@@ -343,14 +347,14 @@ def _opinions(initial, model: str, alphabet: set) -> list:
     return list(initial.opinions)
 
 
-def _voter_kernel(initial, uniform, log: EventTable) -> _Kernel:
+def _voter_kernel(initial, uniform, appenders) -> _Kernel:
     """Each vertex mimics a uniform neighbor at rate 1; every arrival is an event."""
     ops = _opinions(initial, VOTER, {0, 1})
     topo = initial.topology
     V, E = topo.n_vertices, topo.n_edges
     agree = sum(1 for a, b in topo.edges() if ops[a] == ops[b])
     nbrs = [topo.neighbors(x) for x in range(V)]
-    add_time, add_target, add_source, add_feature, add_delta = log.appenders()
+    add_time, add_target, add_source, add_feature, add_delta = appenders
 
     def step(t):
         nonlocal agree
@@ -373,43 +377,21 @@ def _voter_kernel(initial, uniform, log: EventTable) -> _Kernel:
                    lambda: OpinionConfig(topo, tuple(ops), initial.alphabet))
 
 
-def _cvm_edge_active(ops, a, b) -> bool:
-    # Interacting pairs are exactly {0, +1} and {0, -1}.
-    return ops[a] != ops[b] and ops[a] + ops[b] != 0
-
-
-def _cvm_kernel(initial, uniform, log: EventTable) -> _Kernel:
-    """Every active edge fires at rate 1 in a uniform orientation; extremes never interact."""
-    ops = _opinions(initial, CVM, {-1, 0, 1})
-    topo = initial.topology
-    edges, incident = _incidence(topo)
-    E = len(edges)
-    agree = sum(1 for a, b in edges if ops[a] == ops[b])
-    buckets = _Buckets([int(_cvm_edge_active(ops, a, b)) for a, b in edges], 1)
-    pick = buckets.pick
-    add_time, add_target, add_source, add_feature, add_delta = log.appenders()
-
-    def step(t):
-        nonlocal agree
-        a, b = edges[pick(uniform())]
-        y, x = (a, b) if uniform() < 0.5 else (b, a)  # x mimics y
-        old = ops[x]
-        ops[x] = ops[y]
-        for e2 in incident[x]:
-            za, zb = edges[e2]
-            z = zb if za == x else za
-            agree += (ops[z] == ops[x]) - (ops[z] == old)
-            buckets.move(e2, int(_cvm_edge_active(ops, za, zb)))
-        add_time(t)
-        add_target(x)
-        add_source(y)
-        add_feature(-1)
-        add_delta(1)
-        return 1
-
-    return _Kernel(lambda: buckets.total, step, lambda: (E - agree, agree),
-                   lambda: buckets.total == 0,
-                   lambda: OpinionConfig(topo, tuple(ops), initial.alphabet))
+def _cvm_kernel(initial, uniform, appenders) -> _Kernel:
+    """The culture kernel on the F=q=2 lift at twice its rate, logging opinion
+    events: copied_feature -1 and delta_w 1. Lifted, an active edge fires at
+    rate 1/2, and 2 * (S/2) == S exactly, so waiting times need no rescaling."""
+    _opinions(initial, CVM, {-1, 0, 1})
+    add_time, add_target, add_source, add_feature, add_delta = appenders
+    lifted = _culture_kernel(cvm_lift(initial), uniform,
+                             (add_time, add_target, add_source,
+                              lambda _: add_feature(-1), lambda _: add_delta(1)))
+    counts, E = lifted.census(), initial.topology.n_edges  # counts: the live w_0..w_2
+    return _Kernel(lambda: 2 * lifted.rate(), lifted.step,
+                   lambda: (E - counts[2], counts[2]), lifted.absorbed,
+                   lambda: OpinionConfig(initial.topology,
+                                         cvm_projection(lifted.final()).opinions,
+                                         initial.alphabet))
 
 
 _KERNELS = {AXELROD: _culture_kernel, VOTER: _voter_kernel, CVM: _cvm_kernel}
@@ -434,7 +416,7 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
     rng, urn_rng = _rng_pair(seed, attach_urn)
     draws = _Draws(rng)
     events = EventTable()
-    kernel = _KERNELS[model](initial, draws.uniform, events)
+    kernel = _KERNELS[model](initial, draws.uniform, events.appenders())
     if attach_urn and model != AXELROD:
         raise InvalidInput("urn coupling is defined for the culture model only")
     rate, step, census, absorbed = kernel.rate, kernel.step, kernel.census, kernel.absorbed

@@ -25,6 +25,7 @@ from .urn import UrnState, urn_rounds_run
 
 EXPERIMENT_KINDS = ("simulate", "bounds", "urn-rounds", "duality-check",
                     "lemma5-estimate", "table1")
+REPLICATED_KINDS = ("simulate", "urn-rounds", "duality-check", "lemma5-estimate")
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,8 @@ class ExperimentConfig:
             raise InvalidInput(f"unknown experiment kind {self.kind!r}")
         if self.workers < 1:
             raise InvalidInput("workers must be >= 1")
+        if self.kind in REPLICATED_KINDS and self.replicates < 1:
+            raise InvalidInput("replicates must be >= 1")
         if self.kind == "simulate" and self.model not in MODELS:
             raise InvalidInput(f"unknown model {self.model!r}")
         if self.kind == "simulate":
@@ -60,8 +63,6 @@ class ExperimentConfig:
             self.make_topology()
             StopRule(self.t_max, self.max_events,
                      stop_on_absorption=self.t_max is None and self.max_events is None)
-            if self.replicates < 1:
-                raise InvalidInput("replicates must be >= 1")
             if self.t_max is not None and any(s > self.t_max for s in self.snapshot_times):
                 raise InvalidInput(f"snapshot times beyond t_max={self.t_max}")
             if self.max_events is not None and self.snapshot_times:
@@ -71,6 +72,8 @@ class ExperimentConfig:
                 raise InvalidInput("urn coupling applies to the culture model only")
         if self.kind == "lemma5-estimate":
             ModelParams(self.F, self.q)
+            if self.topology != "path":
+                raise InvalidInput("lemma5-estimate runs on a path only")
             if len(self.xyz) != 3:
                 raise InvalidInput("lemma5-estimate needs x,y,z")
             x, y, z = self.xyz
@@ -78,8 +81,6 @@ class ExperimentConfig:
                 raise InvalidInput("need 0 <= x < y < z <= N")
             if self.t_query is None:
                 raise InvalidInput("lemma5-estimate needs a time t")
-            if self.replicates < 1:
-                raise InvalidInput("replicates must be >= 1")
         if self.kind == "duality-check" and self.t_query is None:
             raise InvalidInput("duality-check needs a time t")
 
@@ -172,8 +173,7 @@ def _lemma5_replicate(config: ExperimentConfig, r: int) -> tuple[bool, bool]:
     """(hit, success) at time t on the path {0,...,N}: feature 0 of y differs
     from those of x and z, and those of x and z agree."""
     init_seed, run_seed = replicate_seeds(config.master_seed, r)
-    initial = random_config(ModelParams(config.F, config.q), Topology("path", config.N + 1),
-                            init_seed)
+    initial = random_config(ModelParams(config.F, config.q), config.make_topology(), init_seed)
     final = run_model(AXELROD, initial, StopRule(t_max=config.t_query), run_seed).final
     fx, fy, fz = (final.cultures[v][0] for v in config.xyz)
     hit = fy != fx and fy != fz

@@ -211,22 +211,6 @@ def replay(initial, events, model: str, upto: float | None = None):
     return OpinionConfig(initial.topology, tuple(ops), initial.alphabet)
 
 
-def snapshot_csv_text(traj) -> str:
-    if isinstance(traj.initial, Configuration):
-        F = traj.initial.params.F
-    else:
-        F = 1
-    header = "t," + ",".join(f"w_{j}" for j in range(F + 1)) + ",W,N_t,S_t"
-    lines = [header]
-    for s in traj.snapshots:
-        lines.append(
-            f"{s.time!r},"
-            + ",".join(str(c) for c in s.census.counts)
-            + f",{s.census.total_agreement},{s.domains.domain_count},{float(s.domains.mean_size)!r}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def final_stats_row(traj) -> dict:
     census = traj.final_census
     domains = domains_from_census(census, traj.final.topology)

@@ -1,4 +1,4 @@
-"""Observables: edge census, domain counts, interface density, flip counts."""
+"""Observables: edge census, domain counts, flip counts."""
 from __future__ import annotations
 
 from bisect import bisect_left
@@ -74,15 +74,6 @@ def domains_equals_w0_plus_1(cfg: Configuration) -> bool:
         raise InvalidInput("configuration not absorbed")
     census = edge_census(cfg)
     return count_domains(cfg).domain_count == census.counts[0] + 1
-
-
-def interface_series(traj) -> list[tuple]:
-    """Per-snapshot normalized census rows (t, w_0/E, ..., w_F/E)."""
-    rows = []
-    for snap in traj.snapshots:
-        e = snap.census.n_edges
-        rows.append((snap.time,) + tuple(c / e for c in snap.census.counts))
-    return rows
 
 
 def flip_count(traj, x: int, window_boundaries) -> list[int]:

@@ -97,6 +97,16 @@ class TestValidation:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("urn-rounds", "--F", "2", "--q", "4", "--N", "10"),
+        ("duality-check", "--N", "10", "--t", "1.0"),
+        ("lemma5-estimate", "--N", "10", "--x", "2", "--y", "5", "--z", "8", "--t", "0.5"),
+    ])
+    def test_zero_replicates_return_2_for_every_replicated_kind(self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *argv, "--replicates", "0", "--out", str(out))
+        assert code == 2
+        assert "replicates must be >= 1" in err and stdout == "" and not out.exists()
 
     def test_snapshot_beyond_t_max_returns_2(self, capsys, tmp_path):
         out = tmp_path / "out"

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
@@ -11,10 +10,8 @@ from axsim import (
     OpinionConfig,
     Topology,
     UnsupportedProjection,
-    apply_feature_copy,
     cvm_projection,
     is_absorbed,
-    overlap,
     random_config,
     voter_projection,
 )
@@ -40,65 +37,6 @@ class TestParams:
             Topology("cycle", 2)
         assert Topology("path", 5).n_edges == 4
         assert Topology("cycle", 5).n_edges == 5
-
-
-class TestOverlap:
-    def test_examples(self):
-        p = ModelParams(2, 4)
-        assert overlap((1, 2), (1, 3), p) == (1, Fraction(1, 2))
-        p3 = ModelParams(3, 4)
-        assert overlap((1, 2, 3), (1, 2, 3), p3) == (3, Fraction(1))
-        assert overlap((1, 1), (2, 2), p) == (0, Fraction(0))
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidInput):
-            overlap((1, 2, 3), (1, 2), ModelParams(3, 4))
-
-    @given(st.data())
-    def test_symmetric(self, data):
-        F = data.draw(st.integers(1, 5))
-        q = data.draw(st.integers(2, 6))
-        a = tuple(data.draw(st.integers(0, q - 1)) for _ in range(F))
-        b = tuple(data.draw(st.integers(0, q - 1)) for _ in range(F))
-        p = ModelParams(F, q)
-        assert overlap(a, b, p) == overlap(b, a, p)
-
-
-class TestFeatureCopy:
-    def test_copy_changes_one_feature(self):
-        cfg = make_cfg("path", [(1, 2), (1, 3)], 2, 4)
-        out = apply_feature_copy(cfg, 0, 1, 1)
-        assert out.cultures[0] == (1, 3)
-        assert out.cultures[1] == (1, 3)
-
-    def test_noop_on_agreement(self):
-        cfg = make_cfg("path", [(1, 2), (1, 3)], 2, 4)
-        assert apply_feature_copy(cfg, 0, 1, 0).cultures == cfg.cultures
-
-    def test_locality(self):
-        cfg = make_cfg("path", [(0, 0), (1, 1), (2, 2)], 2, 3)
-        out = apply_feature_copy(cfg, 1, 0, 0)
-        assert out.cultures[2] == (2, 2)
-
-    def test_rejects_non_adjacent(self):
-        cfg = make_cfg("path", [(0,), (0,), (0,)], 1, 2)
-        with pytest.raises(InvalidInput):
-            apply_feature_copy(cfg, 0, 2, 0)
-        with pytest.raises(InvalidInput):
-            apply_feature_copy(cfg, 0, 1, 3)
-
-    @given(st.integers(0, 10 ** 6))
-    def test_disagreeing_copy_bumps_overlap(self, seed):
-        p = ModelParams(3, 3)
-        cfg = random_config(p, Topology("path", 4), seed)
-        x, y = 1, 2
-        before, _ = overlap(cfg.cultures[x], cfg.cultures[y], p)
-        i = next((i for i in range(3) if cfg.cultures[x][i] != cfg.cultures[y][i]), None)
-        if i is None:
-            return
-        out = apply_feature_copy(cfg, x, y, i)
-        after, _ = overlap(out.cultures[x], out.cultures[y], p)
-        assert after == before + 1
 
 
 class TestProjections:

@@ -7,6 +7,7 @@ import pytest
 
 from axsim import (
     Configuration,
+    EventTable,
     GraphicalDraw,
     InvalidInput,
     ModelParams,
@@ -23,7 +24,7 @@ from axsim import (
     run_model,
     voter_projection,
 )
-from axsim.engine import _rng_pair
+from axsim.engine import _cvm_kernel, _rng_pair
 from axsim.logio import replay
 
 
@@ -160,6 +161,39 @@ class TestExactKernelOracle:
             p = float(p)
             assert abs(hits[key] - n * p) <= 3 * math.sqrt(n * p * (1 - p)), (key, hits[key], n * p)
         mean = float(1 / rate)  # Exp(S/F) has standard deviation equal to its mean
+        assert abs(time_sum / n - mean) <= 3 * mean / math.sqrt(n)
+
+
+class TestExactCvmOracle:
+    # Active edges are 0/+1 and 0/-1; both cases also hold an inactive +1/-1
+    # edge and an agreeing -1/-1 edge.
+    CASES = {
+        "path5": ("path", (0, 1, -1, -1, 0)),
+        "cycle6": ("cycle", (0, 1, 0, -1, -1, 1)),
+    }
+    RUNS = 4000
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_first_event_matches_constrained_voter_law(self, name):
+        kind, ops = self.CASES[name]
+        init = OpinionConfig(Topology(kind, len(ops)), ops, (-1, 0, 1))
+        active = [(a, b) for a, b in init.topology.edges()
+                  if ops[a] != ops[b] and ops[a] + ops[b] != 0]
+        assert {ops[a] * ops[b] for a, b in init.topology.edges()} == {-1, 0, 1}
+        n_active = len(active)
+        assert _cvm_kernel(init, None, EventTable().appenders()).rate() == n_active
+        # Every active edge fires at rate 1, in a uniform orientation.
+        law = {(x, y, -1, 1): 1 / (2 * n_active) for a, b in active for x, y in ((a, b), (b, a))}
+        n = self.RUNS
+        hits, time_sum = Counter(), 0.0
+        for seed in range(n):
+            (ev,) = run_model("cvm", init, StopRule(max_events=1), seed).events
+            hits[(ev.target, ev.source, ev.copied_feature, ev.delta_w)] += 1
+            time_sum += ev.time
+        assert set(hits) <= set(law)
+        for key, p in law.items():
+            assert abs(hits[key] - n * p) <= 3 * math.sqrt(n * p * (1 - p)), (key, hits[key], n * p)
+        mean = 1 / n_active  # Exp(n_active) has standard deviation equal to its mean
         assert abs(time_sum / n - mean) <= 3 * mean / math.sqrt(n)
 
 

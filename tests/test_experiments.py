@@ -46,6 +46,16 @@ class TestSnapshotsWithMaxEvents:
         ExperimentConfig(kind="simulate", N=10, t_max=t_max, max_events=3).validate()
 
 
+class TestLemma5Topology:
+    def test_only_a_path_is_accepted(self):
+        # The estimate is defined on the path {0,...,N}; a cycle would be
+        # recorded in summary.json but not run.
+        config = dict(kind="lemma5-estimate", N=10, xyz=(2, 5, 8), t_query=0.5, replicates=2)
+        ExperimentConfig(**config).validate()
+        with pytest.raises(InvalidInput, match="path"):
+            ExperimentConfig(**config, topology="cycle").validate()
+
+
 class TestChainCheck:
     def test_urn_attached_cycle_run(self):
         summary = execute(ExperimentConfig(kind="simulate", F=2, q=3, topology="cycle",

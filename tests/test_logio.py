@@ -20,7 +20,6 @@ from axsim import (
     replay,
     run_model,
     save_event_log,
-    snapshot_csv_text,
 )
 
 
@@ -110,19 +109,6 @@ class TestCsvArtifacts:
         assert "# F=2" in lines and "# q=3" in lines
         assert "time,source,target,feature,delta_w" in lines
         assert len([l for l in lines if not l.startswith("#")]) == 1 + len(traj.events)
-
-    def test_snapshot_csv_shape(self):
-        cfg = random_config(ModelParams(2, 2), Topology("cycle", 16), 4)
-        traj = run_model("axelrod", cfg, StopRule(t_max=6.0), 4,
-                         snapshot_times=(1.0, 2.0, 3.0))
-        text = snapshot_csv_text(traj)
-        lines = text.splitlines()
-        assert lines[0] == "t,w_0,w_1,w_2,W,N_t,S_t"
-        assert len(lines) == 1 + len(traj.snapshots)
-        for line, snap in zip(lines[1:], traj.snapshots):
-            cells = line.split(",")
-            assert float(cells[0]) == snap.time
-            assert [int(c) for c in cells[1:4]] == list(snap.census.counts)
 
     def test_final_stats_row(self):
         cfg, traj = axelrod_traj(seed=1)

@@ -15,7 +15,6 @@ from axsim import (
     domains_equals_w0_plus_1,
     edge_census,
     flip_count,
-    interface_series,
     random_config,
     run_model,
 )
@@ -104,27 +103,6 @@ class TestIncrementalCensus:
             state = replay(cfg, traj.events, "axelrod", upto=np.nextafter(snap.time, 0))
             assert snap.census == edge_census(state)
             assert snap.domains == count_domains(state)
-
-
-class TestInterfaceSeries:
-    def test_no_snapshots_empty(self):
-        cfg = random_config(ModelParams(2, 2), Topology("path", 5), 0)
-        traj = run_model("axelrod", cfg, StopRule(t_max=1.0), 0)
-        assert interface_series(traj) == []
-
-    def test_absorbed_trajectory_ends_without_interfaces(self):
-        cfg = random_config(ModelParams(2, 2), Topology("path", 21), 5)
-        traj = run_model("axelrod", cfg, StopRule(stop_on_absorption=True), 5,
-                         snapshot_times=(10.0 ** 9,))
-        last = interface_series(traj)[-1]
-        assert last[2] == 0.0  # w_1 fraction
-
-    def test_rows_normalized(self):
-        cfg = random_config(ModelParams(2, 2), Topology("cycle", 32), 6)
-        traj = run_model("axelrod", cfg, StopRule(t_max=5.0), 6,
-                         snapshot_times=(1.0, 2.0, 4.0))
-        for row in interface_series(traj):
-            assert sum(row[1:]) == pytest.approx(1.0)
 
 
 class TestFlipCount:
