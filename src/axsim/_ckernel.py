@@ -1,0 +1,172 @@
+"""The compiled culture run loop: build, load and call `_kernel.c`.
+
+`engine` imports this module on the first culture or CVM run of a process,
+through `engine._kernel_lib`. `load` builds the C file with the system
+compiler into `__pycache__` next to it, unless that build exists already,
+and loads it with ctypes. `compiled_loop` runs one trajectory through it and
+hands back what `engine._python_loop` does for the same Generator, bit for
+bit.
+"""
+from __future__ import annotations
+
+import contextlib
+import ctypes
+import math
+import os
+import zlib
+from array import array
+from functools import lru_cache
+from itertools import chain
+
+import numpy as np
+
+from .core import Configuration, Topology
+from .engine import CVM, StopRule, _culture_view, _incidence, _Path, _SnapshotTaker
+from .events import EventTable
+
+
+def _fields(ctype, names: str) -> list:
+    return [(name, ctype) for name in names.split()]
+
+
+class _Run(ctypes.Structure):
+    """`struct axsim_run` of `_kernel.c`, field for field."""
+    _fields_ = (_fields(ctypes.c_void_p, "bitgen")
+                + _fields(ctypes.c_int64, "F n_vertices n_edges")
+                + _fields(ctypes.c_void_p, "state edge_a edge_b inc_start inc_edge")
+                + _fields(ctypes.c_int64, "lifted") + _fields(ctypes.c_double, "t_max")
+                + _fields(ctypes.c_int64, "max_events")
+                + _fields(ctypes.c_void_p, "snap_time") + _fields(ctypes.c_int64, "n_snap")
+                + _fields(ctypes.c_void_p, "snap_counts start_counts counts ev_time ev_target"
+                                           " ev_source ev_feature ev_delta ev_w0")
+                + _fields(ctypes.c_int64, "cap n_events n_snap_done")
+                + _fields(ctypes.c_double, "t") + _fields(ctypes.c_int64, "total")
+                + _fields(ctypes.c_void_p, "work"))
+
+
+_KERNEL_C = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
+_CC = ("cc",)
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+_DONE, _FULL = 0, 1  # return codes of axsim_culture_run; negative: out of memory
+_FIRST_CAP = 256  # events the columns first make room for
+
+
+def build_path(source: bytes) -> str:
+    """The build's file name: keyed on the source, numpy's version and the command.
+
+    CRC-32s, not a cryptographic hash: `hashlib` would load OpenSSL, about
+    3.5 MB of resident memory, into every process that runs the model.
+    """
+    command = "\0".join((np.__version__, *_CC, *_CFLAGS)).encode()
+    return os.path.join(os.path.dirname(_KERNEL_C), "__pycache__",
+                        f"_kernel.{zlib.crc32(source):08x}{zlib.crc32(command):08x}.so")
+
+
+def load():
+    """The library built from `_kernel.c`, building it first where needed;
+    None where it cannot be built or loaded."""
+    try:
+        with open(_KERNEL_C, "rb") as fh:
+            path = build_path(fh.read())
+    except OSError:  # an install without the source
+        return None
+    if not os.path.exists(path):
+        import subprocess  # only a build needs it
+
+        # A private name renamed into place: concurrent builds never load a partial file.
+        tmp = f"{path}.{os.getpid()}.tmp"
+        npyrandom = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a")
+        try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            subprocess.run([*_CC, *_CFLAGS, "-I", np.get_include(), "-o", tmp, _KERNEL_C,
+                            npyrandom], check=True, capture_output=True, timeout=300)
+            os.replace(tmp, path)
+        except (OSError, subprocess.SubprocessError):
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            return None
+    try:
+        lib = ctypes.CDLL(path)
+    except OSError:
+        return None
+    for name, restype in (("axsim_culture_run", ctypes.c_int64), ("axsim_culture_free", None)):
+        fn = getattr(lib, name)
+        fn.argtypes = [ctypes.POINTER(_Run)]
+        fn.restype = restype
+    return lib
+
+
+# The bitgen_t a Generator's `bit_generator.capsule` holds, which the C loop draws from.
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+
+@lru_cache(maxsize=8)
+def _incidence_columns(topo: Topology):
+    """`_incidence` as int64 columns: edge endpoints a and b, and each vertex's
+    edges as a slice [start[x], start[x+1]) of one edge column, in order.
+
+    Built from an uncached `_incidence`: a compiled run needs no tuples kept."""
+    edges, incident = _incidence.__wrapped__(topo)
+    start = array("q", [0])
+    for inc in incident:
+        start.append(start[-1] + len(inc))
+    return (array("q", [a for a, _ in edges]), array("q", [b for _, b in edges]),
+            start, array("q", chain.from_iterable(incident)))
+
+
+def _address(buf: array) -> int:
+    return buf.buffer_info()[0]
+
+
+def compiled_loop(lib, model, initial, stop: StopRule, rng, snapshot_times,
+                  with_w0: bool) -> _Path | None:
+    """The culture loop in C; None when a feature state is no int64."""
+    cfg, census_of, final_of = _culture_view(model, initial)
+    F = cfg.params.F
+    try:
+        state = array("q", list(chain.from_iterable(cfg.cultures)))
+    except (TypeError, OverflowError):
+        return None
+    topo = cfg.topology
+    taker = _SnapshotTaker(snapshot_times, topo)
+    incidence = _incidence_columns(topo)
+    times = array("d", taker.times)
+    snap_counts = array("q", bytes(8 * len(times) * (F + 1)))
+    start_counts, counts = array("q", bytes(8 * (F + 1))), array("q", bytes(8 * (F + 1)))
+    events = EventTable()
+    w0 = array("q") if with_w0 else None
+    columns = events.columns() + ((w0,) if with_w0 else ())
+    run = _Run(_capsule_pointer(rng.bit_generator.capsule, b"BitGenerator"), F,
+               topo.n_vertices, topo.n_edges, _address(state),
+               *map(_address, incidence), int(model == CVM),
+               math.inf if stop.t_max is None else stop.t_max,
+               min(stop.max_events if stop.max_events is not None else 2 ** 62, 2 ** 62),
+               _address(times), len(times), _address(snap_counts),
+               _address(start_counts), _address(counts))
+    try:
+        while True:
+            # The columns grow by a quarter, so a long run returns here often
+            # enough for Ctrl-C to act, and their slack stays small.
+            room = bytes(8 * (run.cap // 4 + _FIRST_CAP))
+            for col in columns:
+                col.frombytes(room)
+            run.cap = len(events)
+            run.ev_time, run.ev_target, run.ev_source, run.ev_feature, run.ev_delta = map(
+                _address, events.columns())
+            run.ev_w0 = _address(w0) if with_w0 else None
+            status = lib.axsim_culture_run(run)
+            if status == _DONE:
+                break
+            if status != _FULL:
+                raise MemoryError("compiled culture loop ran out of memory")
+    finally:
+        lib.axsim_culture_free(run)  # frees nothing after a finished run
+    for col in columns:
+        del col[run.n_events:]
+    width = F + 1
+    for k in range(run.n_snap_done):
+        taker.take(census_of(snap_counts[k * width:(k + 1) * width]))
+    final = Configuration(topo, cfg.params, tuple(zip(*[iter(state)] * F)))
+    return _Path(events, w0, census_of(start_counts), run.t, census_of(counts),
+                 run.total == 0, run.total == 0, final_of(final), taker)

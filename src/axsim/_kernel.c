@@ -1,0 +1,280 @@
+/*
+ * The culture model's run loop, compiled: the same trajectory as the Python
+ * kernel in engine.py (`_culture_kernel` driven by `_python_loop`) for the
+ * same Generator, bit for bit. `_ckernel.py` builds, loads and calls it.
+ *
+ * Identity rests on doing exactly what the Python code does:
+ *  - draws: uniforms and Exp(1) variates in separate blocks taken from the end,
+ *    refilled lazily by numpy's own fill functions (what `rng.random(n)` and
+ *    `rng.standard_exponential(n)` call), block sizes doubling 16 -> 4096;
+ *  - three uniforms per step (edge, orientation, feature), picked as int(u*k);
+ *  - the same swap-remove order in the weight-class lists, the same incident
+ *    edge order, and rate S/F (2*(S/2) on the CVM lift) in IEEE double, so
+ *    this file must be compiled with -ffp-contract=off.
+ *
+ * Call `axsim_culture_run` until it returns AXSIM_DONE. It returns
+ * AXSIM_FULL when the event columns are full; the caller grows them, updates
+ * the column pointers and `cap`, and calls again. All progress lives in the
+ * struct and its work area, which the first call allocates and the last one
+ * frees; `axsim_culture_free` frees it after an abandoned run.
+ */
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
+
+#include "numpy/random/bitgen.h"
+
+/* From numpy/random/distributions.h, which needs Python.h. */
+void random_standard_uniform_fill(bitgen_t *state, intptr_t cnt, double *out);
+void random_standard_exponential_fill(bitgen_t *state, intptr_t cnt, double *out);
+
+enum { AXSIM_DONE = 0, AXSIM_FULL = 1, AXSIM_NOMEM = -1 };
+enum { FIRST_BLOCK = 16, MAX_BLOCK = 4096 };
+
+/* Field for field the `_Run` ctypes structure in _ckernel.py. */
+struct axsim_run {
+    bitgen_t *bitgen;
+    int64_t F, n_vertices, n_edges;
+    int64_t *state;              /* n_vertices x F cultures, updated in place */
+    const int64_t *edge_a, *edge_b;
+    const int64_t *inc_start;    /* vertex x's edges: inc_edge[inc_start[x]..inc_start[x+1]) */
+    const int64_t *inc_edge;
+    int64_t lifted;              /* CVM lift: rate 2*(S/2); log feature -1 and delta_w 1 */
+    double t_max;                /* INFINITY when unbounded */
+    int64_t max_events;
+    const double *snap_time;     /* sorted */
+    int64_t n_snap;
+    int64_t *snap_counts;        /* n_snap x (F+1): the census at each snapshot */
+    int64_t *start_counts;       /* F+1: w_0..w_F before the first event */
+    int64_t *counts;             /* F+1: w_0..w_F, live */
+    double *ev_time;
+    int64_t *ev_target, *ev_source, *ev_feature, *ev_delta;
+    int64_t *ev_w0;              /* w_0 after each event, or NULL */
+    int64_t cap;                 /* room in each event column */
+    int64_t n_events;
+    int64_t n_snap_done;
+    double t;
+    int64_t total;               /* S = sum_j j*n_j over the classes 1..F-1 */
+    void *work;
+};
+
+struct draws {
+    double buf[MAX_BLOCK];
+    int64_t left, next;
+};
+
+struct work {
+    int64_t *weight, *cls, *pos, *disagree;
+    int64_t **items, *len, *room;  /* class j's edges: items[j][0..len[j]) */
+    struct draws u, e;
+};
+
+static double draw(bitgen_t *bitgen, struct draws *d, int uniform)
+{
+    if (d->left == 0) {
+        if (uniform)
+            random_standard_uniform_fill(bitgen, d->next, d->buf);
+        else
+            random_standard_exponential_fill(bitgen, d->next, d->buf);
+        d->left = d->next;
+        d->next = d->next < MAX_BLOCK / 2 ? 2 * d->next : MAX_BLOCK;
+    }
+    return d->buf[--d->left];
+}
+
+void axsim_culture_free(struct axsim_run *r)
+{
+    struct work *w = r->work;
+    if (w == NULL)
+        return;
+    if (w->items != NULL)
+        for (int64_t j = 0; j < r->F; j++)
+            free(w->items[j]);
+    free(w->items);
+    free(w->len);
+    free(w->room);
+    free(w->weight);
+    free(w->cls);
+    free(w->pos);
+    free(w->disagree);
+    free(w);
+    r->work = NULL;
+}
+
+/* Edge e to class c (0: absent), as `_Buckets.move`. */
+static int move(struct axsim_run *r, struct work *w, int64_t e, int64_t c)
+{
+    int64_t old = w->cls[e];
+    if (c == old)
+        return 0;
+    if (old) {
+        int64_t *items = w->items[old];
+        int64_t last = items[--w->len[old]];
+        if (last != e) {
+            w->pos[last] = w->pos[e];
+            items[w->pos[e]] = last;
+        }
+    }
+    if (c) {
+        if (w->len[c] == w->room[c]) {
+            int64_t room = 2 * w->room[c];
+            int64_t *grown = realloc(w->items[c], (size_t)room * sizeof(int64_t));
+            if (grown == NULL)
+                return -1;
+            w->items[c] = grown;
+            w->room[c] = room;
+        }
+        w->pos[e] = w->len[c];
+        w->items[c][w->len[c]++] = e;
+    }
+    w->cls[e] = c;
+    r->total += c - old;
+    return 0;
+}
+
+/* Weight of edge e by d, as `_bump`. */
+static int bump(struct axsim_run *r, struct work *w, int64_t e, int64_t d)
+{
+    r->counts[w->weight[e]] -= 1;
+    int64_t wt = w->weight[e] += d;
+    r->counts[wt] += 1;
+    return move(r, w, e, wt < r->F ? wt : 0);
+}
+
+static int start(struct axsim_run *r)
+{
+    const int64_t F = r->F, E = r->n_edges;
+    struct work *w = calloc(1, sizeof *w);
+    if (w == NULL)
+        return -1;
+    r->work = w;
+    w->weight = malloc((size_t)E * sizeof(int64_t));  /* a path or cycle has E >= 1 */
+    w->cls = malloc((size_t)E * sizeof(int64_t));
+    w->pos = malloc((size_t)E * sizeof(int64_t));
+    w->disagree = malloc((size_t)F * sizeof(int64_t));
+    w->items = calloc((size_t)F, sizeof(int64_t *));
+    w->len = calloc((size_t)F, sizeof(int64_t));
+    w->room = calloc((size_t)F, sizeof(int64_t));
+    if (!w->weight || !w->cls || !w->pos || !w->disagree || !w->items || !w->len || !w->room)
+        return -1;
+    memset(r->counts, 0, (size_t)(F + 1) * sizeof(int64_t));
+    for (int64_t e = 0; e < E; e++) {
+        const int64_t *sa = r->state + r->edge_a[e] * F, *sb = r->state + r->edge_b[e] * F;
+        int64_t wt = 0;
+        for (int64_t i = 0; i < F; i++)
+            wt += sa[i] == sb[i];
+        w->weight[e] = wt;
+        w->cls[e] = wt < F ? wt : 0;
+        r->counts[wt] += 1;
+    }
+    for (int64_t j = 1; j < F; j++) {
+        w->room[j] = r->counts[j] > 16 ? r->counts[j] : 16;
+        w->items[j] = malloc((size_t)w->room[j] * sizeof(int64_t));
+        if (w->items[j] == NULL)
+            return -1;
+    }
+    r->total = 0;
+    for (int64_t e = 0; e < E; e++) {
+        int64_t c = w->cls[e];
+        if (c) {
+            w->pos[e] = w->len[c];
+            w->items[c][w->len[c]++] = e;
+            r->total += c;
+        }
+    }
+    memcpy(r->start_counts, r->counts, (size_t)(F + 1) * sizeof(int64_t));
+    w->u.next = w->e.next = FIRST_BLOCK;
+    return 0;
+}
+
+/* Record the census at every pending snapshot time <= upto (left limits). */
+static void flush(struct axsim_run *r, double upto)
+{
+    while (r->n_snap_done < r->n_snap && r->snap_time[r->n_snap_done] <= upto) {
+        memcpy(r->snap_counts + r->n_snap_done * (r->F + 1), r->counts,
+               (size_t)(r->F + 1) * sizeof(int64_t));
+        r->n_snap_done += 1;
+    }
+}
+
+int64_t axsim_culture_run(struct axsim_run *r)
+{
+    if (r->work == NULL && start(r) != 0) {
+        axsim_culture_free(r);
+        return AXSIM_NOMEM;
+    }
+    struct work *w = r->work;
+    const int64_t F = r->F;
+    int64_t *state = r->state;
+
+    for (;;) {
+        if (r->n_events == r->cap)
+            return AXSIM_FULL;
+        const int64_t S = r->total;
+        if (S == 0 || r->n_events >= r->max_events)
+            break;
+        double rate = (double)S / (double)F;
+        if (r->lifted)
+            rate = 2.0 * rate;
+        double t_next = r->t + draw(r->bitgen, &w->e, 0) / rate;
+        if (t_next > r->t_max) {
+            flush(r, r->t_max);
+            r->t = r->t_max;
+            break;
+        }
+        r->t = t_next;
+        if (r->n_snap_done < r->n_snap && r->t >= r->snap_time[r->n_snap_done])
+            flush(r, r->t);
+
+        /* Class j with probability j*n_j/S, then uniform within the class. */
+        int64_t x = (int64_t)(draw(r->bitgen, &w->u, 1) * (double)S);
+        int64_t j = 1;
+        while (x >= j * w->len[j]) {
+            x -= j * w->len[j];
+            j += 1;
+        }
+        const int64_t e = w->items[j][x / j];
+        int64_t u = r->edge_a[e], v = r->edge_b[e];
+        if (!(draw(r->bitgen, &w->u, 1) < 0.5)) {
+            u = r->edge_b[e];
+            v = r->edge_a[e];
+        }
+        int64_t *su = state + u * F, *sv = state + v * F;
+        int64_t k = 0;
+        for (int64_t i = 0; i < F; i++)
+            if (su[i] != sv[i])
+                w->disagree[k++] = i;
+        const int64_t feat = w->disagree[(int64_t)(draw(r->bitgen, &w->u, 1) * (double)k)];
+        const int64_t old = sv[feat], new = su[feat];
+        int64_t delta = 1;
+        if (bump(r, w, e, 1) != 0)
+            goto nomem;
+        for (int64_t p = r->inc_start[v]; p < r->inc_start[v + 1]; p++) {
+            const int64_t e2 = r->inc_edge[p];
+            if (e2 == e)
+                continue;
+            const int64_t z = r->edge_a[e2] == v ? r->edge_b[e2] : r->edge_a[e2];
+            const int64_t zf = state[z * F + feat];
+            const int64_t dd = (zf == new) - (zf == old);
+            if (dd && bump(r, w, e2, dd) != 0)
+                goto nomem;
+            delta += dd;
+        }
+        sv[feat] = new;
+
+        const int64_t n = r->n_events++;
+        r->ev_time[n] = r->t;
+        r->ev_target[n] = v;
+        r->ev_source[n] = u;
+        r->ev_feature[n] = r->lifted ? -1 : feat;
+        r->ev_delta[n] = r->lifted ? 1 : delta;
+        if (r->ev_w0 != NULL)
+            r->ev_w0[n] = r->counts[0];
+    }
+    axsim_culture_free(r);
+    return AXSIM_DONE;
+nomem:
+    axsim_culture_free(r);
+    return AXSIM_NOMEM;
+}

@@ -15,9 +15,9 @@ uniform edge in that class, a uniform orientation and a uniform disagreeing
 feature; every step is an accepted event. The CVM runs as this kernel on
 its F=q=2 lift (`cvm_lift`) at twice the rate, so every active edge fires at
 rate 1. The voter kernel picks a uniform vertex and a uniform neighbor at
-total rate V. One event loop (`run_model`) draws the waiting times and owns
-the stop rule, snapshots and urn coupling; each step appends its event
-through the run's `EventTable` appenders and returns its delta_w.
+total rate V. One event loop (`_python_loop`) draws the waiting times and
+owns the stop rule and snapshots; each step appends its event through the
+run's `EventTable` appenders.
 
 Randomness is drawn in blocks. Each run makes one `_Draws` source on its
 trajectory Generator, which refills Python lists from `rng.random(n)` and
@@ -32,14 +32,25 @@ the remainder divided by j is exactly uniform over the class.
 
 One trajectory uses one Generator in a fixed order of calls, which makes
 runs bit-reproducible from the seed. The attached urn draws from a separate
-substream, so trajectories are identical with or without it.
+substream, so trajectories are identical with or without it. The urn moves
+only on delta_w = 2 events; it is coupled after the run, from the events'
+delta_w and the w_0 count the loop records after each event.
+
+The culture and CVM runs go through a compiled copy of the loop and the
+culture kernel (`_ckernel`, `_kernel.c`), which makes the same draws in the
+same order and so the same trajectory, bit for bit. It is built with the
+system C compiler on the first culture run of a process and loaded with
+ctypes. Where it cannot be built, the Python kernel runs; it is also the
+oracle the compiled loop is tested against.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+from array import array
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -81,6 +92,18 @@ class StopRule:
     def __post_init__(self):
         if self.t_max is None and self.max_events is None and not self.stop_on_absorption:
             raise InvalidInput("stop rule needs at least one bound")
+        if self.t_max is not None and not (math.isfinite(self.t_max) and self.t_max >= 0):
+            raise InvalidInput(f"t_max must be finite and >= 0, got {self.t_max}")
+        if self.max_events is not None and not (
+                isinstance(self.max_events, numbers.Integral) and self.max_events >= 0):
+            raise InvalidInput(f"max_events must be an integer >= 0, got {self.max_events}")
+
+
+def check_times(times, what: str):
+    """Raise InvalidInput unless every time is finite and >= 0."""
+    for t in times:
+        if not (math.isfinite(t) and t >= 0):
+            raise InvalidInput(f"{what} must be finite and >= 0, got {t}")
 
 
 @dataclass(frozen=True)
@@ -176,15 +199,19 @@ class _SnapshotTaker:
         self.topology = topology
         self.out: list[Snapshot] = []
 
+    def take(self, counts):
+        """Record the earliest pending time with census counts `counts`."""
+        census = census_from_counts(counts)
+        self.out.append(Snapshot(self.times.pop(0), census,
+                                 domains_from_census(census, self.topology)))
+
     def flush(self, upto: float, counts) -> float:
         """Record every pending time <= upto; returns the next pending time.
 
         Left-limit semantics: called before applying any event at `upto`.
         """
         while self.times and self.times[0] <= upto:
-            census = census_from_counts(counts)
-            self.out.append(Snapshot(self.times.pop(0), census,
-                                     domains_from_census(census, self.topology)))
+            self.take(counts)
         return self.times[0] if self.times else math.inf
 
 
@@ -262,9 +289,7 @@ class _Buckets:
 class _Kernel(NamedTuple):
     """One model's dynamics, as closures over its private state."""
     rate: Callable[[], float]  # total event rate; 0 means nothing can change
-    # Appends one event at time t and returns its delta_w, which the loop
-    # reads only for the urn; the CVM, which cannot attach it, returns its lift's.
-    step: Callable[[float], int]
+    step: Callable[[float], None]  # appends one event at time t
     census: Callable[[], Sequence[int]]  # edge counts w_0..w_F (opinions: disagree, agree)
     absorbed: Callable[[], bool]
     final: Callable[[], object]
@@ -324,7 +349,6 @@ def _culture_kernel(initial, uniform, appenders) -> _Kernel:
         add_source(u)
         add_feature(feat)
         add_delta(delta)
-        return delta
 
     return _Kernel(lambda: buckets.total / F, step, lambda: counts,
                    lambda: buckets.total == 0,
@@ -371,70 +395,70 @@ def _voter_kernel(initial, uniform, appenders) -> _Kernel:
         add_source(y)
         add_feature(-1)
         add_delta(flipped)
-        return flipped
 
     return _Kernel(lambda: V, step, lambda: (E - agree, agree), lambda: agree == E,
                    lambda: OpinionConfig(topo, tuple(ops), initial.alphabet))
+
+
+def _culture_view(model: str, initial):
+    """(configuration, census map, final map) of a culture-model run.
+
+    The CVM runs on its F=q=2 lift: its census is (w_0 + w_1, w_2) of the
+    lift's counts and its final state the projection of the lift's.
+    """
+    if model == AXELROD:
+        if not isinstance(initial, Configuration):
+            raise InvalidInput("culture model takes a Configuration")
+        return initial, tuple, lambda cfg: cfg
+    _opinions(initial, CVM, {-1, 0, 1})
+    E = initial.topology.n_edges
+    return (cvm_lift(initial), lambda counts: (E - counts[2], counts[2]),
+            lambda cfg: OpinionConfig(initial.topology, cvm_projection(cfg).opinions,
+                                      initial.alphabet))
 
 
 def _cvm_kernel(initial, uniform, appenders) -> _Kernel:
     """The culture kernel on the F=q=2 lift at twice its rate, logging opinion
     events: copied_feature -1 and delta_w 1. Lifted, an active edge fires at
     rate 1/2, and 2 * (S/2) == S exactly, so waiting times need no rescaling."""
-    _opinions(initial, CVM, {-1, 0, 1})
+    lift, census_of, final_of = _culture_view(CVM, initial)
     add_time, add_target, add_source, add_feature, add_delta = appenders
-    lifted = _culture_kernel(cvm_lift(initial), uniform,
+    lifted = _culture_kernel(lift, uniform,
                              (add_time, add_target, add_source,
                               lambda _: add_feature(-1), lambda _: add_delta(1)))
-    counts, E = lifted.census(), initial.topology.n_edges  # counts: the live w_0..w_2
-    return _Kernel(lambda: 2 * lifted.rate(), lifted.step,
-                   lambda: (E - counts[2], counts[2]), lifted.absorbed,
-                   lambda: OpinionConfig(initial.topology,
-                                         cvm_projection(lifted.final()).opinions,
-                                         initial.alphabet))
+    counts = lifted.census()  # the live w_0..w_2
+    return _Kernel(lambda: 2 * lifted.rate(), lifted.step, lambda: census_of(counts),
+                   lifted.absorbed, lambda: final_of(lifted.final()))
 
 
 _KERNELS = {AXELROD: _culture_kernel, VOTER: _voter_kernel, CVM: _cvm_kernel}
 
 
-def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
-              attach_urn: bool = False, record_urn_series: bool = False) -> Trajectory:
-    """Statistically exact trajectory of the chosen generator.
+class _Path(NamedTuple):
+    """What a run loop hands back to `run_model`."""
+    events: EventTable
+    w0: array | None  # w_0 after each event, when the urn is attached
+    start_counts: Sequence[int]  # the census counts before the first event
+    t: float  # the time the loop stopped at
+    counts: Sequence[int]  # the final census counts
+    frozen: bool  # the rate is 0
+    absorbed: bool
+    final: object
+    taker: _SnapshotTaker  # holding the times after the last event
 
-    Deterministic given seed. `snapshot_times` record the state just
-    before each requested time; under a `t_max` none may lie beyond it. The
-    model's kernel makes the events; this loop draws the waiting times and
-    owns the stop rule, snapshots and urn coupling. A run stops once the
-    rate is 0, and on absorption only under `stop_on_absorption` (the voter
-    model keeps logging arrivals after consensus). A run whose rate reached
-    0 is reported up to `t_max`.
-    """
-    if model not in _KERNELS:
-        raise InvalidInput(f"unknown model {model!r}")
-    if stop.t_max is not None and any(s > stop.t_max for s in snapshot_times):
-        raise InvalidInput(f"snapshot times beyond t_max={stop.t_max}")
-    rng, urn_rng = _rng_pair(seed, attach_urn)
+
+def _python_loop(model, initial, stop: StopRule, rng, snapshot_times, with_w0: bool) -> _Path:
+    """The loop over the model's Python kernel: the voter model's only loop,
+    and the compiled loop's oracle and fallback."""
     draws = _Draws(rng)
     events = EventTable()
     kernel = _KERNELS[model](initial, draws.uniform, events.appenders())
-    if attach_urn and model != AXELROD:
-        raise InvalidInput("urn coupling is defined for the culture model only")
+    taker = _SnapshotTaker(snapshot_times, initial.topology)
     rate, step, census, absorbed = kernel.rate, kernel.step, kernel.census, kernel.absorbed
     exponential = draws.exponential
-    taker = _SnapshotTaker(snapshot_times, initial.topology)
-    next_snap = min(snapshot_times, default=math.inf)
-
-    urn = urn_series = None
-    b0_viol = 0
-    pot_viol = 0
-    if attach_urn:
-        start = census_from_counts(census())
-        urn = urn_init(start)
-        urn_series = [] if record_urn_series else None
-        # beta and eps as in `urn_potentials`, from running counts: eps = F*(E - w_0) - W.
-        F, E, W = len(urn.boxes) - 1, start.n_edges, start.total_agreement
-        beta = sum((F - j) * urn.boxes[j] for j in range(1, F + 1))
-
+    start = tuple(census())
+    w0 = array("q") if with_w0 else None
+    next_snap = taker.times[0] if taker.times else math.inf
     recorded = events.time
     t = 0.0
     t_max = stop.t_max if stop.t_max is not None else math.inf
@@ -453,30 +477,91 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
         t = t_next
         if t >= next_snap:
             next_snap = taker.flush(t, census())
-        dw = step(t)
-        if urn is not None:
-            W += dw
-            if dw == 2:  # the urn moves on no other event
-                urn = urn_coupled_step(urn, 2, urn_rng)
-                beta = sum((F - j) * urn.boxes[j] for j in range(1, F + 1))
-            w0 = census()[0]
-            eps = F * (E - w0) - W
-            b0 = urn.boxes[0]
-            if b0 > w0:
-                b0_viol += 1
-            if b0 > 0 and beta < eps:
-                pot_viol += 1
-            if urn_series is not None:
-                urn_series.append((len(recorded) - 1,) + urn.boxes + (w0, beta, eps))
+        step(t)
+        if w0 is not None:
+            w0.append(census()[0])
+    return _Path(events, w0, start, t, census(), rate() == 0, absorbed(), kernel.final(), taker)
 
-    end_time = t
-    if rate() == 0 and stop.t_max is not None and not until_absorbed:
+
+@cache
+def _kernel_lib():
+    """The compiled culture loop (`_ckernel`), built and loaded on the first
+    call in a process; None where it cannot be, and then the Python kernel
+    runs. `_ckernel` is imported here, so importing axsim does not pay for it."""
+    from . import _ckernel
+    return _ckernel.load()
+
+
+def _couple_urn(start_counts, delta_w: array, w0: array, urn_rng, record_series: bool):
+    """The coupled urn along a run: (final urn, series or None, b_0 > w_0
+    count, beta < eps count with b_0 > 0), as if stepped after every event.
+
+    The urn moves on delta_w = 2 events only, with the event's w_0 and the
+    running W giving eps as in `urn_potentials`: eps = F*(E - w_0) - W.
+    """
+    start = census_from_counts(start_counts)
+    urn = urn_init(start)
+    F, E, W = len(urn.boxes) - 1, start.n_edges, start.total_agreement
+    beta = sum((F - j) * urn.boxes[j] for j in range(1, F + 1))
+    b0 = urn.boxes[0]
+    series = [] if record_series else None
+    b0_viol = pot_viol = 0
+    for i, (dw, w) in enumerate(zip(delta_w, w0)):
+        W += dw
+        if dw == 2:
+            urn = urn_coupled_step(urn, 2, urn_rng)
+            beta = sum((F - j) * urn.boxes[j] for j in range(1, F + 1))
+            b0 = urn.boxes[0]
+        if b0 > w:
+            b0_viol += 1
+        eps = F * (E - w) - W
+        if b0 > 0 and beta < eps:
+            pot_viol += 1
+        if series is not None:
+            series.append((i,) + urn.boxes + (w, beta, eps))
+    return urn, series, b0_viol, pot_viol
+
+
+def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
+              attach_urn: bool = False, record_urn_series: bool = False) -> Trajectory:
+    """Statistically exact trajectory of the chosen generator.
+
+    Deterministic given seed. `snapshot_times` record the state just
+    before each requested time; under a `t_max` none may lie beyond it. The
+    model's kernel makes the events; the loop draws the waiting times and
+    owns the stop rule and snapshots. A run stops once the rate is 0, and on
+    absorption only under `stop_on_absorption` (the voter model keeps
+    logging arrivals after consensus). A run whose rate reached 0 is
+    reported up to `t_max`.
+    """
+    if model not in _KERNELS:
+        raise InvalidInput(f"unknown model {model!r}")
+    check_times(snapshot_times, "snapshot times")
+    if stop.t_max is not None and any(s > stop.t_max for s in snapshot_times):
+        raise InvalidInput(f"snapshot times beyond t_max={stop.t_max}")
+    if attach_urn and model != AXELROD:
+        raise InvalidInput("urn coupling is defined for the culture model only")
+    rng, urn_rng = _rng_pair(seed, attach_urn)
+    lib = _kernel_lib() if model != VOTER else None
+    path = None
+    if lib is not None:
+        from ._ckernel import compiled_loop
+        path = compiled_loop(lib, model, initial, stop, rng, snapshot_times, attach_urn)
+    if path is None:
+        path = _python_loop(model, initial, stop, rng, snapshot_times, attach_urn)
+
+    end_time = path.t
+    if path.frozen and stop.t_max is not None and not stop.stop_on_absorption:
         end_time = stop.t_max  # frozen: the state holds until t_max
-    if absorbed():
-        taker.flush(math.inf, census())  # the state is constant from here on
-    else:
-        taker.flush(end_time, census())
-    return Trajectory(model, initial, events, taker.out, kernel.final(), absorbed(), end_time,
-                      seed, census_from_counts(census()), urn_final=urn,
+    # Once absorbed, the state is constant from here on.
+    taker = path.taker
+    taker.flush(math.inf if path.absorbed else end_time, path.counts)
+    urn = urn_series = None
+    b0_viol = pot_viol = 0
+    if attach_urn:
+        urn, urn_series, b0_viol, pot_viol = _couple_urn(
+            path.start_counts, path.events.delta_w, path.w0, urn_rng, record_urn_series)
+    return Trajectory(model, initial, path.events, taker.out, path.final, path.absorbed,
+                      end_time, seed, census_from_counts(path.counts), urn_final=urn,
                       urn_series=urn_series, urn_b0_violations=b0_viol,
                       urn_potential_violations=pot_viol)

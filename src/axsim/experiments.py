@@ -18,7 +18,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .core import InvalidInput, ModelParams, OpinionConfig, Topology, random_config
 from .duality import arrow_log_from_trajectory, check_voter_duality
-from .engine import AXELROD, MODELS, VOTER, StopRule, replicate_seeds, run_model
+from .engine import AXELROD, MODELS, VOTER, StopRule, check_times, replicate_seeds, run_model
 from .logio import atomic_write_text, event_log_text, final_stats_row
 from .stats import edge_census
 from .urn import UrnState, urn_rounds_run
@@ -56,6 +56,9 @@ class ExperimentConfig:
             raise InvalidInput("workers must be >= 1")
         if self.kind in REPLICATED_KINDS and self.replicates < 1:
             raise InvalidInput("replicates must be >= 1")
+        check_times(self.snapshot_times, "snapshot times")
+        if self.t_query is not None:
+            check_times((self.t_query,), "time t")
         if self.kind == "simulate" and self.model not in MODELS:
             raise InvalidInput(f"unknown model {self.model!r}")
         if self.kind == "simulate":

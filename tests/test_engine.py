@@ -39,6 +39,19 @@ class TestStopRule:
             StopRule()
         StopRule(stop_on_absorption=True)
 
+    @pytest.mark.parametrize("t_max", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_rejects_a_t_max_that_hangs_or_runs_backward(self, t_max):
+        # A NaN bound is never exceeded, so a voter run would never stop.
+        with pytest.raises(InvalidInput, match="t_max"):
+            StopRule(t_max=t_max)
+        StopRule(t_max=0.0)
+
+    @pytest.mark.parametrize("max_events", [-1, -3, 2.5])
+    def test_rejects_a_negative_or_fractional_max_events(self, max_events):
+        with pytest.raises(InvalidInput, match="max_events"):
+            StopRule(max_events=max_events)
+        StopRule(max_events=0)
+
 
 class TestProposeAndApply:
     def test_accepted_copy(self):

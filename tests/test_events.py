@@ -21,10 +21,16 @@ from axsim import (
     trace_dual_walk,
     trace_lineage,
 )
+from axsim import engine
 
 
 def run_with_rows(monkeypatch, model, urn, seed):
-    """A run, and its events as the kernel passed them on, one UpdateEvent each."""
+    """A run, and its events as the kernel passed them on, one UpdateEvent each.
+
+    The run is on the Python kernel, the one that passes events on through
+    the table's appenders; the compiled loop writes the columns itself and is
+    held to the same table by `test_kernels.py`.
+    """
     passed = [[] for _ in UpdateEvent._fields]  # the values, before the columns store them
     appenders = EventTable.appenders
 
@@ -34,6 +40,7 @@ def run_with_rows(monkeypatch, model, urn, seed):
         return tuple(map(pair, appenders(self), passed))
 
     monkeypatch.setattr(EventTable, "appenders", recording_appenders)
+    monkeypatch.setattr(engine, "_kernel_lib", lambda: None)
     topo = Topology("cycle", 14)
     cfg = random_config(ModelParams(2, 3 if model == "axelrod" else 2), topo, seed)
     if model == "axelrod":

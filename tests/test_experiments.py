@@ -2,6 +2,7 @@
 import csv
 import itertools
 import json
+import math
 
 import pytest
 
@@ -44,6 +45,28 @@ class TestSnapshotsWithMaxEvents:
         with pytest.raises(InvalidInput):
             config.validate()
         ExperimentConfig(kind="simulate", N=10, t_max=t_max, max_events=3).validate()
+
+
+class TestTimeBounds:
+    """Times that would hang a run (NaN), run it backward or never end it fail fast."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    def test_simulate(self, bad):
+        for config in (dict(t_max=bad), dict(t_max=2.0, snapshot_times=(bad, 0.5)),
+                       dict(model="voter", t_max=bad)):
+            with pytest.raises(InvalidInput):
+                ExperimentConfig(kind="simulate", N=10, **config).validate()
+        with pytest.raises(InvalidInput):
+            ExperimentConfig(kind="simulate", N=10, max_events=-3).validate()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -2.0])
+    def test_query_time(self, bad):
+        duality = dict(kind="duality-check", topology="cycle", N=8, replicates=1)
+        lemma5 = dict(kind="lemma5-estimate", N=10, xyz=(2, 5, 8), replicates=2)
+        for config in (duality, lemma5):
+            ExperimentConfig(**config, t_query=0.5).validate()
+            with pytest.raises(InvalidInput, match="time t"):
+                ExperimentConfig(**config, t_query=bad).validate()
 
 
 class TestLemma5Topology:

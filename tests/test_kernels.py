@@ -1,0 +1,198 @@
+"""The compiled culture loop against the Python kernel, and how it is built.
+
+`run_model` runs the culture model and the CVM through the compiled loop
+wherever it builds. The Python kernel is its oracle: both must give the same
+trajectory, bit for bit, for every seed, stop rule, snapshot set and urn.
+"""
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from axsim import (
+    ExperimentConfig,
+    ModelParams,
+    OpinionConfig,
+    StopRule,
+    Topology,
+    execute,
+    random_config,
+    run_model,
+)
+from axsim import _ckernel, engine
+
+
+@pytest.fixture(scope="module")
+def lib():
+    lib = engine._kernel_lib()
+    if lib is None:
+        pytest.skip("the compiled loop could not be built on this host (no working C compiler)")
+    return lib
+
+
+def run_on(lib, *args, **kwargs):
+    """`run_model` with the loader returning `lib`; None selects the Python kernel.
+
+    With a library, the run must also have gone through the compiled loop
+    and not fallen back."""
+    compiled_loop = _ckernel.compiled_loop
+    used = []
+
+    def spy(*a, **k):
+        path = compiled_loop(*a, **k)
+        used.append(path is not None)
+        return path
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_kernel_lib", lambda: lib)
+        mp.setattr(_ckernel, "compiled_loop", spy)
+        traj = run_model(*args, **kwargs)
+    assert used == ([True] if lib is not None and args[0] != "voter" else [])
+    return traj
+
+
+CASES = [(1, 2), (2, 2), (2, 4), (3, 12), (7, 12), "cvm"]
+SEEDS = range(8)
+VERTICES = 13
+T_SHORT, T_LONG = 1.5, 1e4  # T_LONG: every grid run freezes well before it
+
+
+def initial(case, kind: str, seed: int):
+    topo = Topology(kind, VERTICES)
+    if case == "cvm":
+        ops = np.random.default_rng(seed).integers(-1, 2, size=VERTICES).tolist()
+        return "cvm", OpinionConfig(topo, tuple(ops), (-1, 0, 1))
+    return "axelrod", random_config(ModelParams(*case), topo, 1000 + seed)
+
+
+STOPS = {
+    "t_max": StopRule(t_max=T_SHORT),
+    "max_events": StopRule(max_events=7),
+    "absorption": StopRule(stop_on_absorption=True),
+    "frozen": StopRule(t_max=T_LONG),
+}
+
+
+@pytest.mark.parametrize("kind", ["path", "cycle"])
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_same_trajectory_on_both_kernels(lib, case, kind):
+    frozen = 0
+    for seed in SEEDS:
+        model, init = initial(case, kind, seed)
+        for stop_name, stop in STOPS.items():
+            plain = run_on(lib, model, init, stop, seed)
+            times = [e.time for e in plain.events]
+            # One snapshot at an event time, which sees the state before that event.
+            at_event = (times[len(times) // 2],) if times else ()
+            limit = stop.t_max if stop.t_max is not None else 3.0
+            for snaps in ((), (0.0, 0.4, limit) + at_event):
+                for urn in (False, True) if model == "axelrod" else (False,):
+                    kwargs = dict(snapshot_times=snaps, attach_urn=urn, record_urn_series=urn)
+                    got = run_on(lib, model, init, stop, seed, **kwargs)
+                    want = run_on(None, model, init, stop, seed, **kwargs)
+                    assert repr(got) == repr(want), (model, case, kind, seed, stop_name,
+                                                     snaps, urn)
+            if stop_name == "frozen":
+                assert plain.absorbed and plain.end_time == T_LONG
+                frozen += bool(plain.events)
+    assert frozen or case == (1, 2)  # with F=1 nothing ever fires
+
+
+def test_long_runs_grow_the_columns_and_classes_alike(lib):
+    """Thousands of events: the columns are refilled many times and the
+    weight classes outgrow the room they started with."""
+    cfg = random_config(ModelParams(3, 3), Topology("path", 400), 7)
+    kwargs = dict(snapshot_times=(1.0, 5.0, 20.0), attach_urn=True, record_urn_series=True)
+    got = run_on(lib, "axelrod", cfg, StopRule(stop_on_absorption=True), 11, **kwargs)
+    want = run_on(None, "axelrod", cfg, StopRule(stop_on_absorption=True), 11, **kwargs)
+    assert len(got.events) > 20 * _ckernel._FIRST_CAP
+    assert repr(got) == repr(want)
+
+
+def test_voter_runs_stay_in_python(lib):
+    init = OpinionConfig(Topology("cycle", 9), (0, 1) * 4 + (0,), (0, 1))
+    assert repr(run_on(lib, "voter", init, StopRule(t_max=3.0), 2)) == repr(
+        run_on(None, "voter", init, StopRule(t_max=3.0), 2))
+
+
+def test_import_neither_builds_nor_loads_the_library():
+    probe = (
+        "import ctypes, subprocess\n"
+        "loads, runs = [], []\n"
+        "cdll_init, run = ctypes.CDLL.__init__, subprocess.run\n"
+        "def spy_init(self, name, *a, **k):\n"
+        "    loads.append(str(name))\n"
+        "    cdll_init(self, name, *a, **k)\n"
+        "ctypes.CDLL.__init__ = spy_init\n"
+        "subprocess.run = lambda *a, **k: (runs.append(a), run(*a, **k))[1]\n"
+        "import sys, axsim\n"
+        "from axsim import engine\n"
+        "print(any('_kernel' in n for n in loads), len(runs),"
+        " engine._kernel_lib.cache_info().currsize, 'axsim._ckernel' in sys.modules)\n"
+        "cfg = axsim.random_config(axsim.ModelParams(2, 3), axsim.Topology('path', 6), 1)\n"
+        "axsim.run_model('axelrod', cfg, axsim.StopRule(t_max=1.0), 1)\n"
+        "print(engine._kernel_lib() is not None and any('_kernel' in n for n in loads))\n"
+    )
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src}).stdout.split("\n")
+    # At import: nothing loaded, no compiler run, no load tried, no wrapper imported.
+    assert out[0] == "False 0 0 False"
+    if engine._kernel_lib() is not None:
+        assert out[1] == "True"  # the first culture run loads it
+
+
+def test_failing_compiler_falls_back_to_the_python_kernel(tmp_path, monkeypatch):
+    cfg = random_config(ModelParams(3, 4), Topology("cycle", 20), 5)
+    stop = StopRule(stop_on_absorption=True)
+    want = run_on(None, "axelrod", cfg, stop, 8, attach_urn=True)
+    tries = tmp_path / "tries"
+    script = tmp_path / "cc.py"
+    script.write_text("import sys\nopen(sys.argv[1], 'a').write('x')\nsys.exit(1)\n")
+    # A new command is a new build key, so the build is attempted even where one exists.
+    monkeypatch.setattr(_ckernel, "_CC", (sys.executable, str(script), str(tries)))
+    engine._kernel_lib.cache_clear()
+    try:
+        runs = [run_model("axelrod", cfg, stop, 8, attach_urn=True) for _ in range(2)]
+        assert engine._kernel_lib() is None
+    finally:
+        engine._kernel_lib.cache_clear()
+    assert all(repr(traj) == repr(want) for traj in runs)
+    assert tries.read_text() == "x"  # tried once in this process
+
+
+def test_build_file_is_keyed_on_the_source(lib):
+    with open(_ckernel._KERNEL_C, "rb") as fh:
+        source = fh.read()
+    assert lib._name == _ckernel.build_path(source)
+    assert _ckernel.build_path(source + b"\n") != _ckernel.build_path(source)
+    assert _ckernel.build_path(source) == _ckernel.build_path(bytes(source))
+
+
+def tree(root):
+    out = {}
+    for d, _, names in os.walk(root):
+        for name in names:
+            with open(os.path.join(d, name), "rb") as fh:
+                out[os.path.relpath(os.path.join(d, name), root)] = fh.read()
+    return out
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(model="axelrod", F=3, q=4, N=30, t_max=6.0, snapshot_times=(0.5, 2.0),
+         attach_urn=True, save_events=True, replicates=4),
+    dict(model="axelrod", F=2, q=3, N=25, attach_urn=True, replicates=3),
+    dict(model="cvm", topology="cycle", N=24, t_max=4.0, snapshot_times=(1.0,),
+         save_events=True, replicates=3),
+], ids=["axelrod-urn-events", "axelrod-absorbed", "cvm-events"])
+def test_artifacts_do_not_depend_on_the_kernel(lib, tmp_path, monkeypatch, kwargs):
+    trees = []
+    for name, loader in (("compiled", lambda: lib), ("python", lambda: None)):
+        monkeypatch.setattr(engine, "_kernel_lib", loader)
+        execute(ExperimentConfig(kind="simulate", master_seed=17,
+                                 output_dir=str(tmp_path / name), **kwargs))
+        trees.append(tree(tmp_path / name))
+    assert trees[0] == trees[1] and len(trees[0]) >= 2
