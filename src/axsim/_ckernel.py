@@ -3,9 +3,9 @@
 `engine` imports this module on the first culture or CVM run of a process,
 through `engine._kernel_lib`. `load` builds the C file with the system
 compiler into `__pycache__` next to it, unless that build exists already,
-and loads it with ctypes. `compiled_loop` runs one trajectory through it and
-hands back what `engine._python_loop` does for the same Generator, bit for
-bit.
+and loads it with ctypes. `compiled_loop` runs one culture trajectory
+through it and hands back what `engine._python_loop` does for the same
+Generator, bit for bit.
 """
 from __future__ import annotations
 
@@ -15,13 +15,12 @@ import math
 import os
 import zlib
 from array import array
-from functools import lru_cache
 from itertools import chain
 
 import numpy as np
 
-from .core import Configuration, Topology
-from .engine import CVM, StopRule, _culture_view, _incidence, _Path, _SnapshotTaker
+from .core import Configuration
+from .engine import StopRule, _incidence, _Path
 from .events import EventTable
 
 
@@ -101,37 +100,22 @@ _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c
     ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
-@lru_cache(maxsize=8)
-def _incidence_columns(topo: Topology):
-    """`_incidence` as int64 columns: edge endpoints a and b, and each vertex's
-    edges as a slice [start[x], start[x+1]) of one edge column, in order.
-
-    Built from an uncached `_incidence`: a compiled run needs no tuples kept."""
-    edges, incident = _incidence.__wrapped__(topo)
-    start = array("q", [0])
-    for inc in incident:
-        start.append(start[-1] + len(inc))
-    return (array("q", [a for a, _ in edges]), array("q", [b for _, b in edges]),
-            start, array("q", chain.from_iterable(incident)))
-
-
 def _address(buf: array) -> int:
     return buf.buffer_info()[0]
 
 
-def compiled_loop(lib, model, initial, stop: StopRule, rng, snapshot_times,
+def compiled_loop(lib, cfg: Configuration, lifted: bool, stop: StopRule, rng, times: list,
                   with_w0: bool) -> _Path | None:
-    """The culture loop in C; None when a feature state is no int64."""
-    cfg, census_of, final_of = _culture_view(model, initial)
+    """The culture loop in C, as `_python_loop` over `_culture_kernel(cfg,
+    lifted=lifted)`; None when a feature state is no int64."""
     F = cfg.params.F
     try:
         state = array("q", list(chain.from_iterable(cfg.cultures)))
     except (TypeError, OverflowError):
         return None
     topo = cfg.topology
-    taker = _SnapshotTaker(snapshot_times, topo)
-    incidence = _incidence_columns(topo)
-    times = array("d", taker.times)
+    incidence = _incidence(topo)
+    snap_time = array("d", times)
     snap_counts = array("q", bytes(8 * len(times) * (F + 1)))
     start_counts, counts = array("q", bytes(8 * (F + 1))), array("q", bytes(8 * (F + 1)))
     events = EventTable()
@@ -139,10 +123,10 @@ def compiled_loop(lib, model, initial, stop: StopRule, rng, snapshot_times,
     columns = events.columns() + ((w0,) if with_w0 else ())
     run = _Run(_capsule_pointer(rng.bit_generator.capsule, b"BitGenerator"), F,
                topo.n_vertices, topo.n_edges, _address(state),
-               *map(_address, incidence), int(model == CVM),
+               *map(_address, incidence), int(lifted),
                math.inf if stop.t_max is None else stop.t_max,
                min(stop.max_events if stop.max_events is not None else 2 ** 62, 2 ** 62),
-               _address(times), len(times), _address(snap_counts),
+               _address(snap_time), len(times), _address(snap_counts),
                _address(start_counts), _address(counts))
     try:
         while True:
@@ -165,8 +149,7 @@ def compiled_loop(lib, model, initial, stop: StopRule, rng, snapshot_times,
     for col in columns:
         del col[run.n_events:]
     width = F + 1
-    for k in range(run.n_snap_done):
-        taker.take(census_of(snap_counts[k * width:(k + 1) * width]))
+    snapshots = [tuple(snap_counts[k * width:(k + 1) * width]) for k in range(run.n_snap_done)]
     final = Configuration(topo, cfg.params, tuple(zip(*[iter(state)] * F)))
-    return _Path(events, w0, census_of(start_counts), run.t, census_of(counts),
-                 run.total == 0, run.total == 0, final_of(final), taker)
+    return _Path(events, w0, tuple(start_counts), run.t, tuple(counts), snapshots,
+                 run.total == 0, final)

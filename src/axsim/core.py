@@ -5,6 +5,7 @@ an I/O concern. All types here are immutable values.
 """
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 from itertools import chain
@@ -89,6 +90,8 @@ def _check_culture(c, params: ModelParams):
     if len(c) != params.F:
         raise InvalidInput(f"culture length {len(c)} != F={params.F}")
     for v in c:
+        if not isinstance(v, numbers.Integral):
+            raise InvalidInput(f"feature state {v!r} is not an integer")
         if not 0 <= v < params.q:
             raise InvalidInput(f"feature state {v} outside 0..{params.q - 1}")
 
@@ -102,12 +105,14 @@ class Configuration:
     def __post_init__(self):
         if len(self.cultures) != self.topology.n_vertices:
             raise InvalidInput("one culture per vertex required")
-        # Bulk test first: every length is F and every distinct state lies in
-        # 0..q-1. Only a failing state pays for the per-culture loop, which
-        # finds the first fault and words its error.
+        # Bulk test first: every length is F and every distinct state is an
+        # integer in 0..q-1. Only a failing state pays for the per-culture
+        # loop, which finds the first fault and words its error. `int` comes
+        # first: an isinstance check against the ABC alone takes about 0.6 µs.
         F, q = self.params.F, self.params.q
         if set(map(len, self.cultures)) == {F} and all(
-                0 <= v < q for v in set(chain.from_iterable(self.cultures))):
+                isinstance(v, (int, numbers.Integral)) and 0 <= v < q
+                for v in set(chain.from_iterable(self.cultures))):
             return
         for c in self.cultures:
             _check_culture(c, self.params)

@@ -14,10 +14,13 @@ exactly when S == 0. One step picks class j with probability j*n_j/S, then a
 uniform edge in that class, a uniform orientation and a uniform disagreeing
 feature; every step is an accepted event. The CVM runs as this kernel on
 its F=q=2 lift (`cvm_lift`) at twice the rate, so every active edge fires at
-rate 1. The voter kernel picks a uniform vertex and a uniform neighbor at
-total rate V. One event loop (`_python_loop`) draws the waiting times and
-owns the stop rule and snapshots; each step appends its event through the
-run's `EventTable` appenders.
+rate 1; `run_model` alone lifts its initial state and projects the lift's
+census counts and final state back to opinions. The voter kernel picks a
+uniform vertex and a uniform neighbor at total rate V. One event loop
+(`_python_loop`) draws the waiting times, owns the stop rule and takes the
+raw census counts at the snapshot times it passes; each step appends its
+event through the run's `EventTable` appenders. `run_model` builds the
+snapshots from those counts.
 
 Randomness is drawn in blocks. Each run makes one `_Draws` source on its
 trajectory Generator, which refills Python lists from `rng.random(n)` and
@@ -49,8 +52,10 @@ import math
 import numbers
 import operator
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
+from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -104,6 +109,17 @@ def check_times(times, what: str):
     for t in times:
         if not (math.isfinite(t) and t >= 0):
             raise InvalidInput(f"{what} must be finite and >= 0, got {t}")
+
+
+def check_run(model, stop: StopRule, snapshot_times, attach_urn: bool):
+    """Raise InvalidInput unless `run_model` takes these arguments."""
+    if model not in MODELS:
+        raise InvalidInput(f"unknown model {model!r}")
+    check_times(snapshot_times, "snapshot times")
+    if stop.t_max is not None and any(s > stop.t_max for s in snapshot_times):
+        raise InvalidInput(f"snapshot times beyond t_max={stop.t_max}")
+    if attach_urn and model != AXELROD:
+        raise InvalidInput("urn coupling is defined for the culture model only")
 
 
 @dataclass(frozen=True)
@@ -193,28 +209,6 @@ def replicate_seeds(master_seed: int, r: int) -> tuple[int, int]:
     return int(init_seed), int(run_seed)
 
 
-class _SnapshotTaker:
-    def __init__(self, times, topology: Topology):
-        self.times = sorted(times)
-        self.topology = topology
-        self.out: list[Snapshot] = []
-
-    def take(self, counts):
-        """Record the earliest pending time with census counts `counts`."""
-        census = census_from_counts(counts)
-        self.out.append(Snapshot(self.times.pop(0), census,
-                                 domains_from_census(census, self.topology)))
-
-    def flush(self, upto: float, counts) -> float:
-        """Record every pending time <= upto; returns the next pending time.
-
-        Left-limit semantics: called before applying any event at `upto`.
-        """
-        while self.times and self.times[0] <= upto:
-            self.take(counts)
-        return self.times[0] if self.times else math.inf
-
-
 _FIRST_BLOCK, _MAX_BLOCK = 16, 4096  # block sizes of `_Draws`, doubling per refill
 
 
@@ -297,36 +291,45 @@ class _Kernel(NamedTuple):
 
 @lru_cache(maxsize=8)
 def _incidence(topo: Topology):
-    """Edge tuple and, per vertex, the indices of its (at most two) edges.
-
-    Shared by every run on the same topology, so both are tuples.
-    """
-    edges = tuple(topo.edges())
+    """int64 columns (a, b, start, inc), read by both culture loops: edge e
+    joins a[e] and b[e], and vertex x's (at most two) edges are
+    inc[start[x]:start[x+1]], in edge order."""
+    edges = topo.edges()
     incident = [[] for _ in range(topo.n_vertices)]
     for e, (a, b) in enumerate(edges):
         incident[a].append(e)
         incident[b].append(e)
-    return edges, tuple(map(tuple, incident))
+    start = array("q", [0])
+    for inc in incident:
+        start.append(start[-1] + len(inc))
+    return (array("q", [a for a, _ in edges]), array("q", [b for _, b in edges]),
+            start, array("q", chain.from_iterable(incident)))
 
 
-def _culture_kernel(initial, uniform, appenders) -> _Kernel:
-    """An edge of weight j fires at rate j/F; classes 1..F-1 hold the active edges."""
-    if not isinstance(initial, Configuration):
-        raise InvalidInput("culture model takes a Configuration")
+def _culture_kernel(initial: Configuration, uniform, appenders, lifted: bool = False) -> _Kernel:
+    """An edge of weight j fires at rate j/F; classes 1..F-1 hold the active edges.
+
+    `lifted` runs the CVM's F=q=2 lift at twice the rate, so an active edge
+    fires at rate 1 (2 * (S/2) == S exactly), and logs opinion events:
+    copied_feature -1 and delta_w 1.
+    """
     F = initial.params.F
     states = list(map(list, initial.cultures))
-    edges, incident = _incidence(initial.topology)
-    weight = [sum(map(operator.eq, states[a], states[b])) for a, b in edges]
+    edge_a, edge_b, start, inc = _incidence(initial.topology)
+    weight = [sum(map(operator.eq, states[a], states[b])) for a, b in zip(edge_a, edge_b)]
     counts = [0] * (F + 1)
     for w in weight:
         counts[w] += 1
     buckets = _Buckets([w if w < F else 0 for w in weight], F - 1)
     pick = buckets.pick
     add_time, add_target, add_source, add_feature, add_delta = appenders
+    if lifted:
+        log_feature, log_delta = add_feature, add_delta
+        add_feature, add_delta = lambda _: log_feature(-1), lambda _: log_delta(1)
 
     def step(t):
         e = pick(uniform())
-        a, b = edges[e]
+        a, b = edge_a[e], edge_b[e]
         u, v = (a, b) if uniform() < 0.5 else (b, a)
         su, sv = states[u], states[v]
         disagree = [i for i in range(F) if su[i] != sv[i]]
@@ -334,11 +337,10 @@ def _culture_kernel(initial, uniform, appenders) -> _Kernel:
         old, new = sv[feat], su[feat]
         delta = 1
         _bump(weight, counts, buckets, e, 1, F)
-        for e2 in incident[v]:
+        for e2 in inc[start[v]:start[v + 1]]:
             if e2 == e:
                 continue
-            za, zb = edges[e2]
-            z = zb if za == v else za
+            z = edge_b[e2] if edge_a[e2] == v else edge_a[e2]
             dd = (states[z][feat] == new) - (states[z][feat] == old)
             if dd:
                 _bump(weight, counts, buckets, e2, dd, F)
@@ -350,7 +352,8 @@ def _culture_kernel(initial, uniform, appenders) -> _Kernel:
         add_feature(feat)
         add_delta(delta)
 
-    return _Kernel(lambda: buckets.total / F, step, lambda: counts,
+    scale = 2 if lifted else 1
+    return _Kernel(lambda: scale * (buckets.total / F), step, lambda: counts,
                    lambda: buckets.total == 0,
                    lambda: Configuration(initial.topology, initial.params,
                                          tuple(map(tuple, states))))
@@ -363,17 +366,9 @@ def _bump(weight, counts, buckets, e, d, F):
     buckets.move(e, w if w < F else 0)
 
 
-def _opinions(initial, model: str, alphabet: set) -> list:
-    if not isinstance(initial, OpinionConfig):
-        raise InvalidInput(f"{model} takes an OpinionConfig")
-    if set(initial.alphabet) != alphabet:
-        raise InvalidInput(f"{model} initial must use opinions {sorted(alphabet)}")
-    return list(initial.opinions)
-
-
 def _voter_kernel(initial, uniform, appenders) -> _Kernel:
     """Each vertex mimics a uniform neighbor at rate 1; every arrival is an event."""
-    ops = _opinions(initial, VOTER, {0, 1})
+    ops = list(initial.opinions)
     topo = initial.topology
     V, E = topo.n_vertices, topo.n_edges
     agree = sum(1 for a, b in topo.edges() if ops[a] == ops[b])
@@ -400,65 +395,33 @@ def _voter_kernel(initial, uniform, appenders) -> _Kernel:
                    lambda: OpinionConfig(topo, tuple(ops), initial.alphabet))
 
 
-def _culture_view(model: str, initial):
-    """(configuration, census map, final map) of a culture-model run.
-
-    The CVM runs on its F=q=2 lift: its census is (w_0 + w_1, w_2) of the
-    lift's counts and its final state the projection of the lift's.
-    """
-    if model == AXELROD:
-        if not isinstance(initial, Configuration):
-            raise InvalidInput("culture model takes a Configuration")
-        return initial, tuple, lambda cfg: cfg
-    _opinions(initial, CVM, {-1, 0, 1})
-    E = initial.topology.n_edges
-    return (cvm_lift(initial), lambda counts: (E - counts[2], counts[2]),
-            lambda cfg: OpinionConfig(initial.topology, cvm_projection(cfg).opinions,
-                                      initial.alphabet))
-
-
-def _cvm_kernel(initial, uniform, appenders) -> _Kernel:
-    """The culture kernel on the F=q=2 lift at twice its rate, logging opinion
-    events: copied_feature -1 and delta_w 1. Lifted, an active edge fires at
-    rate 1/2, and 2 * (S/2) == S exactly, so waiting times need no rescaling."""
-    lift, census_of, final_of = _culture_view(CVM, initial)
-    add_time, add_target, add_source, add_feature, add_delta = appenders
-    lifted = _culture_kernel(lift, uniform,
-                             (add_time, add_target, add_source,
-                              lambda _: add_feature(-1), lambda _: add_delta(1)))
-    counts = lifted.census()  # the live w_0..w_2
-    return _Kernel(lambda: 2 * lifted.rate(), lifted.step, lambda: census_of(counts),
-                   lifted.absorbed, lambda: final_of(lifted.final()))
-
-
-_KERNELS = {AXELROD: _culture_kernel, VOTER: _voter_kernel, CVM: _cvm_kernel}
-
-
 class _Path(NamedTuple):
-    """What a run loop hands back to `run_model`."""
+    """What a run loop hands back to `run_model`: raw kernel census counts,
+    the lift's on a CVM run."""
     events: EventTable
     w0: array | None  # w_0 after each event, when the urn is attached
-    start_counts: Sequence[int]  # the census counts before the first event
+    start_counts: Sequence[int]  # before the first event
     t: float  # the time the loop stopped at
-    counts: Sequence[int]  # the final census counts
-    frozen: bool  # the rate is 0
+    counts: Sequence[int]  # at the end
+    snapshots: list  # the counts at each snapshot time the loop passed, in time order
     absorbed: bool
     final: object
-    taker: _SnapshotTaker  # holding the times after the last event
 
 
-def _python_loop(model, initial, stop: StopRule, rng, snapshot_times, with_w0: bool) -> _Path:
-    """The loop over the model's Python kernel: the voter model's only loop,
-    and the compiled loop's oracle and fallback."""
+def _python_loop(kernel_of, stop: StopRule, rng, times: list, with_w0: bool) -> _Path:
+    """The loop over a Python kernel, `kernel_of(uniform, appenders)`: the
+    voter model's only loop, and the compiled loop's oracle and fallback.
+    `times` are the snapshot times, sorted."""
     draws = _Draws(rng)
     events = EventTable()
-    kernel = _KERNELS[model](initial, draws.uniform, events.appenders())
-    taker = _SnapshotTaker(snapshot_times, initial.topology)
+    kernel = kernel_of(draws.uniform, events.appenders())
     rate, step, census, absorbed = kernel.rate, kernel.step, kernel.census, kernel.absorbed
     exponential = draws.exponential
     start = tuple(census())
+    snapshots = []
+    pending = times + [math.inf]
+    next_snap = pending[0]
     w0 = array("q") if with_w0 else None
-    next_snap = taker.times[0] if taker.times else math.inf
     recorded = events.time
     t = 0.0
     t_max = stop.t_max if stop.t_max is not None else math.inf
@@ -471,16 +434,16 @@ def _python_loop(model, initial, stop: StopRule, rng, snapshot_times, with_w0: b
             break
         t_next = t + exponential() / r
         if t_next > t_max:
-            taker.flush(t_max, census())
             t = t_max
             break
         t = t_next
-        if t >= next_snap:
-            next_snap = taker.flush(t, census())
+        while t >= next_snap:  # left limit: the counts before the event at t
+            snapshots.append(tuple(census()))
+            next_snap = pending[len(snapshots)]
         step(t)
         if w0 is not None:
             w0.append(census()[0])
-    return _Path(events, w0, start, t, census(), rate() == 0, absorbed(), kernel.final(), taker)
+    return _Path(events, w0, start, t, tuple(census()), snapshots, absorbed(), kernel.final())
 
 
 @cache
@@ -522,6 +485,18 @@ def _couple_urn(start_counts, delta_w: array, w0: array, urn_rng, record_series:
     return urn, series, b0_viol, pot_viol
 
 
+def _check_initial(model, initial):
+    if model == AXELROD:
+        if not isinstance(initial, Configuration):
+            raise InvalidInput("culture model takes a Configuration")
+        return
+    alphabet = {0, 1} if model == VOTER else {-1, 0, 1}
+    if not isinstance(initial, OpinionConfig):
+        raise InvalidInput(f"{model} takes an OpinionConfig")
+    if set(initial.alphabet) != alphabet:
+        raise InvalidInput(f"{model} initial must use opinions {sorted(alphabet)}")
+
+
 def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
               attach_urn: bool = False, record_urn_series: bool = False) -> Trajectory:
     """Statistically exact trajectory of the chosen generator.
@@ -529,39 +504,54 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
     Deterministic given seed. `snapshot_times` record the state just
     before each requested time; under a `t_max` none may lie beyond it. The
     model's kernel makes the events; the loop draws the waiting times and
-    owns the stop rule and snapshots. A run stops once the rate is 0, and on
-    absorption only under `stop_on_absorption` (the voter model keeps
-    logging arrivals after consensus). A run whose rate reached 0 is
-    reported up to `t_max`.
-    """
-    if model not in _KERNELS:
-        raise InvalidInput(f"unknown model {model!r}")
-    check_times(snapshot_times, "snapshot times")
-    if stop.t_max is not None and any(s > stop.t_max for s in snapshot_times):
-        raise InvalidInput(f"snapshot times beyond t_max={stop.t_max}")
-    if attach_urn and model != AXELROD:
-        raise InvalidInput("urn coupling is defined for the culture model only")
-    rng, urn_rng = _rng_pair(seed, attach_urn)
-    lib = _kernel_lib() if model != VOTER else None
-    path = None
-    if lib is not None:
-        from ._ckernel import compiled_loop
-        path = compiled_loop(lib, model, initial, stop, rng, snapshot_times, attach_urn)
-    if path is None:
-        path = _python_loop(model, initial, stop, rng, snapshot_times, attach_urn)
+    owns the stop rule. A run stops once the rate is 0, and on absorption
+    only under `stop_on_absorption` (the voter model keeps logging arrivals
+    after consensus). A culture run that absorbs, and so reaches rate 0,
+    before `t_max` is reported up to `t_max`.
 
+    The CVM runs as culture dynamics on its F=q=2 lift; this function lifts
+    its initial state and projects the lift's census, snapshots and final
+    state back to opinions.
+    """
+    check_run(model, stop, snapshot_times, attach_urn)
+    _check_initial(model, initial)
+    times = sorted(snapshot_times)
+    rng, urn_rng = _rng_pair(seed, attach_urn)
+    if model == VOTER:
+        path = _python_loop(partial(_voter_kernel, initial), stop, rng, times, attach_urn)
+    else:
+        lifted = model == CVM
+        cfg = cvm_lift(initial) if lifted else initial
+        lib = _kernel_lib()
+        path = None
+        if lib is not None:
+            from ._ckernel import compiled_loop
+            path = compiled_loop(lib, cfg, lifted, stop, rng, times, attach_urn)
+        if path is None:
+            path = _python_loop(partial(_culture_kernel, cfg, lifted=lifted), stop, rng, times,
+                                attach_urn)
+
+    final, counts, taken = path.final, path.counts, path.snapshots
+    if model == CVM:  # opinion census: (w_0 + w_1, w_2) of the lift's
+        E = initial.topology.n_edges
+        counts, *taken = [(E - c[2], c[2]) for c in (counts, *taken)]
+        final = OpinionConfig(initial.topology, cvm_projection(final).opinions, initial.alphabet)
     end_time = path.t
-    if path.frozen and stop.t_max is not None and not stop.stop_on_absorption:
-        end_time = stop.t_max  # frozen: the state holds until t_max
-    # Once absorbed, the state is constant from here on.
-    taker = path.taker
-    taker.flush(math.inf if path.absorbed else end_time, path.counts)
+    if path.absorbed and model != VOTER and stop.t_max is not None and not stop.stop_on_absorption:
+        end_time = stop.t_max  # the rate is 0: the state holds until t_max
+    # The times after the last event see the final state; once absorbed, all of them do.
+    upto = math.inf if path.absorbed else end_time
+    taken += [counts] * (bisect_right(times, upto) - len(taken))
+    snapshots = []
+    for s, c in zip(times, taken):
+        census = census_from_counts(c)
+        snapshots.append(Snapshot(s, census, domains_from_census(census, initial.topology)))
     urn = urn_series = None
     b0_viol = pot_viol = 0
     if attach_urn:
         urn, urn_series, b0_viol, pot_viol = _couple_urn(
             path.start_counts, path.events.delta_w, path.w0, urn_rng, record_urn_series)
-    return Trajectory(model, initial, path.events, taker.out, path.final, path.absorbed,
-                      end_time, seed, census_from_counts(path.counts), urn_final=urn,
+    return Trajectory(model, initial, path.events, snapshots, final, path.absorbed, end_time,
+                      seed, census_from_counts(counts), urn_final=urn,
                       urn_series=urn_series, urn_b0_violations=b0_viol,
                       urn_potential_violations=pot_viol)

@@ -18,7 +18,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .core import InvalidInput, ModelParams, OpinionConfig, Topology, random_config
 from .duality import arrow_log_from_trajectory, check_voter_duality
-from .engine import AXELROD, MODELS, VOTER, StopRule, check_times, replicate_seeds, run_model
+from .engine import AXELROD, VOTER, StopRule, check_run, check_times, replicate_seeds, run_model
 from .logio import atomic_write_text, event_log_text, final_stats_row
 from .stats import edge_census
 from .urn import UrnState, urn_rounds_run
@@ -59,20 +59,18 @@ class ExperimentConfig:
         check_times(self.snapshot_times, "snapshot times")
         if self.t_query is not None:
             check_times((self.t_query,), "time t")
-        if self.kind == "simulate" and self.model not in MODELS:
-            raise InvalidInput(f"unknown model {self.model!r}")
+        # Fields a kind does not read would be recorded in summary.json as if it had.
+        if self.kind != "simulate" and self.model != AXELROD:
+            raise InvalidInput(f"{self.kind} takes no model")
+        if self.kind == "duality-check" and (self.F, self.q) != (2, 2):
+            raise InvalidInput("duality-check runs the voter model and takes no F or q")
         if self.kind == "simulate":
             ModelParams(self.F, self.q)
             self.make_topology()
-            StopRule(self.t_max, self.max_events,
-                     stop_on_absorption=self.t_max is None and self.max_events is None)
-            if self.t_max is not None and any(s > self.t_max for s in self.snapshot_times):
-                raise InvalidInput(f"snapshot times beyond t_max={self.t_max}")
+            check_run(self.model, self.stop_rule(), self.snapshot_times, self.attach_urn)
             if self.max_events is not None and self.snapshot_times:
                 # A run cut by its event count may stop before any of them.
                 raise InvalidInput("snapshot times cannot be combined with max_events")
-            if self.attach_urn and self.model != AXELROD:
-                raise InvalidInput("urn coupling applies to the culture model only")
         if self.kind == "lemma5-estimate":
             ModelParams(self.F, self.q)
             if self.topology != "path":
@@ -162,8 +160,8 @@ def _rounds_replicate(config: ExperimentConfig, r: int) -> dict:
 
 
 def _duality_replicate(config: ExperimentConfig, r: int) -> dict:
-    # The pathwise duality identity is a voter-model property; the initial
-    # state is a random binary opinion profile regardless of config.model.
+    # The pathwise duality identity is a voter-model property: the initial
+    # state is a random binary opinion profile (validate rejects a model, F or q).
     init_seed, run_seed = replicate_seeds(config.master_seed, r)
     initial = _random_initial(VOTER, config, init_seed)
     traj = run_model(VOTER, initial, StopRule(t_max=config.t_query), run_seed)
@@ -232,7 +230,7 @@ def _emit(summary: ExperimentSummary, config: ExperimentConfig, extra_files: dic
                       json.dumps(asdict(summary), indent=2, sort_keys=True) + "\n")
 
 
-def _simulate(config: ExperimentConfig) -> ExperimentSummary:
+def _simulate(config: ExperimentConfig) -> tuple[dict, dict, dict]:
     rows = _map_replicates(_simulate_replicate, config)
     n_edges = config.make_topology().n_edges
     absorbed = [row for row in rows if row["absorbed"]]
@@ -274,9 +272,7 @@ def _simulate(config: ExperimentConfig) -> ExperimentSummary:
     if config.save_events:
         for row in rows:
             files[f"events_{row['replicate']:05d}.csv"] = row.pop("event_log")
-    summary = ExperimentSummary("simulate", _config_dict(config), agg, checks)
-    _emit(summary, config, files)
-    return summary
+    return agg, checks, files
 
 
 def _aggregate_csv(rows, config: ExperimentConfig) -> str:
@@ -313,7 +309,7 @@ def _snapshot_mean_csv(rows, n_edges: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _urn_rounds(config: ExperimentConfig) -> ExperimentSummary:
+def _urn_rounds(config: ExperimentConfig) -> tuple[dict, dict, dict]:
     rows = _map_replicates(_rounds_replicate, config)
     n_edges = config.make_topology().n_edges
     b0, b0_se = _mean_se([row["final_b0"] / n_edges for row in rows])
@@ -325,13 +321,10 @@ def _urn_rounds(config: ExperimentConfig) -> ExperimentSummary:
         agg["closed_form_limit"] = rexp.closed_form_limit
         margin = 3 * b0_se if b0_se is not None else 0.0
         checks["mean_b0_ge_limit_minus_3se"] = b0 >= rexp.closed_form_limit - margin
-    files = {"urn_rounds.json": json.dumps(rows, indent=2, sort_keys=True) + "\n"}
-    summary = ExperimentSummary("urn-rounds", _config_dict(config), agg, checks)
-    _emit(summary, config, files)
-    return summary
+    return agg, checks, {"urn_rounds.json": json.dumps(rows, indent=2, sort_keys=True) + "\n"}
 
 
-def _duality_check(config: ExperimentConfig) -> ExperimentSummary:
+def _duality_check(config: ExperimentConfig) -> tuple[dict, dict, dict]:
     rows = _map_replicates(_duality_replicate, config)
     total_mismatch = sum(row["mismatches"] for row in rows)
     agg = {"replicates": config.replicates, "total_mismatches": total_mismatch,
@@ -340,9 +333,7 @@ def _duality_check(config: ExperimentConfig) -> ExperimentSummary:
     files = {"duality_report.json": json.dumps(
         {"replicates": rows, "total_mismatches": total_mismatch},
         indent=2, sort_keys=True) + "\n"}
-    summary = ExperimentSummary("duality-check", _config_dict(config), agg, checks)
-    _emit(summary, config, files)
-    return summary
+    return agg, checks, files
 
 
 @dataclass(frozen=True)
@@ -381,7 +372,7 @@ def estimate_lemma_0edge_probability(params: ModelParams, N: int, x: int, y: int
     return _conditional_estimate(config)
 
 
-def _lemma5(config: ExperimentConfig) -> ExperimentSummary:
+def _lemma5(config: ExperimentConfig) -> tuple[dict, dict, dict]:
     est = _conditional_estimate(config)
     target = 1.0 / (config.q - 1)
     agg = {"estimate": est.estimate, "std_error": est.std_error, "hits": est.hits,
@@ -391,13 +382,10 @@ def _lemma5(config: ExperimentConfig) -> ExperimentSummary:
     if est.defined and est.std_error is not None:
         checks["within_3se_of_target"] = abs(est.estimate - target) <= max(
             3 * est.std_error, 1e-12)
-    files = {"lemma5_estimate.json": json.dumps(agg, indent=2, sort_keys=True) + "\n"}
-    summary = ExperimentSummary("lemma5-estimate", _config_dict(config), agg, checks)
-    _emit(summary, config, files)
-    return summary
+    return agg, checks, {"lemma5_estimate.json": json.dumps(agg, indent=2, sort_keys=True) + "\n"}
 
 
-def _bounds_query(config: ExperimentConfig) -> ExperimentSummary:
+def _bounds_query(config: ExperimentConfig) -> tuple[dict, dict, dict]:
     agg = {}
     if config.theta is not None:
         agg["theta"] = config.theta
@@ -408,17 +396,13 @@ def _bounds_query(config: ExperimentConfig) -> ExperimentSummary:
                     "lower_bound_density": b.lower_bound_density,
                     "domain_length_upper": b.domain_length_upper,
                     "in_hypothesis": b.in_hypothesis})
-    summary = ExperimentSummary("bounds", _config_dict(config), agg, {})
-    _emit(summary, config, {"bounds.json": json.dumps(agg, indent=2, sort_keys=True) + "\n"})
-    return summary
+    return agg, {}, {"bounds.json": json.dumps(agg, indent=2, sort_keys=True) + "\n"}
 
 
-def _table1(config: ExperimentConfig) -> ExperimentSummary:
+def _table1(config: ExperimentConfig) -> tuple[dict, dict, dict]:
     table = bounds_mod.table1_generate()
     agg = {"fs": table.fs, "qs": table.qs, "cells": table.cells}
-    summary = ExperimentSummary("table1", _config_dict(config), agg, {})
-    _emit(summary, config, {"table1.csv": table.render_csv()})
-    return summary
+    return agg, {}, {"table1.csv": table.render_csv()}
 
 
 def _config_dict(config: ExperimentConfig) -> dict:
@@ -441,4 +425,7 @@ def execute(config: ExperimentConfig) -> ExperimentSummary:
         "bounds": _bounds_query,
         "table1": _table1,
     }
-    return dispatch[config.kind](config)
+    aggregates, checks, files = dispatch[config.kind](config)
+    summary = ExperimentSummary(config.kind, _config_dict(config), aggregates, checks)
+    _emit(summary, config, files)
+    return summary

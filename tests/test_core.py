@@ -149,6 +149,16 @@ class TestBulkValidation:
         assert _error(lambda: Configuration(topo, params, cultures)) == (
             InvalidInput, "feature state 5 outside 0..2")
 
+    def test_states_are_integers(self):
+        # A float state is rejected even where it lies in 0..q-1; numpy
+        # integers and bools are integers.
+        params, topo = ModelParams(2, 3), Topology("path", 4)
+        for cultures, bad in ((((0.5, 1), (0, 1), (2, 2.5), (1, 1)), 0.5),
+                              (((0, 1), (2.0, 1), (0, 0), (1, 1)), 2.0)):
+            assert _error(lambda: Configuration(topo, params, cultures)) == (
+                InvalidInput, f"feature state {bad!r} is not an integer")
+        Configuration(topo, params, ((np.int64(2), True), (np.int8(0), 1), (False, 2), (1, 1)))
+
     @pytest.mark.parametrize("alphabet,opinions", [
         ((0, 1), (0, 1, 2, 1)), ((0, 1), (-1, 0, 0, 0)), ((0, 1), (1, 1, 0, 0.5)),
         ((-1, 0, 1), (0, 2, -2, 1)), ((-1, 0, 1), (1, 0, None, 0)),

@@ -8,6 +8,7 @@ import pytest
 from axsim import (
     Configuration,
     EventTable,
+    ExperimentConfig,
     GraphicalDraw,
     InvalidInput,
     ModelParams,
@@ -24,7 +25,8 @@ from axsim import (
     run_model,
     voter_projection,
 )
-from axsim.engine import _cvm_kernel, _rng_pair
+from axsim.core import cvm_lift
+from axsim.engine import _culture_kernel, _rng_pair
 from axsim.logio import replay
 
 
@@ -194,7 +196,8 @@ class TestExactCvmOracle:
                   if ops[a] != ops[b] and ops[a] + ops[b] != 0]
         assert {ops[a] * ops[b] for a, b in init.topology.edges()} == {-1, 0, 1}
         n_active = len(active)
-        assert _cvm_kernel(init, None, EventTable().appenders()).rate() == n_active
+        lifted = _culture_kernel(cvm_lift(init), None, EventTable().appenders(), lifted=True)
+        assert lifted.rate() == n_active
         # Every active edge fires at rate 1, in a uniform orientation.
         law = {(x, y, -1, 1): 1 / (2 * n_active) for a, b in active for x, y in ((a, b), (b, a))}
         n = self.RUNS
@@ -353,6 +356,88 @@ class TestRunModel:
                 assert eta[x] != -eps or eps == 0
                 assert any(eta[yv] == eps for yv in state.topology.neighbors(x))
             eta = nxt
+
+
+def _error(make):
+    with pytest.raises(InvalidInput) as info:
+        make()
+    return str(info.value)
+
+
+class TestOneRunCheck:
+    """`run_model` and `ExperimentConfig.validate` share `check_run`, so each
+    rule rejects the same arguments with the same message."""
+
+    CASES = {
+        "unknown model": dict(model="potts", t_max=1.0),
+        "NaN snapshot time": dict(t_max=1.0, snapshot_times=(0.5, math.nan)),
+        "negative snapshot time": dict(snapshot_times=(-0.5,)),
+        "snapshot beyond t_max": dict(t_max=1.0, snapshot_times=(0.5, 2.0)),
+        "urn on voter": dict(model="voter", t_max=1.0, attach_urn=True),
+        "urn on cvm": dict(model="cvm", t_max=1.0, attach_urn=True),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_same_rule_same_message(self, name):
+        config = ExperimentConfig(kind="simulate", N=6, **self.CASES[name])
+        topo = config.make_topology()
+        initial = {"voter": OpinionConfig(topo, (0, 1) * 3 + (0,), (0, 1)),
+                   "cvm": OpinionConfig(topo, (0, 1, -1) * 2 + (0,), (-1, 0, 1))}.get(
+            config.model, random_config(ModelParams(2, 2), topo, 0))
+        from_run = _error(lambda: run_model(
+            config.model, initial, config.stop_rule(), 0, snapshot_times=config.snapshot_times,
+            attach_urn=config.attach_urn))
+        assert _error(config.validate) == from_run
+
+
+def _z(xs, ys) -> float:
+    """Two-sample z statistic of the means of xs and ys."""
+    (mx, vx), (my, vy) = ((np.mean(v), np.var(v, ddof=1)) for v in (xs, ys))
+    return float((mx - my) / math.sqrt(vx / len(xs) + vy / len(ys)))
+
+
+def disagreeing_edges(opinions, topology) -> int:
+    return sum(opinions[a] != opinions[b] for a, b in topology.edges())
+
+
+class TestProjectionOracles:
+    """F=q=2 culture dynamics seen through a projection is the CVM (or, on a
+    cycle, the voter model) at half speed: an active edge of the lift fires
+    at rate 1/2 where the opinion model's fires at rate 1. So a culture run
+    to 2t, projected, has the law of the opinion model run to t."""
+
+    RUNS = 4000
+    T = 0.5
+    # Both starts hold (1,1) cultures, which the CVM lift never makes.
+    STARTS = {
+        "path": ((1, 1), (0, 1), (0, 0), (1, 0), (1, 1), (0, 1), (0, 1), (0, 0), (1, 1), (1, 0)),
+        "cycle": ((0, 1), (1, 1), (1, 0), (0, 0), (0, 1), (1, 1), (1, 1), (1, 0), (0, 0), (0, 1)),
+    }
+
+    def observed(self, model, initial, t, seeds, project):
+        """Disagreeing edges, 0-opinions and 1-opinions at time t, one row per run."""
+        rows = []
+        for seed in seeds:
+            ops = project(run_model(model, initial, StopRule(t_max=t), seed).final).opinions
+            rows.append((disagreeing_edges(ops, initial.topology), ops.count(0), ops.count(1)))
+        return np.array(rows)
+
+    def zs(self, model, kind, project):
+        cfg = make_cfg(kind, self.STARTS[kind], 2, 2)
+        opinion = project(cfg)
+        n = self.RUNS
+        lifted = self.observed("axelrod", cfg, 2 * self.T, range(n), project)
+        direct = self.observed(model, opinion, self.T, range(n, 2 * n), lambda o: o)
+        return [_z(lifted[:, k], direct[:, k]) for k in range(3)]
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    def test_cvm_is_the_projected_culture_model(self, kind):
+        zs = self.zs("cvm", kind, cvm_projection)
+        assert all(abs(z) <= 3 for z in zs), zs
+
+    def test_voter_is_the_projected_culture_model_on_a_cycle(self):
+        zs = self.zs("voter", "cycle", voter_projection)
+        assert all(abs(z) <= 3 for z in zs), zs
 
 
 class TestVoterRun:

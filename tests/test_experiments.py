@@ -69,6 +69,37 @@ class TestTimeBounds:
                 ExperimentConfig(**config, t_query=bad).validate()
 
 
+class TestFieldsAKindIgnores:
+    """A field the kind never reads is rejected, not recorded in summary.json."""
+
+    BASES = {
+        "duality-check": dict(topology="cycle", N=8, t_query=1.0, replicates=3),
+        "urn-rounds": dict(F=2, q=3, N=10),
+        "lemma5-estimate": dict(N=10, xyz=(2, 5, 8), t_query=0.5, replicates=2),
+        "bounds": dict(F=2, q=3),
+        "table1": dict(),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BASES))
+    @pytest.mark.parametrize("model", ["voter", "cvm"])
+    def test_model_only_for_simulate(self, kind, model):
+        ExperimentConfig(kind=kind, **self.BASES[kind]).validate()
+        with pytest.raises(InvalidInput, match="takes no model"):
+            ExperimentConfig(kind=kind, model=model, **self.BASES[kind]).validate()
+
+    @pytest.mark.parametrize("Fq", [dict(F=3), dict(q=7), dict(F=3, q=7)], ids=["F", "q", "F-q"])
+    def test_duality_check_takes_no_F_or_q(self, Fq):
+        with pytest.raises(InvalidInput, match="no F or q"):
+            ExperimentConfig(kind="duality-check", **self.BASES["duality-check"], **Fq).validate()
+
+    def test_duality_check_with_a_model_F_and_q_does_not_run(self, tmp_path):
+        with pytest.raises(InvalidInput):
+            execute(ExperimentConfig(kind="duality-check", model="cvm", F=3, q=7,
+                                     topology="cycle", N=8, t_query=1.0, replicates=3,
+                                     output_dir=str(tmp_path)))
+        assert not any(tmp_path.iterdir())
+
+
 class TestLemma5Topology:
     def test_only_a_path_is_accepted(self):
         # The estimate is defined on the path {0,...,N}; a cycle would be
