@@ -40,7 +40,8 @@ class _Run(ctypes.Structure):
                                            " ev_source ev_feature ev_delta ev_w0")
                 + _fields(ctypes.c_int64, "cap n_events n_snap_done")
                 + _fields(ctypes.c_double, "t") + _fields(ctypes.c_int64, "total")
-                + _fields(ctypes.c_void_p, "work"))
+                + _fields(ctypes.c_void_p, "work urn_bitgen urn_boxes")
+                + _fields(ctypes.c_int64, "urn_b0_viol urn_pot_viol"))
 
 
 _KERNEL_C = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
@@ -104,10 +105,15 @@ def _address(buf: array) -> int:
     return buf.buffer_info()[0]
 
 
+def _bitgen(rng) -> int:
+    return _capsule_pointer(rng.bit_generator.capsule, b"BitGenerator")
+
+
 def compiled_loop(lib, cfg: Configuration, lifted: bool, stop: StopRule, rng, times: list,
-                  with_w0: bool) -> _Path | None:
+                  urn_rng, with_w0: bool) -> _Path | None:
     """The culture loop in C, as `_python_loop` over `_culture_kernel(cfg,
-    lifted=lifted)`; None when a feature state is no int64."""
+    lifted=lifted)`; None when a feature state is no int64. With `urn_rng`,
+    the loop also couples the urn on that Generator, as `_couple_urn`."""
     F = cfg.params.F
     try:
         state = array("q", list(chain.from_iterable(cfg.cultures)))
@@ -121,13 +127,16 @@ def compiled_loop(lib, cfg: Configuration, lifted: bool, stop: StopRule, rng, ti
     events = EventTable()
     w0 = array("q") if with_w0 else None
     columns = events.columns() + ((w0,) if with_w0 else ())
-    run = _Run(_capsule_pointer(rng.bit_generator.capsule, b"BitGenerator"), F,
+    run = _Run(_bitgen(rng), F,
                topo.n_vertices, topo.n_edges, _address(state),
                *map(_address, incidence), int(lifted),
                math.inf if stop.t_max is None else stop.t_max,
                min(stop.max_events if stop.max_events is not None else 2 ** 62, 2 ** 62),
                _address(snap_time), len(times), _address(snap_counts),
                _address(start_counts), _address(counts))
+    if urn_rng is not None:
+        urn_boxes = array("q", bytes(8 * (F + 1)))
+        run.urn_bitgen, run.urn_boxes = _bitgen(urn_rng), _address(urn_boxes)
     try:
         while True:
             # The columns grow by a quarter, so a long run returns here often
@@ -151,5 +160,6 @@ def compiled_loop(lib, cfg: Configuration, lifted: bool, stop: StopRule, rng, ti
     width = F + 1
     snapshots = [tuple(snap_counts[k * width:(k + 1) * width]) for k in range(run.n_snap_done)]
     final = Configuration(topo, cfg.params, tuple(zip(*[iter(state)] * F)))
+    urn = None if urn_rng is None else (tuple(urn_boxes), run.urn_b0_viol, run.urn_pot_viol)
     return _Path(events, w0, tuple(start_counts), run.t, tuple(counts), snapshots,
-                 run.total == 0, final)
+                 run.total == 0, final, urn)

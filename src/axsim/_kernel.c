@@ -12,6 +12,12 @@
  *    edge order, and rate S/F (2*(S/2) on the CVM lift) in IEEE double, so
  *    this file must be compiled with -ffp-contract=off.
  *
+ * With `urn_bitgen` set, the loop also steps the coupled urn after every
+ * event, as `engine._couple_urn` does from the event columns: the urn's own
+ * generator picks a nonempty inner box with numpy's bounded-integer fill
+ * (what `rng.integers(k)` calls, Lemire's method, unmasked), so the urn's
+ * stream, final boxes and violation counts are those of the Python coupling.
+ *
  * Call `axsim_culture_run` until it returns AXSIM_DONE. It returns
  * AXSIM_FULL when the event columns are full; the caller grows them, updates
  * the column pointers and `cap`, and calls again. All progress lives in the
@@ -19,6 +25,7 @@
  * frees; `axsim_culture_free` frees it after an abandoned run.
  */
 #include <math.h>
+#include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -28,6 +35,8 @@
 /* From numpy/random/distributions.h, which needs Python.h. */
 void random_standard_uniform_fill(bitgen_t *state, intptr_t cnt, double *out);
 void random_standard_exponential_fill(bitgen_t *state, intptr_t cnt, double *out);
+void random_bounded_uint64_fill(bitgen_t *state, uint64_t off, uint64_t rng, intptr_t cnt,
+                                bool use_masked, uint64_t *out);
 
 enum { AXSIM_DONE = 0, AXSIM_FULL = 1, AXSIM_NOMEM = -1 };
 enum { FIRST_BLOCK = 16, MAX_BLOCK = 4096 };
@@ -57,6 +66,10 @@ struct axsim_run {
     double t;
     int64_t total;               /* S = sum_j j*n_j over the classes 1..F-1 */
     void *work;
+    bitgen_t *urn_bitgen;        /* the coupled urn's generator, or NULL: no urn */
+    int64_t *urn_boxes;          /* F+1: B_0..B_F, live */
+    int64_t urn_b0_viol;         /* events after which b_0 > w_0 */
+    int64_t urn_pot_viol;        /* events after which b_0 > 0 and beta < eps */
 };
 
 struct draws {
@@ -68,6 +81,7 @@ struct work {
     int64_t *weight, *cls, *pos, *disagree;
     int64_t **items, *len, *room;  /* class j's edges: items[j][0..len[j]) */
     struct draws u, e;
+    int64_t urn_W, urn_beta;       /* W = sum_j j*w_j; beta = sum_j (F-j)*B_j over 1..F */
 };
 
 static double draw(bitgen_t *bitgen, struct draws *d, int uniform)
@@ -185,7 +199,47 @@ static int start(struct axsim_run *r)
     }
     memcpy(r->start_counts, r->counts, (size_t)(F + 1) * sizeof(int64_t));
     w->u.next = w->e.next = FIRST_BLOCK;
+    if (r->urn_bitgen != NULL) {  /* as `urn_init`: B_j = w_j */
+        memcpy(r->urn_boxes, r->counts, (size_t)(F + 1) * sizeof(int64_t));
+        for (int64_t j = 1; j <= F; j++) {
+            w->urn_W += j * r->counts[j];
+            w->urn_beta += (F - j) * r->counts[j];
+        }
+    }
     return 0;
+}
+
+/* The coupled urn after an event that changed W by delta, as one pass of
+ * `_couple_urn`: on delta 2 a ball moves up from a uniformly chosen nonempty
+ * inner box (`urn_coupled_step`), then the two violations are counted. */
+static void couple(struct axsim_run *r, struct work *w, int64_t delta)
+{
+    const int64_t F = r->F;
+    int64_t *B = r->urn_boxes;
+    w->urn_W += delta;
+    if (delta == 2) {
+        uint64_t k = 0, pick;
+        for (int64_t j = 1; j < F; j++)
+            k += B[j] > 0;
+        if (k) {
+            /* rng.integers(k); k == 1 draws nothing, as in numpy. */
+            random_bounded_uint64_fill(r->urn_bitgen, 0, k - 1, 1, false, &pick);
+            int64_t j = 1;
+            while (B[j] == 0 || pick-- > 0)
+                j += 1;
+            B[j] -= 1;
+            B[j + 1] += 1;
+            w->urn_beta -= 1;
+            if (B[0] > 0) {
+                B[0] -= 1;
+                B[1] += 1;
+                w->urn_beta += F - 1;
+            }
+        }
+    }
+    const int64_t w0 = r->counts[0];
+    r->urn_b0_viol += B[0] > w0;
+    r->urn_pot_viol += B[0] > 0 && w->urn_beta < F * (r->n_edges - w0) - w->urn_W;
 }
 
 /* Record the census at every pending snapshot time <= upto (left limits). */
@@ -271,6 +325,8 @@ int64_t axsim_culture_run(struct axsim_run *r)
         r->ev_delta[n] = r->lifted ? 1 : delta;
         if (r->ev_w0 != NULL)
             r->ev_w0[n] = r->counts[0];
+        if (r->urn_bitgen != NULL)
+            couple(r, w, delta);
     }
     axsim_culture_free(r);
     return AXSIM_DONE;

@@ -36,15 +36,18 @@ the remainder divided by j is exactly uniform over the class.
 One trajectory uses one Generator in a fixed order of calls, which makes
 runs bit-reproducible from the seed. The attached urn draws from a separate
 substream, so trajectories are identical with or without it. The urn moves
-only on delta_w = 2 events; it is coupled after the run, from the events'
-delta_w and the w_0 count the loop records after each event.
+only on delta_w = 2 events.
 
 The culture and CVM runs go through a compiled copy of the loop and the
 culture kernel (`_ckernel`, `_kernel.c`), which makes the same draws in the
-same order and so the same trajectory, bit for bit. It is built with the
-system C compiler on the first culture run of a process and loaded with
-ctypes. Where it cannot be built, the Python kernel runs; it is also the
-oracle the compiled loop is tested against.
+same order and so the same trajectory, bit for bit. It also steps the urn
+after each event, with the same draws from the urn's substream as
+`_couple_urn`. It is built with the system C compiler on the first culture
+run of a process and loaded with ctypes. Where it cannot be built, the
+Python kernel runs; it is also the oracle the compiled loop is tested
+against. The Python kernel's urn, and a run that records the urn series, is
+coupled after the run by `_couple_urn`, from the events' delta_w and the w_0
+count the loop then records after each event.
 """
 from __future__ import annotations
 
@@ -397,15 +400,17 @@ def _voter_kernel(initial, uniform, appenders) -> _Kernel:
 
 class _Path(NamedTuple):
     """What a run loop hands back to `run_model`: raw kernel census counts,
-    the lift's on a CVM run."""
+    the lift's on a CVM run, and the urn when the compiled loop coupled it."""
     events: EventTable
-    w0: array | None  # w_0 after each event, when the urn is attached
+    w0: array | None  # w_0 after each event, when `_couple_urn` couples the urn after the run
     start_counts: Sequence[int]  # before the first event
     t: float  # the time the loop stopped at
     counts: Sequence[int]  # at the end
     snapshots: list  # the counts at each snapshot time the loop passed, in time order
     absorbed: bool
     final: object
+    # (B_0..B_F, b_0 > w_0 count, beta < eps count) when the loop coupled the urn itself
+    urn: tuple | None = None
 
 
 def _python_loop(kernel_of, stop: StopRule, rng, times: list, with_w0: bool) -> _Path:
@@ -456,11 +461,15 @@ def _kernel_lib():
 
 
 def _couple_urn(start_counts, delta_w: array, w0: array, urn_rng, record_series: bool):
-    """The coupled urn along a run: (final urn, series or None, b_0 > w_0
-    count, beta < eps count with b_0 > 0), as if stepped after every event.
+    """The coupled urn along a finished run: (final urn, series or None,
+    b_0 > w_0 count, beta < eps count with b_0 > 0), as if stepped after
+    every event.
 
     The urn moves on delta_w = 2 events only, with the event's w_0 and the
     running W giving eps as in `urn_potentials`: eps = F*(E - w_0) - W.
+    The compiled loop does the same inside the run (`couple` in
+    `_kernel.c`); this is its oracle, the Python kernel's coupling, and the
+    only one that records the series.
     """
     start = census_from_counts(start_counts)
     urn = urn_init(start)
@@ -526,7 +535,10 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
         path = None
         if lib is not None:
             from ._ckernel import compiled_loop
-            path = compiled_loop(lib, cfg, lifted, stop, rng, times, attach_urn)
+            # The compiled loop couples the urn itself; a series is coupled after the run.
+            path = compiled_loop(lib, cfg, lifted, stop, rng, times,
+                                 None if record_urn_series else urn_rng,
+                                 attach_urn and record_urn_series)
         if path is None:
             path = _python_loop(partial(_culture_kernel, cfg, lifted=lifted), stop, rng, times,
                                 attach_urn)
@@ -548,7 +560,10 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
         snapshots.append(Snapshot(s, census, domains_from_census(census, initial.topology)))
     urn = urn_series = None
     b0_viol = pot_viol = 0
-    if attach_urn:
+    if path.urn is not None:
+        boxes, b0_viol, pot_viol = path.urn
+        urn = UrnState(boxes)
+    elif attach_urn:
         urn, urn_series, b0_viol, pot_viol = _couple_urn(
             path.start_counts, path.events.delta_w, path.w0, urn_rng, record_urn_series)
     return Trajectory(model, initial, path.events, snapshots, final, path.absorbed, end_time,

@@ -10,7 +10,7 @@ import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from time import perf_counter
 
 import numpy as np
@@ -26,6 +26,7 @@ from .urn import UrnState, urn_rounds_run
 EXPERIMENT_KINDS = ("simulate", "bounds", "urn-rounds", "duality-check",
                     "lemma5-estimate", "table1")
 REPLICATED_KINDS = ("simulate", "urn-rounds", "duality-check", "lemma5-estimate")
+SIMULATE_ONLY = ("model", "t_max", "max_events", "snapshot_times", "attach_urn", "save_events")
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,10 @@ class ExperimentConfig:
         if self.t_query is not None:
             check_times((self.t_query,), "time t")
         # Fields a kind does not read would be recorded in summary.json as if it had.
-        if self.kind != "simulate" and self.model != AXELROD:
-            raise InvalidInput(f"{self.kind} takes no model")
+        if self.kind != "simulate":
+            for f in fields(self):
+                if f.name in SIMULATE_ONLY and getattr(self, f.name) != f.default:
+                    raise InvalidInput(f"{self.kind} takes no {f.name}")
         if self.kind == "duality-check" and (self.F, self.q) != (2, 2):
             raise InvalidInput("duality-check runs the voter model and takes no F or q")
         if self.kind == "simulate":

@@ -87,6 +87,21 @@ class TestFieldsAKindIgnores:
         with pytest.raises(InvalidInput, match="takes no model"):
             ExperimentConfig(kind=kind, model=model, **self.BASES[kind]).validate()
 
+    @pytest.mark.parametrize("kind", sorted(BASES))
+    @pytest.mark.parametrize("field", [dict(attach_urn=True), dict(snapshot_times=(1.0,)),
+                                       dict(t_max=2.0), dict(max_events=5),
+                                       dict(save_events=True)], ids=lambda f: next(iter(f)))
+    def test_run_fields_only_for_simulate(self, kind, field):
+        with pytest.raises(InvalidInput, match=f"{kind} takes no {next(iter(field))}"):
+            ExperimentConfig(kind=kind, **self.BASES[kind], **field).validate()
+
+    def test_urn_rounds_with_run_fields_does_not_run(self, tmp_path):
+        with pytest.raises(InvalidInput, match="urn-rounds takes no"):
+            execute(ExperimentConfig(kind="urn-rounds", F=2, q=3, N=10, attach_urn=True,
+                                     snapshot_times=(1.0,), t_max=2.0, save_events=True,
+                                     max_events=5, output_dir=str(tmp_path)))
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("Fq", [dict(F=3), dict(q=7), dict(F=3, q=7)], ids=["F", "q", "F-q"])
     def test_duality_check_takes_no_F_or_q(self, Fq):
         with pytest.raises(InvalidInput, match="no F or q"):

@@ -5,8 +5,11 @@ wherever it builds. The Python kernel is its oracle: both must give the same
 trajectory, bit for bit, for every seed, stop rule, snapshot set and urn.
 """
 import os
+import re
+import shutil
 import subprocess
 import sys
+import sysconfig
 
 import numpy as np
 import pytest
@@ -73,6 +76,7 @@ STOPS = {
     "absorption": StopRule(stop_on_absorption=True),
     "frozen": StopRule(t_max=T_LONG),
 }
+URNS = [(False, False), (True, False), (True, True)]  # (attach_urn, record_urn_series)
 
 
 @pytest.mark.parametrize("kind", ["path", "cycle"])
@@ -88,12 +92,13 @@ def test_same_trajectory_on_both_kernels(lib, case, kind):
             at_event = (times[len(times) // 2],) if times else ()
             limit = stop.t_max if stop.t_max is not None else 3.0
             for snaps in ((), (0.0, 0.4, limit) + at_event):
-                for urn in (False, True) if model == "axelrod" else (False,):
-                    kwargs = dict(snapshot_times=snaps, attach_urn=urn, record_urn_series=urn)
+                # The urn is coupled in the compiled loop, or after it for a series.
+                for urn, series in URNS if model == "axelrod" else URNS[:1]:
+                    kwargs = dict(snapshot_times=snaps, attach_urn=urn, record_urn_series=series)
                     got = run_on(lib, model, init, stop, seed, **kwargs)
                     want = run_on(None, model, init, stop, seed, **kwargs)
                     assert repr(got) == repr(want), (model, case, kind, seed, stop_name,
-                                                     snaps, urn)
+                                                     snaps, urn, series)
             if stop_name == "frozen":
                 assert plain.absorbed and plain.end_time == T_LONG
                 frozen += bool(plain.events)
@@ -104,11 +109,12 @@ def test_long_runs_grow_the_columns_and_classes_alike(lib):
     """Thousands of events: the columns are refilled many times and the
     weight classes outgrow the room they started with."""
     cfg = random_config(ModelParams(3, 3), Topology("path", 400), 7)
-    kwargs = dict(snapshot_times=(1.0, 5.0, 20.0), attach_urn=True, record_urn_series=True)
-    got = run_on(lib, "axelrod", cfg, StopRule(stop_on_absorption=True), 11, **kwargs)
-    want = run_on(None, "axelrod", cfg, StopRule(stop_on_absorption=True), 11, **kwargs)
-    assert len(got.events) > 20 * _ckernel._FIRST_CAP
-    assert repr(got) == repr(want)
+    for series in (False, True):  # the urn's state must survive every refill too
+        kwargs = dict(snapshot_times=(1.0, 5.0, 20.0), attach_urn=True, record_urn_series=series)
+        got = run_on(lib, "axelrod", cfg, StopRule(stop_on_absorption=True), 11, **kwargs)
+        want = run_on(None, "axelrod", cfg, StopRule(stop_on_absorption=True), 11, **kwargs)
+        assert len(got.events) > 20 * _ckernel._FIRST_CAP
+        assert repr(got) == repr(want), series
 
 
 def test_voter_runs_stay_in_python(lib):
@@ -170,6 +176,29 @@ def test_build_file_is_keyed_on_the_source(lib):
     assert lib._name == _ckernel.build_path(source)
     assert _ckernel.build_path(source + b"\n") != _ckernel.build_path(source)
     assert _ckernel.build_path(source) == _ckernel.build_path(bytes(source))
+
+
+def test_numpy_prototypes_match_numpys_header(tmp_path):
+    """`_kernel.c` declares the numpy functions it calls by hand, since
+    `numpy/random/distributions.h` needs Python.h. Compiled against that
+    header, a signature numpy changed fails here by name rather than
+    silently changing the trajectories."""
+    if shutil.which(_ckernel._CC[0]) is None:
+        pytest.skip("no C compiler on this host")
+    python_include = sysconfig.get_paths()["include"]
+    if not os.path.exists(os.path.join(python_include, "Python.h")):
+        pytest.skip("no Python.h on this host")
+    with open(_ckernel._KERNEL_C) as fh:
+        prototypes = re.findall(r"^void random_\w+\([^)]*\);", fh.read(), re.M)
+    names = sorted(re.match(r"void (\w+)", p).group(1) for p in prototypes)
+    assert names == ["random_bounded_uint64_fill", "random_standard_exponential_fill",
+                     "random_standard_uniform_fill"]
+    check = tmp_path / "prototypes.c"
+    check.write_text("#include \"numpy/random/distributions.h\"\n" + "\n".join(prototypes) + "\n")
+    proc = subprocess.run([*_ckernel._CC, "-Wall", "-Werror", "-fsyntax-only", "-I", python_include,
+                           "-I", np.get_include(), str(check)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def tree(root):
