@@ -36,12 +36,12 @@ class _Run(ctypes.Structure):
                 + _fields(ctypes.c_int64, "lifted") + _fields(ctypes.c_double, "t_max")
                 + _fields(ctypes.c_int64, "max_events")
                 + _fields(ctypes.c_void_p, "snap_time") + _fields(ctypes.c_int64, "n_snap")
-                + _fields(ctypes.c_void_p, "snap_counts start_counts counts ev_time ev_target"
-                                           " ev_source ev_feature ev_delta ev_w0")
+                + _fields(ctypes.c_void_p, "snap_counts counts ev_time ev_target ev_source"
+                                           " ev_feature ev_delta")
                 + _fields(ctypes.c_int64, "cap n_events n_snap_done")
                 + _fields(ctypes.c_double, "t") + _fields(ctypes.c_int64, "total")
                 + _fields(ctypes.c_void_p, "work urn_bitgen urn_boxes")
-                + _fields(ctypes.c_int64, "urn_b0_viol urn_pot_viol"))
+                + _fields(ctypes.c_int64, "urn_b0_viol urn_pot_viol urn_beta urn_W"))
 
 
 _KERNEL_C = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
@@ -110,10 +110,9 @@ def _bitgen(rng) -> int:
 
 
 def compiled_loop(lib, cfg: Configuration, lifted: bool, stop: StopRule, rng, times: list,
-                  urn_rng, with_w0: bool) -> _Path | None:
+                  urn_rng) -> _Path | None:
     """The culture loop in C, as `_python_loop` over `_culture_kernel(cfg,
-    lifted=lifted)`; None when a feature state is no int64. With `urn_rng`,
-    the loop also couples the urn on that Generator, as `_couple_urn`."""
+    lifted=lifted, urn_rng=urn_rng)`; None when a feature state is no int64."""
     F = cfg.params.F
     try:
         state = array("q", list(chain.from_iterable(cfg.cultures)))
@@ -123,17 +122,15 @@ def compiled_loop(lib, cfg: Configuration, lifted: bool, stop: StopRule, rng, ti
     incidence = _incidence(topo)
     snap_time = array("d", times)
     snap_counts = array("q", bytes(8 * len(times) * (F + 1)))
-    start_counts, counts = array("q", bytes(8 * (F + 1))), array("q", bytes(8 * (F + 1)))
+    counts = array("q", bytes(8 * (F + 1)))
     events = EventTable()
-    w0 = array("q") if with_w0 else None
-    columns = events.columns() + ((w0,) if with_w0 else ())
+    columns = events.columns()
     run = _Run(_bitgen(rng), F,
                topo.n_vertices, topo.n_edges, _address(state),
                *map(_address, incidence), int(lifted),
                math.inf if stop.t_max is None else stop.t_max,
                min(stop.max_events if stop.max_events is not None else 2 ** 62, 2 ** 62),
-               _address(snap_time), len(times), _address(snap_counts),
-               _address(start_counts), _address(counts))
+               _address(snap_time), len(times), _address(snap_counts), _address(counts))
     if urn_rng is not None:
         urn_boxes = array("q", bytes(8 * (F + 1)))
         run.urn_bitgen, run.urn_boxes = _bitgen(urn_rng), _address(urn_boxes)
@@ -146,8 +143,7 @@ def compiled_loop(lib, cfg: Configuration, lifted: bool, stop: StopRule, rng, ti
                 col.frombytes(room)
             run.cap = len(events)
             run.ev_time, run.ev_target, run.ev_source, run.ev_feature, run.ev_delta = map(
-                _address, events.columns())
-            run.ev_w0 = _address(w0) if with_w0 else None
+                _address, columns)
             status = lib.axsim_culture_run(run)
             if status == _DONE:
                 break
@@ -160,6 +156,6 @@ def compiled_loop(lib, cfg: Configuration, lifted: bool, stop: StopRule, rng, ti
     width = F + 1
     snapshots = [tuple(snap_counts[k * width:(k + 1) * width]) for k in range(run.n_snap_done)]
     final = Configuration(topo, cfg.params, tuple(zip(*[iter(state)] * F)))
-    urn = None if urn_rng is None else (tuple(urn_boxes), run.urn_b0_viol, run.urn_pot_viol)
-    return _Path(events, w0, tuple(start_counts), run.t, tuple(counts), snapshots,
-                 run.total == 0, final, urn)
+    urn = None if urn_rng is None else (tuple(urn_boxes), run.urn_b0_viol, run.urn_pot_viol,
+                                        run.urn_beta, run.urn_W)
+    return _Path(events, run.t, tuple(counts), snapshots, run.total == 0, final, urn)

@@ -13,10 +13,10 @@
  *    this file must be compiled with -ffp-contract=off.
  *
  * With `urn_bitgen` set, the loop also steps the coupled urn after every
- * event, as `engine._couple_urn` does from the event columns: the urn's own
- * generator picks a nonempty inner box with numpy's bounded-integer fill
- * (what `rng.integers(k)` calls, Lemire's method, unmasked), so the urn's
- * stream, final boxes and violation counts are those of the Python coupling.
+ * event, as the Python kernel's `couple` does: the urn's own generator picks
+ * a nonempty inner box with numpy's bounded-integer fill (what
+ * `rng.integers(k)` calls, Lemire's method, unmasked), so the urn's stream,
+ * final boxes, potentials and violation counts are those of the Python kernel.
  *
  * Call `axsim_culture_run` until it returns AXSIM_DONE. It returns
  * AXSIM_FULL when the event columns are full; the caller grows them, updates
@@ -55,11 +55,9 @@ struct axsim_run {
     const double *snap_time;     /* sorted */
     int64_t n_snap;
     int64_t *snap_counts;        /* n_snap x (F+1): the census at each snapshot */
-    int64_t *start_counts;       /* F+1: w_0..w_F before the first event */
     int64_t *counts;             /* F+1: w_0..w_F, live */
     double *ev_time;
     int64_t *ev_target, *ev_source, *ev_feature, *ev_delta;
-    int64_t *ev_w0;              /* w_0 after each event, or NULL */
     int64_t cap;                 /* room in each event column */
     int64_t n_events;
     int64_t n_snap_done;
@@ -70,6 +68,7 @@ struct axsim_run {
     int64_t *urn_boxes;          /* F+1: B_0..B_F, live */
     int64_t urn_b0_viol;         /* events after which b_0 > w_0 */
     int64_t urn_pot_viol;        /* events after which b_0 > 0 and beta < eps */
+    int64_t urn_beta, urn_W;     /* beta = sum_j (F-j)*B_j and W = sum_j j*w_j over 1..F */
 };
 
 struct draws {
@@ -81,7 +80,6 @@ struct work {
     int64_t *weight, *cls, *pos, *disagree;
     int64_t **items, *len, *room;  /* class j's edges: items[j][0..len[j]) */
     struct draws u, e;
-    int64_t urn_W, urn_beta;       /* W = sum_j j*w_j; beta = sum_j (F-j)*B_j over 1..F */
 };
 
 static double draw(bitgen_t *bitgen, struct draws *d, int uniform)
@@ -197,26 +195,26 @@ static int start(struct axsim_run *r)
             r->total += c;
         }
     }
-    memcpy(r->start_counts, r->counts, (size_t)(F + 1) * sizeof(int64_t));
     w->u.next = w->e.next = FIRST_BLOCK;
     if (r->urn_bitgen != NULL) {  /* as `urn_init`: B_j = w_j */
         memcpy(r->urn_boxes, r->counts, (size_t)(F + 1) * sizeof(int64_t));
+        r->urn_beta = r->urn_W = 0;
         for (int64_t j = 1; j <= F; j++) {
-            w->urn_W += j * r->counts[j];
-            w->urn_beta += (F - j) * r->counts[j];
+            r->urn_W += j * r->counts[j];
+            r->urn_beta += (F - j) * r->counts[j];
         }
     }
     return 0;
 }
 
-/* The coupled urn after an event that changed W by delta, as one pass of
- * `_couple_urn`: on delta 2 a ball moves up from a uniformly chosen nonempty
+/* The coupled urn after an event that changed W by delta, as `couple` in
+ * engine.py: on delta 2 a ball moves up from a uniformly chosen nonempty
  * inner box (`urn_coupled_step`), then the two violations are counted. */
-static void couple(struct axsim_run *r, struct work *w, int64_t delta)
+static void couple(struct axsim_run *r, int64_t delta)
 {
     const int64_t F = r->F;
     int64_t *B = r->urn_boxes;
-    w->urn_W += delta;
+    r->urn_W += delta;
     if (delta == 2) {
         uint64_t k = 0, pick;
         for (int64_t j = 1; j < F; j++)
@@ -229,17 +227,17 @@ static void couple(struct axsim_run *r, struct work *w, int64_t delta)
                 j += 1;
             B[j] -= 1;
             B[j + 1] += 1;
-            w->urn_beta -= 1;
+            r->urn_beta -= 1;
             if (B[0] > 0) {
                 B[0] -= 1;
                 B[1] += 1;
-                w->urn_beta += F - 1;
+                r->urn_beta += F - 1;
             }
         }
     }
     const int64_t w0 = r->counts[0];
     r->urn_b0_viol += B[0] > w0;
-    r->urn_pot_viol += B[0] > 0 && w->urn_beta < F * (r->n_edges - w0) - w->urn_W;
+    r->urn_pot_viol += B[0] > 0 && r->urn_beta < F * (r->n_edges - w0) - r->urn_W;
 }
 
 /* Record the census at every pending snapshot time <= upto (left limits). */
@@ -323,10 +321,8 @@ int64_t axsim_culture_run(struct axsim_run *r)
         r->ev_source[n] = u;
         r->ev_feature[n] = r->lifted ? -1 : feat;
         r->ev_delta[n] = r->lifted ? 1 : delta;
-        if (r->ev_w0 != NULL)
-            r->ev_w0[n] = r->counts[0];
         if (r->urn_bitgen != NULL)
-            couple(r, w, delta);
+            couple(r, delta);
     }
     axsim_culture_free(r);
     return AXSIM_DONE;

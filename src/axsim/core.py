@@ -39,6 +39,8 @@ class ModelParams:
             raise InvalidInput(f"F must be >= 1, got {self.F}")
         if self.q < 2:
             raise InvalidInput(f"q must be >= 2, got {self.q}")
+        if self.q > 2 ** 63:  # states 0..q-1 must fit the int64 draws and the compiled loop
+            raise InvalidInput(f"q must be <= 2**63, got {self.q}")
 
 
 @dataclass(frozen=True)

@@ -40,14 +40,12 @@ only on delta_w = 2 events.
 
 The culture and CVM runs go through a compiled copy of the loop and the
 culture kernel (`_ckernel`, `_kernel.c`), which makes the same draws in the
-same order and so the same trajectory, bit for bit. It also steps the urn
-after each event, with the same draws from the urn's substream as
-`_couple_urn`. It is built with the system C compiler on the first culture
-run of a process and loaded with ctypes. Where it cannot be built, the
-Python kernel runs; it is also the oracle the compiled loop is tested
-against. The Python kernel's urn, and a run that records the urn series, is
-coupled after the run by `_couple_urn`, from the events' delta_w and the w_0
-count the loop then records after each event.
+same order and so the same trajectory, bit for bit. It is built with the
+system C compiler on the first culture run of a process and loaded with
+ctypes. Where it cannot be built, the Python kernel runs; it is also the
+oracle the compiled loop is tested against. Both culture kernels step the
+attached urn after each event, with the same draws from the urn's
+substream, and count its violations of B_0 <= w_0 and beta >= eps as they go.
 """
 from __future__ import annotations
 
@@ -74,7 +72,7 @@ from .core import (
 )
 from .events import EventTable, UpdateEvent
 from .stats import DomainStats, EdgeCensus, census_from_counts, domains_from_census
-from .urn import UrnState, urn_coupled_step, urn_init
+from .urn import UrnState
 
 AXELROD = "axelrod"
 VOTER = "voter"
@@ -144,7 +142,6 @@ class Trajectory:
     seed: int
     final_census: EdgeCensus  # census of `final`, from the engine's running counts
     urn_final: UrnState | None = None
-    urn_series: list | None = None  # (event idx, B_0..B_F, w_0, beta, eps)
     urn_b0_violations: int = 0
     urn_potential_violations: int = 0
 
@@ -290,6 +287,7 @@ class _Kernel(NamedTuple):
     census: Callable[[], Sequence[int]]  # edge counts w_0..w_F (opinions: disagree, agree)
     absorbed: Callable[[], bool]
     final: Callable[[], object]
+    urn: Callable[[], tuple] | None = None  # the coupled urn's `_Path.urn`, if one is attached
 
 
 @lru_cache(maxsize=8)
@@ -309,12 +307,14 @@ def _incidence(topo: Topology):
             start, array("q", chain.from_iterable(incident)))
 
 
-def _culture_kernel(initial: Configuration, uniform, appenders, lifted: bool = False) -> _Kernel:
+def _culture_kernel(initial: Configuration, uniform, appenders, lifted: bool = False,
+                    urn_rng=None) -> _Kernel:
     """An edge of weight j fires at rate j/F; classes 1..F-1 hold the active edges.
 
     `lifted` runs the CVM's F=q=2 lift at twice the rate, so an active edge
     fires at rate 1 (2 * (S/2) == S exactly), and logs opinion events:
-    copied_feature -1 and delta_w 1.
+    copied_feature -1 and delta_w 1. With `urn_rng`, the kernel also steps
+    the coupled urn on that Generator after every event (`couple`).
     """
     F = initial.params.F
     states = list(map(list, initial.cultures))
@@ -354,12 +354,46 @@ def _culture_kernel(initial: Configuration, uniform, appenders, lifted: bool = F
         add_source(u)
         add_feature(feat)
         add_delta(delta)
+        if couple is not None:
+            couple(delta)
+
+    couple = urn = None
+    if urn_rng is not None:  # as `urn_init`: B_j = w_j
+        boxes, E = list(counts), len(weight)
+        W = sum(j * counts[j] for j in range(1, F + 1))
+        beta = sum((F - j) * counts[j] for j in range(1, F + 1))
+        b0_viol = pot_viol = 0
+
+        def couple(delta):
+            """The urn after an event that changed W by delta, as `couple` in
+            `_kernel.c`: on delta 2 a ball moves up from a uniformly chosen
+            nonempty inner box (`urn_coupled_step`), then the two violations
+            are counted, with eps = F*(E - w_0) - W as in `urn_potentials`."""
+            nonlocal W, beta, b0_viol, pot_viol
+            W += delta
+            if delta == 2:
+                inner = [j for j in range(1, F) if boxes[j] > 0]
+                if inner:
+                    j = inner[int(urn_rng.integers(len(inner)))]
+                    boxes[j] -= 1
+                    boxes[j + 1] += 1
+                    beta -= 1
+                    if boxes[0] > 0:
+                        boxes[0] -= 1
+                        boxes[1] += 1
+                        beta += F - 1
+            w0 = counts[0]
+            b0_viol += boxes[0] > w0
+            pot_viol += boxes[0] > 0 and beta < F * (E - w0) - W
+
+        def urn():
+            return tuple(boxes), b0_viol, pot_viol, beta, W
 
     scale = 2 if lifted else 1
     return _Kernel(lambda: scale * (buckets.total / F), step, lambda: counts,
                    lambda: buckets.total == 0,
                    lambda: Configuration(initial.topology, initial.params,
-                                         tuple(map(tuple, states))))
+                                         tuple(map(tuple, states))), urn)
 
 
 def _bump(weight, counts, buckets, e, d, F):
@@ -400,33 +434,30 @@ def _voter_kernel(initial, uniform, appenders) -> _Kernel:
 
 class _Path(NamedTuple):
     """What a run loop hands back to `run_model`: raw kernel census counts,
-    the lift's on a CVM run, and the urn when the compiled loop coupled it."""
+    the lift's on a CVM run, and the coupled urn when one is attached."""
     events: EventTable
-    w0: array | None  # w_0 after each event, when `_couple_urn` couples the urn after the run
-    start_counts: Sequence[int]  # before the first event
     t: float  # the time the loop stopped at
     counts: Sequence[int]  # at the end
     snapshots: list  # the counts at each snapshot time the loop passed, in time order
     absorbed: bool
     final: object
-    # (B_0..B_F, b_0 > w_0 count, beta < eps count) when the loop coupled the urn itself
-    urn: tuple | None = None
+    # (B_0..B_F, b_0 > w_0 count, beta < eps count with b_0 > 0, final beta, final W)
+    urn: tuple | None
 
 
-def _python_loop(kernel_of, stop: StopRule, rng, times: list, with_w0: bool) -> _Path:
+def _python_loop(kernel_of, stop: StopRule, rng, times: list) -> _Path:
     """The loop over a Python kernel, `kernel_of(uniform, appenders)`: the
     voter model's only loop, and the compiled loop's oracle and fallback.
-    `times` are the snapshot times, sorted."""
+    `times` are the snapshot times, sorted. A culture kernel steps an
+    attached urn itself; the loop hands back what the kernel's `urn` reports."""
     draws = _Draws(rng)
     events = EventTable()
     kernel = kernel_of(draws.uniform, events.appenders())
     rate, step, census, absorbed = kernel.rate, kernel.step, kernel.census, kernel.absorbed
     exponential = draws.exponential
-    start = tuple(census())
     snapshots = []
     pending = times + [math.inf]
     next_snap = pending[0]
-    w0 = array("q") if with_w0 else None
     recorded = events.time
     t = 0.0
     t_max = stop.t_max if stop.t_max is not None else math.inf
@@ -446,9 +477,8 @@ def _python_loop(kernel_of, stop: StopRule, rng, times: list, with_w0: bool) -> 
             snapshots.append(tuple(census()))
             next_snap = pending[len(snapshots)]
         step(t)
-        if w0 is not None:
-            w0.append(census()[0])
-    return _Path(events, w0, start, t, tuple(census()), snapshots, absorbed(), kernel.final())
+    return _Path(events, t, tuple(census()), snapshots, absorbed(), kernel.final(),
+                 kernel.urn and kernel.urn())
 
 
 @cache
@@ -458,40 +488,6 @@ def _kernel_lib():
     runs. `_ckernel` is imported here, so importing axsim does not pay for it."""
     from . import _ckernel
     return _ckernel.load()
-
-
-def _couple_urn(start_counts, delta_w: array, w0: array, urn_rng, record_series: bool):
-    """The coupled urn along a finished run: (final urn, series or None,
-    b_0 > w_0 count, beta < eps count with b_0 > 0), as if stepped after
-    every event.
-
-    The urn moves on delta_w = 2 events only, with the event's w_0 and the
-    running W giving eps as in `urn_potentials`: eps = F*(E - w_0) - W.
-    The compiled loop does the same inside the run (`couple` in
-    `_kernel.c`); this is its oracle, the Python kernel's coupling, and the
-    only one that records the series.
-    """
-    start = census_from_counts(start_counts)
-    urn = urn_init(start)
-    F, E, W = len(urn.boxes) - 1, start.n_edges, start.total_agreement
-    beta = sum((F - j) * urn.boxes[j] for j in range(1, F + 1))
-    b0 = urn.boxes[0]
-    series = [] if record_series else None
-    b0_viol = pot_viol = 0
-    for i, (dw, w) in enumerate(zip(delta_w, w0)):
-        W += dw
-        if dw == 2:
-            urn = urn_coupled_step(urn, 2, urn_rng)
-            beta = sum((F - j) * urn.boxes[j] for j in range(1, F + 1))
-            b0 = urn.boxes[0]
-        if b0 > w:
-            b0_viol += 1
-        eps = F * (E - w) - W
-        if b0 > 0 and beta < eps:
-            pot_viol += 1
-        if series is not None:
-            series.append((i,) + urn.boxes + (w, beta, eps))
-    return urn, series, b0_viol, pot_viol
 
 
 def _check_initial(model, initial):
@@ -507,7 +503,7 @@ def _check_initial(model, initial):
 
 
 def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
-              attach_urn: bool = False, record_urn_series: bool = False) -> Trajectory:
+              attach_urn: bool = False) -> Trajectory:
     """Statistically exact trajectory of the chosen generator.
 
     Deterministic given seed. `snapshot_times` record the state just
@@ -527,7 +523,7 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
     times = sorted(snapshot_times)
     rng, urn_rng = _rng_pair(seed, attach_urn)
     if model == VOTER:
-        path = _python_loop(partial(_voter_kernel, initial), stop, rng, times, attach_urn)
+        path = _python_loop(partial(_voter_kernel, initial), stop, rng, times)
     else:
         lifted = model == CVM
         cfg = cvm_lift(initial) if lifted else initial
@@ -535,13 +531,10 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
         path = None
         if lib is not None:
             from ._ckernel import compiled_loop
-            # The compiled loop couples the urn itself; a series is coupled after the run.
-            path = compiled_loop(lib, cfg, lifted, stop, rng, times,
-                                 None if record_urn_series else urn_rng,
-                                 attach_urn and record_urn_series)
+            path = compiled_loop(lib, cfg, lifted, stop, rng, times, urn_rng)
         if path is None:
-            path = _python_loop(partial(_culture_kernel, cfg, lifted=lifted), stop, rng, times,
-                                attach_urn)
+            path = _python_loop(partial(_culture_kernel, cfg, lifted=lifted, urn_rng=urn_rng),
+                                stop, rng, times)
 
     final, counts, taken = path.final, path.counts, path.snapshots
     if model == CVM:  # opinion census: (w_0 + w_1, w_2) of the lift's
@@ -558,15 +551,10 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
     for s, c in zip(times, taken):
         census = census_from_counts(c)
         snapshots.append(Snapshot(s, census, domains_from_census(census, initial.topology)))
-    urn = urn_series = None
-    b0_viol = pot_viol = 0
+    urn, b0_viol, pot_viol = None, 0, 0
     if path.urn is not None:
-        boxes, b0_viol, pot_viol = path.urn
+        boxes, b0_viol, pot_viol = path.urn[:3]
         urn = UrnState(boxes)
-    elif attach_urn:
-        urn, urn_series, b0_viol, pot_viol = _couple_urn(
-            path.start_counts, path.events.delta_w, path.w0, urn_rng, record_urn_series)
     return Trajectory(model, initial, path.events, snapshots, final, path.absorbed, end_time,
                       seed, census_from_counts(counts), urn_final=urn,
-                      urn_series=urn_series, urn_b0_violations=b0_viol,
-                      urn_potential_violations=pot_viol)
+                      urn_b0_violations=b0_viol, urn_potential_violations=pot_viol)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -57,6 +58,8 @@ class ExperimentConfig:
             raise InvalidInput("workers must be >= 1")
         if self.kind in REPLICATED_KINDS and self.replicates < 1:
             raise InvalidInput("replicates must be >= 1")
+        if not (isinstance(self.master_seed, numbers.Integral) and self.master_seed >= 0):
+            raise InvalidInput(f"seed must be an integer >= 0, got {self.master_seed}")
         check_times(self.snapshot_times, "snapshot times")
         if self.t_query is not None:
             check_times((self.t_query,), "time t")

@@ -108,6 +108,28 @@ class TestValidation:
         assert code == 2
         assert "replicates must be >= 1" in err and stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--F", "2", "--q", "3", "--N", "5", "--t-max", "1"),
+        ("urn-rounds", "--F", "2", "--q", "4", "--N", "10"),
+        ("duality-check", "--N", "10", "--t", "1.0"),
+        ("lemma5-estimate", "--N", "10", "--x", "2", "--y", "5", "--z", "8", "--t", "0.5"),
+    ])
+    def test_negative_seed_returns_2_for_every_replicated_kind(self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *argv, "--seed", "-1", "--out", str(out))
+        assert code == 2
+        assert "seed must be an integer >= 0" in err and stdout == "" and not out.exists()
+
+    def test_q_beyond_int64_returns_2(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "simulate", "--F", "2", "--q", str(10 ** 20),
+                                    "--N", "5", "--t-max", "1", "--out", str(out))
+        assert code == 2
+        assert "q must be <= 2**63" in err and stdout == "" and not out.exists()
+        code, _, _ = run_cli(capsys, "simulate", "--F", "2", "--q", str(2 ** 63), "--N", "5",
+                             "--t-max", "1", "--attach-urn")
+        assert code == 0
+
     def test_snapshot_beyond_t_max_returns_2(self, capsys, tmp_path):
         out = tmp_path / "out"
         code, _, err = run_cli(capsys, "simulate", "--N", "10", "--t-max", "1",

@@ -30,6 +30,13 @@ class TestParams:
         with pytest.raises(InvalidInput):
             ModelParams(2, 1)
 
+    def test_q_up_to_two_to_the_63(self):
+        # States 0..q-1 are drawn as int64 and run in the compiled loop's int64 array.
+        with pytest.raises(InvalidInput, match="2\\*\\*63"):
+            ModelParams(2, 2 ** 63 + 1)
+        cfg = random_config(ModelParams(2, 2 ** 63), Topology("path", 4), 0)
+        assert max(max(c) for c in cfg.cultures) < 2 ** 63
+
     def test_topology_bounds(self):
         with pytest.raises(InvalidInput):
             Topology("path", 1)

@@ -4,12 +4,14 @@
 wherever it builds. The Python kernel is its oracle: both must give the same
 trajectory, bit for bit, for every seed, stop rule, snapshot set and urn.
 """
+import ctypes
 import os
 import re
 import shutil
 import subprocess
 import sys
 import sysconfig
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from axsim import (
     OpinionConfig,
     StopRule,
     Topology,
+    edge_census,
     execute,
     random_config,
     run_model,
@@ -76,7 +79,7 @@ STOPS = {
     "absorption": StopRule(stop_on_absorption=True),
     "frozen": StopRule(t_max=T_LONG),
 }
-URNS = [(False, False), (True, False), (True, True)]  # (attach_urn, record_urn_series)
+URNS = (False, True)  # attach_urn
 
 
 @pytest.mark.parametrize("kind", ["path", "cycle"])
@@ -92,13 +95,12 @@ def test_same_trajectory_on_both_kernels(lib, case, kind):
             at_event = (times[len(times) // 2],) if times else ()
             limit = stop.t_max if stop.t_max is not None else 3.0
             for snaps in ((), (0.0, 0.4, limit) + at_event):
-                # The urn is coupled in the compiled loop, or after it for a series.
-                for urn, series in URNS if model == "axelrod" else URNS[:1]:
-                    kwargs = dict(snapshot_times=snaps, attach_urn=urn, record_urn_series=series)
+                for urn in URNS if model == "axelrod" else URNS[:1]:
+                    kwargs = dict(snapshot_times=snaps, attach_urn=urn)
                     got = run_on(lib, model, init, stop, seed, **kwargs)
                     want = run_on(None, model, init, stop, seed, **kwargs)
                     assert repr(got) == repr(want), (model, case, kind, seed, stop_name,
-                                                     snaps, urn, series)
+                                                     snaps, urn)
             if stop_name == "frozen":
                 assert plain.absorbed and plain.end_time == T_LONG
                 frozen += bool(plain.events)
@@ -109,12 +111,66 @@ def test_long_runs_grow_the_columns_and_classes_alike(lib):
     """Thousands of events: the columns are refilled many times and the
     weight classes outgrow the room they started with."""
     cfg = random_config(ModelParams(3, 3), Topology("path", 400), 7)
-    for series in (False, True):  # the urn's state must survive every refill too
-        kwargs = dict(snapshot_times=(1.0, 5.0, 20.0), attach_urn=True, record_urn_series=series)
-        got = run_on(lib, "axelrod", cfg, StopRule(stop_on_absorption=True), 11, **kwargs)
-        want = run_on(None, "axelrod", cfg, StopRule(stop_on_absorption=True), 11, **kwargs)
-        assert len(got.events) > 20 * _ckernel._FIRST_CAP
-        assert repr(got) == repr(want), series
+    # The urn's state must survive every refill too.
+    kwargs = dict(snapshot_times=(1.0, 5.0, 20.0), attach_urn=True)
+    got = run_on(lib, "axelrod", cfg, StopRule(stop_on_absorption=True), 11, **kwargs)
+    want = run_on(None, "axelrod", cfg, StopRule(stop_on_absorption=True), 11, **kwargs)
+    assert len(got.events) > 20 * _ckernel._FIRST_CAP
+    assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("loop", ["compiled", "python"])
+def test_urn_potential_and_agreement_match_the_final_state(request, loop):
+    """The running beta and W each loop keeps for the potential check equal
+    their values recounted from the final boxes and state. `Trajectory`
+    carries neither, so a drifting beta that only over-estimates (and so
+    never adds a violation) shows only here."""
+    lib = request.getfixturevalue("lib") if loop == "compiled" else None
+    checked = 0
+    for case in [c for c in CASES if c != "cvm"]:
+        F = case[0]
+        for kind in ("path", "cycle"):
+            for seed in SEEDS:
+                _, cfg = initial(case, kind, seed)
+                for stop in STOPS.values():
+                    rng, urn_rng = engine._rng_pair(seed, True)
+                    if lib is None:
+                        kernel = partial(engine._culture_kernel, cfg, urn_rng=urn_rng)
+                        path = engine._python_loop(kernel, stop, rng, [])
+                    else:
+                        path = _ckernel.compiled_loop(lib, cfg, False, stop, rng, [], urn_rng)
+                    boxes, _, _, beta, W = path.urn
+                    assert beta == sum((F - j) * boxes[j] for j in range(1, F + 1))
+                    assert W == edge_census(path.final).total_agreement
+                    checked += any(d == 2 for d in path.events.delta_w)
+    assert checked > 100  # most runs moved the urn
+
+
+def _c_struct_fields(source: str, name: str) -> list:
+    """(field, ctypes type) of `struct name` in C source, in order: a
+    pointer is c_void_p, a double c_double and an int64_t c_int64."""
+    body = re.search(r"struct %s \{(.*?)\};" % name, source, re.S).group(1)
+    body = re.sub(r"/\*.*?\*/", "", body, flags=re.S)
+    kinds = {"double": ctypes.c_double, "int64_t": ctypes.c_int64}
+    out = []
+    for decl in filter(None, (d.strip() for d in body.split(";"))):
+        base = re.match(r"(?:const\s+)?(\w+)", decl)
+        for declarator in decl[base.end():].split(","):
+            field = declarator.strip()
+            if field.startswith("*"):
+                out.append((field.lstrip("* "), ctypes.c_void_p))
+            else:
+                out.append((field, kinds[base.group(1)]))
+    return out
+
+
+def test_run_struct_matches_its_ctypes_mirror():
+    """`_Run` must mirror `struct axsim_run` field for field: a field out of
+    step fails here by name instead of corrupting a run."""
+    with open(_ckernel._KERNEL_C) as fh:
+        fields = _c_struct_fields(fh.read(), "axsim_run")
+    assert fields == list(_ckernel._Run._fields_)
+    assert len(fields) > 20
 
 
 def test_voter_runs_stay_in_python(lib):
