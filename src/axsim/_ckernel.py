@@ -15,7 +15,6 @@ import math
 import os
 import zlib
 from array import array
-from itertools import chain
 
 import numpy as np
 
@@ -110,14 +109,12 @@ def _bitgen(rng) -> int:
 
 
 def compiled_loop(lib, cfg: Configuration, lifted: bool, stop: StopRule, rng, times: list,
-                  urn_rng) -> _Path | None:
+                  urn_rng) -> _Path:
     """The culture loop in C, as `_python_loop` over `_culture_kernel(cfg,
-    lifted=lifted, urn_rng=urn_rng)`; None when a feature state is no int64."""
+    lifted=lifted, urn_rng=urn_rng)`. It runs on a copy of `cfg.state`,
+    which becomes the final state."""
     F = cfg.params.F
-    try:
-        state = array("q", list(chain.from_iterable(cfg.cultures)))
-    except (TypeError, OverflowError):
-        return None
+    state = cfg.state[:]
     topo = cfg.topology
     incidence = _incidence(topo)
     snap_time = array("d", times)
@@ -155,7 +152,7 @@ def compiled_loop(lib, cfg: Configuration, lifted: bool, stop: StopRule, rng, ti
         del col[run.n_events:]
     width = F + 1
     snapshots = [tuple(snap_counts[k * width:(k + 1) * width]) for k in range(run.n_snap_done)]
-    final = Configuration(topo, cfg.params, tuple(zip(*[iter(state)] * F)))
+    final = Configuration._of(topo, cfg.params, state)
     urn = None if urn_rng is None else (tuple(urn_boxes), run.urn_b0_viol, run.urn_pot_viol,
                                         run.urn_beta, run.urn_W)
     return _Path(events, run.t, tuple(counts), snapshots, run.total == 0, final, urn)

@@ -30,13 +30,18 @@ def _parse_config_file(path: str) -> dict:
 def _config_argv(parser: argparse.ArgumentParser, command: str, path: str) -> list:
     """The config file's key=value lines as the equivalent flags of `command`.
 
-    A key that is not a flag of the subcommand is an error (exit code 2).
+    A file that cannot be read, or a key that is not a flag of the
+    subcommand, is an error (exit code 2).
     """
     (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     sub = subparsers.choices[command]
     actions = {opt: a for a in sub._actions for opt in a.option_strings}
+    try:
+        pairs = _parse_config_file(path)
+    except OSError as exc:
+        sub.error(f"cannot read config file {path}: {exc.strerror}")
     argv = []
-    for key, val in _parse_config_file(path).items():
+    for key, val in pairs.items():
         flag = "--" + key.replace("_", "-")
         action = actions.get(flag)
         if action is None or action.dest in ("config", "help"):

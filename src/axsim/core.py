@@ -7,7 +7,10 @@ from __future__ import annotations
 
 import numbers
 import operator
+import struct
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -39,7 +42,7 @@ class ModelParams:
             raise InvalidInput(f"F must be >= 1, got {self.F}")
         if self.q < 2:
             raise InvalidInput(f"q must be >= 2, got {self.q}")
-        if self.q > 2 ** 63:  # states 0..q-1 must fit the int64 draws and the compiled loop
+        if self.q > 2 ** 63:  # states 0..q-1 must fit `Configuration.state`'s int64s
             raise InvalidInput(f"q must be <= 2**63, got {self.q}")
 
 
@@ -98,26 +101,58 @@ def _check_culture(c, params: ModelParams):
             raise InvalidInput(f"feature state {v} outside 0..{params.q - 1}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Configuration:
+    """A culture per vertex, stored as one row-major int64 array `state`.
+
+    The constructor takes one Culture per vertex and checks it. States the
+    program made itself go through `_of`, which checks nothing. `cultures`,
+    the per-vertex tuples of Python ints, is built on first use and cached.
+    A value: equal, hashed and printed by its topology, params and cultures,
+    and never changed (`state` must not be mutated either).
+    """
     topology: Topology
     params: ModelParams
-    cultures: tuple  # one Culture per vertex
+    state: array  # V*F values: feature i of vertex v is state[v * F + i]
 
-    def __post_init__(self):
-        if len(self.cultures) != self.topology.n_vertices:
+    def __init__(self, topology: Topology, params: ModelParams, cultures):
+        if len(cultures) != topology.n_vertices:
             raise InvalidInput("one culture per vertex required")
-        # Bulk test first: every length is F and every distinct state is an
-        # integer in 0..q-1. Only a failing state pays for the per-culture
-        # loop, which finds the first fault and words its error. `int` comes
-        # first: an isinstance check against the ABC alone takes about 0.6 µs.
-        F, q = self.params.F, self.params.q
-        if set(map(len, self.cultures)) == {F} and all(
-                isinstance(v, (int, numbers.Integral)) and 0 <= v < q
-                for v in set(chain.from_iterable(self.cultures))):
-            return
-        for c in self.cultures:
-            _check_culture(c, self.params)
+        # Bulk test first: the cultures transpose into columns only where all
+        # have one length, V*F states pack only as int64s (`struct` refuses
+        # what is no integer), and their uint64 view stays below q only where
+        # every state lies in 0..q-1. Only a failing state pays for the
+        # per-culture loop, which finds the first fault and words its error.
+        try:
+            columns = struct.pack(f"{len(cultures) * params.F}q",
+                                  *chain.from_iterable(zip(*cultures, strict=True)))
+        except (TypeError, ValueError, struct.error):
+            columns = None
+        if columns is None or np.frombuffer(columns, np.uint64).max() >= params.q:
+            for c in cultures:
+                _check_culture(c, params)
+        state = array("q", np.frombuffer(columns, np.int64).reshape(params.F, -1).T.tobytes())
+        self.__dict__.update(topology=topology, params=params, state=state)
+
+    @classmethod
+    def _of(cls, topology: Topology, params: ModelParams, state: array) -> Configuration:
+        """The configuration holding `state`, which the program made: V*F
+        int64 values in 0..q-1. Nothing is checked or copied."""
+        cfg = cls.__new__(cls)
+        cfg.__dict__.update(topology=topology, params=params, state=state)
+        return cfg
+
+    @cached_property
+    def cultures(self) -> tuple:
+        """One Culture, a tuple of Python ints, per vertex."""
+        return tuple(zip(*[iter(self.state)] * self.params.F))
+
+    def __hash__(self):
+        return hash((self.topology, self.params, self.state.tobytes()))
+
+    def __repr__(self):
+        return (f"Configuration(topology={self.topology!r}, params={self.params!r}, "
+                f"cultures={self.cultures!r})")
 
 
 VOTER_ALPHABET = (0, 1)
@@ -182,9 +217,8 @@ def cvm_lift(cfg: OpinionConfig) -> Configuration:
 def random_config(params: ModelParams, topology: Topology, seed: int) -> Configuration:
     """Every feature of every vertex i.i.d. uniform on {0,...,q-1}."""
     rng = np.random.default_rng(seed)
-    arr = rng.integers(0, params.q, size=(topology.n_vertices, params.F))
-    cultures = tuple(map(tuple, arr.tolist()))  # Python ints, as event logs repr them
-    return Configuration(topology, params, cultures)
+    draw = rng.integers(0, params.q, size=topology.n_vertices * params.F)
+    return Configuration._of(topology, params, array("q", draw.tobytes()))
 
 
 def edge_overlap_count(cfg: Configuration, u: int, v: int) -> int:

@@ -317,7 +317,8 @@ def _culture_kernel(initial: Configuration, uniform, appenders, lifted: bool = F
     the coupled urn on that Generator after every event (`couple`).
     """
     F = initial.params.F
-    states = list(map(list, initial.cultures))
+    flat = initial.state.tolist()
+    states = [flat[k:k + F] for k in range(0, len(flat), F)]
     edge_a, edge_b, start, inc = _incidence(initial.topology)
     weight = [sum(map(operator.eq, states[a], states[b])) for a, b in zip(edge_a, edge_b)]
     counts = [0] * (F + 1)
@@ -392,8 +393,8 @@ def _culture_kernel(initial: Configuration, uniform, appenders, lifted: bool = F
     scale = 2 if lifted else 1
     return _Kernel(lambda: scale * (buckets.total / F), step, lambda: counts,
                    lambda: buckets.total == 0,
-                   lambda: Configuration(initial.topology, initial.params,
-                                         tuple(map(tuple, states))), urn)
+                   lambda: Configuration._of(initial.topology, initial.params,
+                                             array("q", chain.from_iterable(states))), urn)
 
 
 def _bump(weight, counts, buckets, e, d, F):
@@ -528,11 +529,10 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
         lifted = model == CVM
         cfg = cvm_lift(initial) if lifted else initial
         lib = _kernel_lib()
-        path = None
         if lib is not None:
             from ._ckernel import compiled_loop
             path = compiled_loop(lib, cfg, lifted, stop, rng, times, urn_rng)
-        if path is None:
+        else:
             path = _python_loop(partial(_culture_kernel, cfg, lifted=lifted, urn_rng=urn_rng),
                                 stop, rng, times)
 

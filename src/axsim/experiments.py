@@ -182,7 +182,7 @@ def _lemma5_replicate(config: ExperimentConfig, r: int) -> tuple[bool, bool]:
     init_seed, run_seed = replicate_seeds(config.master_seed, r)
     initial = random_config(ModelParams(config.F, config.q), config.make_topology(), init_seed)
     final = run_model(AXELROD, initial, StopRule(t_max=config.t_query), run_seed).final
-    fx, fy, fz = (final.cultures[v][0] for v in config.xyz)
+    fx, fy, fz = (final.state[v * config.F] for v in config.xyz)
     hit = fy != fx and fy != fz
     return hit, hit and fx == fz
 

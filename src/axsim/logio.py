@@ -9,6 +9,7 @@ from, and parsed into, the columns of an `EventTable`.
 from __future__ import annotations
 
 import os
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 
@@ -50,8 +51,9 @@ def atomic_write_text(path: str, text: str):
 def _initial_line(initial) -> str:
     if isinstance(initial, Configuration):
         # Each distinct state is formatted once; a culture is F values.
-        text = {v: str(v) for v in set(chain.from_iterable(initial.cultures))}
-        values = map(text.__getitem__, chain.from_iterable(initial.cultures))
+        state = initial.state
+        text = {v: str(v) for v in set(state)}
+        values = map(text.__getitem__, state)
         return ";".join(map(",".join, zip(*[values] * initial.params.F)))
     return ";".join(map(str, initial.opinions))
 
@@ -136,13 +138,18 @@ def _meta(meta: dict, key: str, parse, path: str):
         raise InvalidInput(f"{path}: bad '# {key}={meta[key]}': {exc}") from exc
 
 
-def _cultures(text: str, n_vertices: int, F: int) -> tuple:
+def _state(text: str, n_vertices: int, params: ModelParams) -> array:
+    """The '# initial=' value as a `Configuration.state`."""
     chunks = text.split(";")
-    if len(chunks) != n_vertices or set(map(str.count, chunks, repeat(","))) != {F - 1}:
-        raise ValueError(f"expected {n_vertices} cultures of {F} features")
+    if len(chunks) != n_vertices or set(map(str.count, chunks, repeat(","))) != {params.F - 1}:
+        raise ValueError(f"expected {n_vertices} cultures of {params.F} features")
     tokens = text.replace(";", ",").split(",")
     value = {tok: int(tok) for tok in set(tokens)}  # each distinct state parsed once
-    return tuple(zip(*[map(value.__getitem__, tokens)] * F))
+    values = list(map(value.__getitem__, tokens))
+    if not all(0 <= v < params.q for v in value.values()):
+        bad = next(v for v in values if not 0 <= v < params.q)
+        raise InvalidInput(f"feature state {bad} outside 0..{params.q - 1}")
+    return array("q", values)
 
 
 def load_event_log(path: str) -> LogBundle:
@@ -166,9 +173,8 @@ def load_event_log(path: str) -> LogBundle:
     end_time = _meta(meta, "end_time", float, path)
     if model == AXELROD:
         params = ModelParams(_meta(meta, "F", int, path), _meta(meta, "q", int, path))
-        cultures = _meta(meta, "initial", lambda v: _cultures(v, topo.n_vertices, params.F),
-                         path)
-        initial = Configuration(topo, params, cultures)
+        state = _meta(meta, "initial", lambda v: _state(v, topo.n_vertices, params), path)
+        initial = Configuration._of(topo, params, state)
         features = range(params.F)
     else:
         alphabet = VOTER_ALPHABET if model == VOTER else CVM_ALPHABET
@@ -198,13 +204,11 @@ def replay(initial, events, model: str, upto: float | None = None):
     if isinstance(initial, Configuration):
         if model != AXELROD:
             raise InvalidInput("culture replay needs the culture model")
-        # One list per feature, not one per vertex: F objects for the
-        # collector to track instead of one per vertex.
-        features = list(map(list, zip(*initial.cultures)))
+        F = initial.params.F
+        state = initial.state.tolist()
         for v, u, i in islice(zip(ev.target, ev.source, ev.copied_feature), n):
-            column = features[i]
-            column[v] = column[u]
-        return Configuration(initial.topology, initial.params, tuple(zip(*features)))
+            state[v * F + i] = state[u * F + i]
+        return Configuration._of(initial.topology, initial.params, array("q", state))
     ops = list(initial.opinions)
     for v, u in islice(zip(ev.target, ev.source), n):
         ops[v] = ops[u]

@@ -169,6 +169,14 @@ class TestConfigFile:
         assert exc.value.code == 2
         assert "replicats" in capsys.readouterr().err
 
+    def test_missing_file_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "absent" / "x.cfg"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(missing)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"cannot read config file {missing}" in err and "Traceback" not in err
+
     def test_key_of_another_subcommand_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("theta=0.5\n")

@@ -166,6 +166,12 @@ class TestBulkValidation:
                 InvalidInput, f"feature state {bad!r} is not an integer")
         Configuration(topo, params, ((np.int64(2), True), (np.int8(0), 1), (False, 2), (1, 1)))
 
+    def test_float_equal_to_a_present_int_is_refused(self):
+        # 0.0 == 0 and hash(0.0) == hash(0): a test on the distinct states misses it.
+        assert _error(lambda: Configuration(Topology("path", 3), ModelParams(2, 2),
+                                            ((0, 1), (0.0, 1), (1, 0)))) == (
+            InvalidInput, "feature state 0.0 is not an integer")
+
     @pytest.mark.parametrize("alphabet,opinions", [
         ((0, 1), (0, 1, 2, 1)), ((0, 1), (-1, 0, 0, 0)), ((0, 1), (1, 1, 0, 0.5)),
         ((-1, 0, 1), (0, 2, -2, 1)), ((-1, 0, 1), (1, 0, None, 0)),
