@@ -30,9 +30,9 @@ def _fields(ctype, names: str) -> list:
 class _Run(ctypes.Structure):
     """`struct axsim_run` of `_kernel.c`, field for field."""
     _fields_ = (_fields(ctypes.c_void_p, "bitgen")
-                + _fields(ctypes.c_int64, "F n_vertices n_edges")
+                + _fields(ctypes.c_int64, "F n_edges")
                 + _fields(ctypes.c_void_p, "state edge_a edge_b inc_start inc_edge")
-                + _fields(ctypes.c_int64, "lifted") + _fields(ctypes.c_double, "t_max")
+                + _fields(ctypes.c_double, "t_max")
                 + _fields(ctypes.c_int64, "max_events")
                 + _fields(ctypes.c_void_p, "snap_time") + _fields(ctypes.c_int64, "n_snap")
                 + _fields(ctypes.c_void_p, "snap_counts counts ev_time ev_target ev_source"
@@ -108,11 +108,10 @@ def _bitgen(rng) -> int:
     return _capsule_pointer(rng.bit_generator.capsule, b"BitGenerator")
 
 
-def compiled_loop(lib, cfg: Configuration, lifted: bool, stop: StopRule, rng, times: list,
-                  urn_rng) -> _Path:
+def compiled_loop(lib, cfg: Configuration, stop: StopRule, rng, times: list, urn_rng) -> _Path:
     """The culture loop in C, as `_python_loop` over `_culture_kernel(cfg,
-    lifted=lifted, urn_rng=urn_rng)`. It runs on a copy of `cfg.state`,
-    which becomes the final state."""
+    urn_rng=urn_rng)`. It runs on a copy of `cfg.state`, which becomes the
+    final state."""
     F = cfg.params.F
     state = cfg.state[:]
     topo = cfg.topology
@@ -122,9 +121,7 @@ def compiled_loop(lib, cfg: Configuration, lifted: bool, stop: StopRule, rng, ti
     counts = array("q", bytes(8 * (F + 1)))
     events = EventTable()
     columns = events.columns()
-    run = _Run(_bitgen(rng), F,
-               topo.n_vertices, topo.n_edges, _address(state),
-               *map(_address, incidence), int(lifted),
+    run = _Run(_bitgen(rng), F, topo.n_edges, _address(state), *map(_address, incidence),
                math.inf if stop.t_max is None else stop.t_max,
                min(stop.max_events if stop.max_events is not None else 2 ** 62, 2 ** 62),
                _address(snap_time), len(times), _address(snap_counts), _address(counts))

@@ -2,6 +2,8 @@
  * The culture model's run loop, compiled: the same trajectory as the Python
  * kernel in engine.py (`_culture_kernel` driven by `_python_loop`) for the
  * same Generator, bit for bit. `_ckernel.py` builds, loads and calls it.
+ * It runs the culture model only: `run_model` runs the CVM through it as
+ * the F=q=2 lift on a doubled clock and maps the results back itself.
  *
  * Identity rests on doing exactly what the Python code does:
  *  - draws: uniforms and Exp(1) variates in separate blocks taken from the end,
@@ -9,8 +11,8 @@
  *    `rng.standard_exponential(n)` call), block sizes doubling 16 -> 4096;
  *  - three uniforms per step (edge, orientation, feature), picked as int(u*k);
  *  - the same swap-remove order in the weight-class lists, the same incident
- *    edge order, and rate S/F (2*(S/2) on the CVM lift) in IEEE double, so
- *    this file must be compiled with -ffp-contract=off.
+ *    edge order, and rate S/F in IEEE double, so this file must be compiled
+ *    with -ffp-contract=off.
  *
  * With `urn_bitgen` set, the loop also steps the coupled urn after every
  * event, as the Python kernel's `couple` does: the urn's own generator picks
@@ -44,12 +46,11 @@ enum { FIRST_BLOCK = 16, MAX_BLOCK = 4096 };
 /* Field for field the `_Run` ctypes structure in _ckernel.py. */
 struct axsim_run {
     bitgen_t *bitgen;
-    int64_t F, n_vertices, n_edges;
-    int64_t *state;              /* n_vertices x F cultures, updated in place */
+    int64_t F, n_edges;
+    int64_t *state;              /* V x F cultures, updated in place */
     const int64_t *edge_a, *edge_b;
     const int64_t *inc_start;    /* vertex x's edges: inc_edge[inc_start[x]..inc_start[x+1]) */
     const int64_t *inc_edge;
-    int64_t lifted;              /* CVM lift: rate 2*(S/2); log feature -1 and delta_w 1 */
     double t_max;                /* INFINITY when unbounded */
     int64_t max_events;
     const double *snap_time;     /* sorted */
@@ -240,10 +241,11 @@ static void couple(struct axsim_run *r, int64_t delta)
     r->urn_pot_viol += B[0] > 0 && r->urn_beta < F * (r->n_edges - w0) - r->urn_W;
 }
 
-/* Record the census at every pending snapshot time <= upto (left limits). */
-static void flush(struct axsim_run *r, double upto)
+/* Record the census at every pending snapshot time <= t (left limits); the
+ * caller takes those after the last event from the final counts. */
+static void flush(struct axsim_run *r)
 {
-    while (r->n_snap_done < r->n_snap && r->snap_time[r->n_snap_done] <= upto) {
+    while (r->n_snap_done < r->n_snap && r->snap_time[r->n_snap_done] <= r->t) {
         memcpy(r->snap_counts + r->n_snap_done * (r->F + 1), r->counts,
                (size_t)(r->F + 1) * sizeof(int64_t));
         r->n_snap_done += 1;
@@ -266,18 +268,14 @@ int64_t axsim_culture_run(struct axsim_run *r)
         const int64_t S = r->total;
         if (S == 0 || r->n_events >= r->max_events)
             break;
-        double rate = (double)S / (double)F;
-        if (r->lifted)
-            rate = 2.0 * rate;
+        const double rate = (double)S / (double)F;
         double t_next = r->t + draw(r->bitgen, &w->e, 0) / rate;
         if (t_next > r->t_max) {
-            flush(r, r->t_max);
             r->t = r->t_max;
             break;
         }
         r->t = t_next;
-        if (r->n_snap_done < r->n_snap && r->t >= r->snap_time[r->n_snap_done])
-            flush(r, r->t);
+        flush(r);
 
         /* Class j with probability j*n_j/S, then uniform within the class. */
         int64_t x = (int64_t)(draw(r->bitgen, &w->u, 1) * (double)S);
@@ -319,8 +317,8 @@ int64_t axsim_culture_run(struct axsim_run *r)
         r->ev_time[n] = r->t;
         r->ev_target[n] = v;
         r->ev_source[n] = u;
-        r->ev_feature[n] = r->lifted ? -1 : feat;
-        r->ev_delta[n] = r->lifted ? 1 : delta;
+        r->ev_feature[n] = feat;
+        r->ev_delta[n] = delta;
         if (r->urn_bitgen != NULL)
             couple(r, delta);
     }

@@ -184,8 +184,9 @@ def voter_projection(cfg: Configuration) -> OpinionConfig:
     """
     if cfg.params.F != 2 or cfg.params.q != 2:
         raise UnsupportedProjection("voter projection requires F = q = 2")
-    ops = tuple(abs(c[0] - c[1]) for c in cfg.cultures)
-    return OpinionConfig(cfg.topology, ops, VOTER_ALPHABET)
+    s = cfg.state
+    return OpinionConfig(cfg.topology, tuple(map(abs, map(operator.sub, s[::2], s[1::2]))),
+                         VOTER_ALPHABET)
 
 
 _CVM_MAP = {(0, 0): 0, (1, 1): 0, (0, 1): 1, (1, 0): -1}
@@ -200,8 +201,9 @@ def cvm_projection(cfg: Configuration) -> OpinionConfig:
     """
     if cfg.params.F != 2 or cfg.params.q != 2:
         raise UnsupportedProjection("cvm projection requires F = q = 2")
-    ops = tuple(_CVM_MAP[c] for c in cfg.cultures)
-    return OpinionConfig(cfg.topology, ops, CVM_ALPHABET)
+    s = cfg.state
+    return OpinionConfig(cfg.topology, tuple(map(_CVM_MAP.__getitem__, zip(s[::2], s[1::2]))),
+                         CVM_ALPHABET)
 
 
 def cvm_lift(cfg: OpinionConfig) -> Configuration:
@@ -210,12 +212,20 @@ def cvm_lift(cfg: OpinionConfig) -> Configuration:
     Every centrist lifts to (0,0), so a (1,1) culture never arises: the only
     edge that could make one, (0,1)-(1,0), shares no feature and never fires.
     """
-    return Configuration(cfg.topology, ModelParams(2, 2),
-                         tuple(_CVM_LIFT[o] for o in cfg.opinions))
+    state = array("q", chain.from_iterable(map(_CVM_LIFT.__getitem__, cfg.opinions)))
+    return Configuration._of(cfg.topology, ModelParams(2, 2), state)
+
+
+def check_seed(seed):
+    """Raise InvalidInput unless `seed` is an integer >= 0."""
+    # An int skips the slower ABC check of `numbers.Integral`.
+    if not (type(seed) is int or isinstance(seed, numbers.Integral)) or seed < 0:
+        raise InvalidInput(f"seed must be an integer >= 0, got {seed}")
 
 
 def random_config(params: ModelParams, topology: Topology, seed: int) -> Configuration:
     """Every feature of every vertex i.i.d. uniform on {0,...,q-1}."""
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     draw = rng.integers(0, params.q, size=topology.n_vertices * params.F)
     return Configuration._of(topology, params, array("q", draw.tobytes()))

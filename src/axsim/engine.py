@@ -13,9 +13,12 @@ tracks S = sum_j j*n_j, so the total rate is S/F and a run is absorbed
 exactly when S == 0. One step picks class j with probability j*n_j/S, then a
 uniform edge in that class, a uniform orientation and a uniform disagreeing
 feature; every step is an accepted event. The CVM runs as this kernel on
-its F=q=2 lift (`cvm_lift`) at twice the rate, so every active edge fires at
-rate 1; `run_model` alone lifts its initial state and projects the lift's
-census counts and final state back to opinions. The voter kernel picks a
+its F=q=2 lift (`cvm_lift`), where an active edge fires at rate 1/2, on a
+doubled clock: `run_model` doubles the times it hands the loop and halves
+those it gets back, which is exact in binary floating point, so each active
+edge fires at rate 1. `run_model` alone knows the lift: it also logs the
+lift's events as opinion events and projects the lift's census counts and
+final state back to opinions. The voter kernel picks a
 uniform vertex and a uniform neighbor at total rate V. One event loop
 (`_python_loop`) draws the waiting times, owns the stop rule and takes the
 raw census counts at the snapshot times it passes; each step appends its
@@ -66,6 +69,7 @@ from .core import (
     InvalidInput,
     OpinionConfig,
     Topology,
+    check_seed,
     cvm_lift,
     cvm_projection,
     edge_overlap_count,
@@ -307,14 +311,11 @@ def _incidence(topo: Topology):
             start, array("q", chain.from_iterable(incident)))
 
 
-def _culture_kernel(initial: Configuration, uniform, appenders, lifted: bool = False,
-                    urn_rng=None) -> _Kernel:
+def _culture_kernel(initial: Configuration, uniform, appenders, urn_rng=None) -> _Kernel:
     """An edge of weight j fires at rate j/F; classes 1..F-1 hold the active edges.
 
-    `lifted` runs the CVM's F=q=2 lift at twice the rate, so an active edge
-    fires at rate 1 (2 * (S/2) == S exactly), and logs opinion events:
-    copied_feature -1 and delta_w 1. With `urn_rng`, the kernel also steps
-    the coupled urn on that Generator after every event (`couple`).
+    With `urn_rng`, the kernel also steps the coupled urn on that Generator
+    after every event (`couple`).
     """
     F = initial.params.F
     flat = initial.state.tolist()
@@ -327,9 +328,6 @@ def _culture_kernel(initial: Configuration, uniform, appenders, lifted: bool = F
     buckets = _Buckets([w if w < F else 0 for w in weight], F - 1)
     pick = buckets.pick
     add_time, add_target, add_source, add_feature, add_delta = appenders
-    if lifted:
-        log_feature, log_delta = add_feature, add_delta
-        add_feature, add_delta = lambda _: log_feature(-1), lambda _: log_delta(1)
 
     def step(t):
         e = pick(uniform())
@@ -390,8 +388,7 @@ def _culture_kernel(initial: Configuration, uniform, appenders, lifted: bool = F
         def urn():
             return tuple(boxes), b0_viol, pot_viol, beta, W
 
-    scale = 2 if lifted else 1
-    return _Kernel(lambda: scale * (buckets.total / F), step, lambda: counts,
+    return _Kernel(lambda: buckets.total / F, step, lambda: counts,
                    lambda: buckets.total == 0,
                    lambda: Configuration._of(initial.topology, initial.params,
                                              array("q", chain.from_iterable(states))), urn)
@@ -515,33 +512,41 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
     after consensus). A culture run that absorbs, and so reaches rate 0,
     before `t_max` is reported up to `t_max`.
 
-    The CVM runs as culture dynamics on its F=q=2 lift; this function lifts
-    its initial state and projects the lift's census, snapshots and final
-    state back to opinions.
+    The CVM runs as culture dynamics on its F=q=2 lift, on a doubled clock;
+    this function lifts its initial state, doubles the times it hands the
+    loop, and maps the lift's events, census, snapshots and final state back
+    to the CVM (see the module docstring).
     """
     check_run(model, stop, snapshot_times, attach_urn)
     _check_initial(model, initial)
+    check_seed(seed)
     times = sorted(snapshot_times)
     rng, urn_rng = _rng_pair(seed, attach_urn)
     if model == VOTER:
         path = _python_loop(partial(_voter_kernel, initial), stop, rng, times)
     else:
-        lifted = model == CVM
-        cfg = cvm_lift(initial) if lifted else initial
+        cfg, loop_stop, loop_times = initial, stop, times
+        if model == CVM:  # where 2 * t_max overflows, the lift stops at absorption (rate 0)
+            cfg, loop_times = cvm_lift(initial), [2 * s for s in times]
+            t_max = 2 * stop.t_max if stop.t_max is not None else math.inf
+            loop_stop = StopRule(t_max if t_max < math.inf else None, stop.max_events, True)
         lib = _kernel_lib()
         if lib is not None:
             from ._ckernel import compiled_loop
-            path = compiled_loop(lib, cfg, lifted, stop, rng, times, urn_rng)
+            path = compiled_loop(lib, cfg, loop_stop, rng, loop_times, urn_rng)
         else:
-            path = _python_loop(partial(_culture_kernel, cfg, lifted=lifted, urn_rng=urn_rng),
-                                stop, rng, times)
+            path = _python_loop(partial(_culture_kernel, cfg, urn_rng=urn_rng),
+                                loop_stop, rng, loop_times)
 
-    final, counts, taken = path.final, path.counts, path.snapshots
-    if model == CVM:  # opinion census: (w_0 + w_1, w_2) of the lift's
+    final, counts, taken, end_time = path.final, path.counts, path.snapshots, path.t
+    if model == CVM:  # opinion events and census, (w_0 + w_1, w_2) of the lift's
+        ev, n = path.events, len(path.events)
+        ev.time = array("d", [t / 2 for t in ev.time])
+        ev.copied_feature, ev.delta_w = array("q", [-1]) * n, array("q", [1]) * n
+        end_time /= 2
         E = initial.topology.n_edges
         counts, *taken = [(E - c[2], c[2]) for c in (counts, *taken)]
         final = OpinionConfig(initial.topology, cvm_projection(final).opinions, initial.alphabet)
-    end_time = path.t
     if path.absorbed and model != VOTER and stop.t_max is not None and not stop.stop_on_absorption:
         end_time = stop.t_max  # the rate is 0: the state holds until t_max
     # The times after the last event see the final state; once absorbed, all of them do.

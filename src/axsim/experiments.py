@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -17,7 +16,7 @@ from time import perf_counter
 import numpy as np
 
 from . import bounds as bounds_mod
-from .core import InvalidInput, ModelParams, OpinionConfig, Topology, random_config
+from .core import InvalidInput, ModelParams, OpinionConfig, Topology, check_seed, random_config
 from .duality import arrow_log_from_trajectory, check_voter_duality
 from .engine import AXELROD, VOTER, StopRule, check_run, check_times, replicate_seeds, run_model
 from .logio import atomic_write_text, event_log_text, final_stats_row
@@ -58,8 +57,7 @@ class ExperimentConfig:
             raise InvalidInput("workers must be >= 1")
         if self.kind in REPLICATED_KINDS and self.replicates < 1:
             raise InvalidInput("replicates must be >= 1")
-        if not (isinstance(self.master_seed, numbers.Integral) and self.master_seed >= 0):
-            raise InvalidInput(f"seed must be an integer >= 0, got {self.master_seed}")
+        check_seed(self.master_seed)
         check_times(self.snapshot_times, "snapshot times")
         if self.t_query is not None:
             check_times((self.t_query,), "time t")
@@ -74,6 +72,8 @@ class ExperimentConfig:
             ModelParams(self.F, self.q)
             self.make_topology()
             check_run(self.model, self.stop_rule(), self.snapshot_times, self.attach_urn)
+            if self.model != AXELROD and (self.F, self.q) != (2, 2):
+                raise InvalidInput(f"{self.model} takes no F or q")
             if self.max_events is not None and self.snapshot_times:
                 # A run cut by its event count may stop before any of them.
                 raise InvalidInput("snapshot times cannot be combined with max_events")

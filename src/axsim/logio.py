@@ -13,6 +13,8 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
 
+import numpy as np
+
 from .core import (
     Configuration,
     InvalidInput,
@@ -22,7 +24,7 @@ from .core import (
     CVM_ALPHABET,
     VOTER_ALPHABET,
 )
-from .engine import AXELROD, MODELS, VOTER
+from .engine import AXELROD, MODELS, VOTER, _check_initial
 from .events import EventTable
 # `edge_census` and `count_domains` stay importable from here by name: the
 # benchmark's tracer wraps them as the census layer.
@@ -194,17 +196,32 @@ def load_event_log(path: str) -> LogBundle:
                      bool(_meta(meta, "absorbed", int, path)), _meta(meta, "seed", int, path))
 
 
+def _within(column, n: int, stop: int) -> bool:
+    """Whether the first n values of an int64 column lie in 0..stop-1. The
+    numpy view, which pins the column's size, ends with this frame."""
+    values = np.frombuffer(column, np.int64)[:n]
+    return not n or bool(values.min() >= 0 and values.max() < stop)
+
+
 def replay(initial, events, model: str, upto: float | None = None):
     """Re-apply recorded events, up to the first one with time > upto;
-    returns the resulting state."""
+    returns the resulting state. The state must be one `model` runs on, and
+    each applied event must name vertices, and on a culture state a
+    feature, of that state; otherwise InvalidInput."""
+    if model not in MODELS:
+        raise InvalidInput(f"unknown model {model!r}")
+    _check_initial(model, initial)
     ev = EventTable.of(events)
     n = len(ev)
     if upto is not None:
         n = next((k for k, t in enumerate(ev.time) if t > upto), n)
-    if isinstance(initial, Configuration):
-        if model != AXELROD:
-            raise InvalidInput("culture replay needs the culture model")
+    V = initial.topology.n_vertices
+    if not (_within(ev.target, n, V) and _within(ev.source, n, V)):
+        raise InvalidInput(f"replayed event names a vertex outside 0..{V - 1}")
+    if model == AXELROD:
         F = initial.params.F
+        if not _within(ev.copied_feature, n, F):
+            raise InvalidInput(f"replayed event names a feature outside 0..{F - 1}")
         state = initial.state.tolist()
         for v, u, i in islice(zip(ev.target, ev.source, ev.copied_feature), n):
             state[v * F + i] = state[u * F + i]

@@ -5,12 +5,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .core import (
     Configuration,
     InvalidInput,
     OpinionConfig,
     UnsupportedTopology,
-    edge_overlap_count,
     is_absorbed,
 )
 from .events import EventTable
@@ -40,10 +41,12 @@ def census_from_counts(counts) -> EdgeCensus:
 def edge_census(cfg) -> EdgeCensus:
     """Count j-edges; for opinion configurations weight is agree (1) / disagree (0)."""
     if isinstance(cfg, Configuration):
+        # Row v against row v+1, the last row against the first: the edges
+        # (v, v+1) of a path, and of a cycle with its closing edge.
         F = cfg.params.F
-        counts = [0] * (F + 1)
-        for u, v in cfg.topology.edges():
-            counts[edge_overlap_count(cfg, u, v)] += 1
+        rows = np.frombuffer(cfg.state, np.int64).reshape(-1, F)
+        weights = (rows == np.roll(rows, -1, axis=0))[:cfg.topology.n_edges].sum(axis=1)
+        counts = np.bincount(weights, minlength=F + 1)
     elif isinstance(cfg, OpinionConfig):
         counts = [0, 0]
         for u, v in cfg.topology.edges():

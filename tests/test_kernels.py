@@ -119,6 +119,33 @@ def test_long_runs_grow_the_columns_and_classes_alike(lib):
     assert repr(got) == repr(want)
 
 
+# The `repr` of this run when the loops still ran the lift at twice its
+# rate. Here 2 * t_max overflows, so the lift runs with no bound on its
+# doubled clock; the run must not change.
+CVM_AT_1E308 = (
+    "Trajectory(model='cvm', initial=OpinionConfig(topology=Topology(kind='path', size=5), "
+    "opinions=(0, 1, -1, -1, 0), alphabet=(-1, 0, 1)), events=EventTable(["
+    "UpdateEvent(time=0.3273650109057283, target=3, source=4, copied_feature=-1, delta_w=1), "
+    "UpdateEvent(time=0.36087479418684903, target=2, source=3, copied_feature=-1, delta_w=1), "
+    "UpdateEvent(time=0.45460289653877783, target=1, source=0, copied_feature=-1, delta_w=1)]), "
+    "snapshots=[Snapshot(time=0.25, census=EdgeCensus(counts=(3, 1), total_agreement=1), "
+    "domains=DomainStats(domain_count=4, mean_size=Fraction(5, 4))), "
+    "Snapshot(time=1e+308, census=EdgeCensus(counts=(0, 4), total_agreement=4), "
+    "domains=DomainStats(domain_count=1, mean_size=Fraction(5, 1)))], "
+    "final=OpinionConfig(topology=Topology(kind='path', size=5), opinions=(0, 0, 0, 0, 0), "
+    "alphabet=(-1, 0, 1)), absorbed=True, end_time=1e+308, seed=5, "
+    "final_census=EdgeCensus(counts=(0, 4), total_agreement=4), urn_final=None, "
+    "urn_b0_violations=0, urn_potential_violations=0)")
+
+
+@pytest.mark.parametrize("loop", ["compiled", "python"])
+def test_cvm_run_whose_doubled_t_max_overflows(request, loop):
+    lib = request.getfixturevalue("lib") if loop == "compiled" else None
+    init = OpinionConfig(Topology("path", 5), (0, 1, -1, -1, 0), (-1, 0, 1))
+    traj = run_on(lib, "cvm", init, StopRule(t_max=1e308), 5, snapshot_times=(0.25, 1e308))
+    assert repr(traj) == CVM_AT_1E308
+
+
 @pytest.mark.parametrize("loop", ["compiled", "python"])
 def test_urn_potential_and_agreement_match_the_final_state(request, loop):
     """The running beta and W each loop keeps for the potential check equal
@@ -138,7 +165,7 @@ def test_urn_potential_and_agreement_match_the_final_state(request, loop):
                         kernel = partial(engine._culture_kernel, cfg, urn_rng=urn_rng)
                         path = engine._python_loop(kernel, stop, rng, [])
                     else:
-                        path = _ckernel.compiled_loop(lib, cfg, False, stop, rng, [], urn_rng)
+                        path = _ckernel.compiled_loop(lib, cfg, stop, rng, [], urn_rng)
                     boxes, _, _, beta, W = path.urn
                     assert beta == sum((F - j) * boxes[j] for j in range(1, F + 1))
                     assert W == edge_census(path.final).total_agreement
@@ -166,11 +193,16 @@ def _c_struct_fields(source: str, name: str) -> list:
 
 def test_run_struct_matches_its_ctypes_mirror():
     """`_Run` must mirror `struct axsim_run` field for field: a field out of
-    step fails here by name instead of corrupting a run."""
+    step fails here by name instead of corrupting a run. Every field must
+    also be read or written as `r->field` in the loop, so a field that only
+    Python sets fails here too."""
     with open(_ckernel._KERNEL_C) as fh:
-        fields = _c_struct_fields(fh.read(), "axsim_run")
+        source = fh.read()
+    fields = _c_struct_fields(source, "axsim_run")
     assert fields == list(_ckernel._Run._fields_)
     assert len(fields) > 20
+    used = set(re.findall(r"\br->(\w+)", source))
+    assert [name for name, _ in fields if name not in used] == []
 
 
 def test_voter_runs_stay_in_python(lib):

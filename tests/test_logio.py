@@ -99,6 +99,32 @@ class TestReplay:
         with pytest.raises(InvalidInput):
             replay(cfg, traj.events, "voter")
 
+    @pytest.mark.parametrize("event,fault", [
+        (UpdateEvent(0.1, 0, 1, 5, 1), "feature outside 0..1"),  # would copy into vertex 2
+        (UpdateEvent(0.1, 0, 1, -1, 1), "feature outside 0..1"),  # would overwrite vertex 3
+        (UpdateEvent(0.1, 9, 1, 0, 1), "vertex outside 0..3"),
+        (UpdateEvent(0.1, 0, -1, 0, 1), "vertex outside 0..3"),
+    ], ids=["feature-5", "feature--1", "target-9", "source--1"])
+    def test_culture_replay_refuses_rows_outside_the_state(self, event, fault):
+        cfg = random_config(ModelParams(2, 3), Topology("path", 4), 1)
+        ok = UpdateEvent(0.05, 1, 0, 1, 1)
+        with pytest.raises(InvalidInput, match=fault):
+            replay(cfg, [ok, event], "axelrod")
+        # Only applied rows are checked: a faulty row after `upto` is never read.
+        assert replay(cfg, [ok, event], "axelrod", upto=0.05) == replay(cfg, [ok], "axelrod")
+
+    def test_opinion_replay_refuses_vertices_outside_the_state(self):
+        init = OpinionConfig(Topology("cycle", 5), (0, 1, 0, 1, 1), (0, 1))
+        with pytest.raises(InvalidInput, match="vertex outside 0..4"):
+            replay(init, [UpdateEvent(0.1, 5, 4, -1, 1)], "voter")
+
+    @pytest.mark.parametrize("model", ["axelrod", "cvm", "nonsense"])
+    def test_opinion_replay_needs_its_own_model(self, model):
+        init = OpinionConfig(Topology("path", 4), (0, 1, 1, 0), (0, 1))
+        with pytest.raises(InvalidInput):
+            replay(init, [UpdateEvent(0.1, 0, 1, -1, 1)], model)
+        assert replay(init, [UpdateEvent(0.1, 0, 1, -1, 1)], "voter").opinions == (1, 1, 1, 0)
+
 
 class TestCsvArtifacts:
     def test_event_log_header_and_meta(self):

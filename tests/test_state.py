@@ -16,6 +16,7 @@ from axsim import (
     Configuration,
     ExperimentConfig,
     ModelParams,
+    OpinionConfig,
     StopRule,
     Topology,
     random_config,
@@ -149,6 +150,28 @@ class TestNoTuplesOnHotPaths:
         (traj,) = trajs
         assert len(traj.events) > 0
         assert _built_tuples(traj.initial, traj.final) == []
+
+    def test_rounds_replicate(self, monkeypatch):
+        drawn = []
+        draw = experiments.random_config
+        monkeypatch.setattr(experiments, "random_config",
+                            lambda *a: drawn.append(draw(*a)) or drawn[-1])
+        config = ExperimentConfig(kind="urn-rounds", F=2, q=4, N=500, replicates=1)
+        row = experiments._rounds_replicate(config, 0)
+        (initial,) = drawn
+        assert sum(row["initial_boxes"]) == 500
+        assert _built_tuples(initial) == []
+
+    def test_cvm_run(self, kernel, monkeypatch):
+        """Neither the lift nor the lift's final state builds tuples."""
+        lifted = []  # the lift, then the lift's final state
+        lift, project = engine.cvm_lift, engine.cvm_projection
+        monkeypatch.setattr(engine, "cvm_lift", lambda ops: lifted.append(lift(ops)) or lifted[-1])
+        monkeypatch.setattr(engine, "cvm_projection", lambda cfg: lifted.append(cfg) or project(cfg))
+        init = OpinionConfig(Topology("cycle", 40), (-1, 0, 1, 0) * 10, (-1, 0, 1))
+        traj = run_model("cvm", init, StopRule(t_max=5.0), SEED)
+        assert len(traj.events) > 0 and len(lifted) == 2
+        assert _built_tuples(*lifted) == []
 
     def test_event_log_round_trip(self, kernel, tmp_path):
         initial = random_config(ModelParams(3, 12), Topology("path", 60), 3)

@@ -18,6 +18,7 @@ from axsim import (
     random_config,
     run_model,
 )
+from axsim.core import edge_overlap_count
 from axsim.logio import replay
 
 
@@ -35,6 +36,18 @@ class TestEdgeCensus:
     def test_direct_count(self):
         census = edge_census(make_cfg("path", [(1, 1), (1, 2), (2, 2)], 2, 3))
         assert census.counts[1] == 2 and census.total_agreement == 2
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    def test_counts_each_edge_as_the_per_edge_overlap_does(self, kind):
+        for F, q, V in [(1, 2, 3), (2, 2, 4), (2, 4, 501), (3, 12, 30), (5, 3, 7)]:
+            for seed in range(5):
+                cfg = random_config(ModelParams(F, q), Topology(kind, V), seed)
+                want = [0] * (F + 1)
+                for u, v in cfg.topology.edges():
+                    want[edge_overlap_count(cfg, u, v)] += 1
+                census = edge_census(cfg)
+                assert census.counts == tuple(want)
+                assert all(type(c) is int for c in census.counts)
 
     def test_conservation(self):
         for seed in range(10):
