@@ -19,7 +19,7 @@ from array import array
 import numpy as np
 
 from .core import Configuration
-from .engine import StopRule, _incidence, _Path
+from .engine import StopRule, _Path
 from .events import EventTable
 
 
@@ -30,8 +30,8 @@ def _fields(ctype, names: str) -> list:
 class _Run(ctypes.Structure):
     """`struct axsim_run` of `_kernel.c`, field for field."""
     _fields_ = (_fields(ctypes.c_void_p, "bitgen")
-                + _fields(ctypes.c_int64, "F n_edges")
-                + _fields(ctypes.c_void_p, "state edge_a edge_b inc_start inc_edge")
+                + _fields(ctypes.c_int64, "F n_edges cycle")
+                + _fields(ctypes.c_void_p, "state")
                 + _fields(ctypes.c_double, "t_max")
                 + _fields(ctypes.c_int64, "max_events")
                 + _fields(ctypes.c_void_p, "snap_time") + _fields(ctypes.c_int64, "n_snap")
@@ -115,13 +115,12 @@ def compiled_loop(lib, cfg: Configuration, stop: StopRule, rng, times: list, urn
     F = cfg.params.F
     state = cfg.state[:]
     topo = cfg.topology
-    incidence = _incidence(topo)
     snap_time = array("d", times)
     snap_counts = array("q", bytes(8 * len(times) * (F + 1)))
     counts = array("q", bytes(8 * (F + 1)))
     events = EventTable()
     columns = events.columns()
-    run = _Run(_bitgen(rng), F, topo.n_edges, _address(state), *map(_address, incidence),
+    run = _Run(_bitgen(rng), F, topo.n_edges, topo.kind == "cycle", _address(state),
                math.inf if stop.t_max is None else stop.t_max,
                min(stop.max_events if stop.max_events is not None else 2 ** 62, 2 ** 62),
                _address(snap_time), len(times), _address(snap_counts), _address(counts))

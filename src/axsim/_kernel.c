@@ -10,9 +10,13 @@
  *    refilled lazily by numpy's own fill functions (what `rng.random(n)` and
  *    `rng.standard_exponential(n)` call), block sizes doubling 16 -> 4096;
  *  - three uniforms per step (edge, orientation, feature), picked as int(u*k);
- *  - the same swap-remove order in the weight-class lists, the same incident
- *    edge order, and rate S/F in IEEE double, so this file must be compiled
- *    with -ffp-contract=off.
+ *  - the same lattice: edge e joins vertices e and e+1, taken mod V on a
+ *    cycle (E = V edges; a path has E = V-1). The target v of an event on
+ *    edge e has at most one other edge: e-1, with far end v-1, where v == e,
+ *    and e+1, with far end v+1, otherwise; both wrap on a cycle, and on a
+ *    path the edge exists only inside 0..E-1. The fired edge is bumped first;
+ *  - the same swap-remove order in the weight-class lists, and rate S/F in
+ *    IEEE double, so this file must be compiled with -ffp-contract=off.
  *
  * With `urn_bitgen` set, the loop also steps the coupled urn after every
  * event, as the Python kernel's `couple` does: the urn's own generator picks
@@ -47,10 +51,8 @@ enum { FIRST_BLOCK = 16, MAX_BLOCK = 4096 };
 struct axsim_run {
     bitgen_t *bitgen;
     int64_t F, n_edges;
+    int64_t cycle;               /* 1 on a cycle (V = n_edges), 0 on a path (V = n_edges+1) */
     int64_t *state;              /* V x F cultures, updated in place */
-    const int64_t *edge_a, *edge_b;
-    const int64_t *inc_start;    /* vertex x's edges: inc_edge[inc_start[x]..inc_start[x+1]) */
-    const int64_t *inc_edge;
     double t_max;                /* INFINITY when unbounded */
     int64_t max_events;
     const double *snap_time;     /* sorted */
@@ -78,7 +80,7 @@ struct draws {
 };
 
 struct work {
-    int64_t *weight, *cls, *pos, *disagree;
+    int64_t *weight, *pos, *disagree;
     int64_t **items, *len, *room;  /* class j's edges: items[j][0..len[j]) */
     struct draws u, e;
 };
@@ -108,17 +110,15 @@ void axsim_culture_free(struct axsim_run *r)
     free(w->len);
     free(w->room);
     free(w->weight);
-    free(w->cls);
     free(w->pos);
     free(w->disagree);
     free(w);
     r->work = NULL;
 }
 
-/* Edge e to class c (0: absent), as `_Buckets.move`. */
-static int move(struct axsim_run *r, struct work *w, int64_t e, int64_t c)
+/* Edge e from class old to class c (0: absent), as `_Buckets.move`. */
+static int move(struct axsim_run *r, struct work *w, int64_t e, int64_t old, int64_t c)
 {
-    int64_t old = w->cls[e];
     if (c == old)
         return 0;
     if (old) {
@@ -141,7 +141,6 @@ static int move(struct axsim_run *r, struct work *w, int64_t e, int64_t c)
         w->pos[e] = w->len[c];
         w->items[c][w->len[c]++] = e;
     }
-    w->cls[e] = c;
     r->total += c - old;
     return 0;
 }
@@ -149,36 +148,35 @@ static int move(struct axsim_run *r, struct work *w, int64_t e, int64_t c)
 /* Weight of edge e by d, as `_bump`. */
 static int bump(struct axsim_run *r, struct work *w, int64_t e, int64_t d)
 {
-    r->counts[w->weight[e]] -= 1;
-    int64_t wt = w->weight[e] += d;
+    const int64_t old = w->weight[e];
+    r->counts[old] -= 1;
+    const int64_t wt = w->weight[e] = old + d;
     r->counts[wt] += 1;
-    return move(r, w, e, wt < r->F ? wt : 0);
+    return move(r, w, e, old < r->F ? old : 0, wt < r->F ? wt : 0);
 }
 
 static int start(struct axsim_run *r)
 {
-    const int64_t F = r->F, E = r->n_edges;
+    const int64_t F = r->F, E = r->n_edges, V = r->cycle ? E : E + 1;
     struct work *w = calloc(1, sizeof *w);
     if (w == NULL)
         return -1;
     r->work = w;
     w->weight = malloc((size_t)E * sizeof(int64_t));  /* a path or cycle has E >= 1 */
-    w->cls = malloc((size_t)E * sizeof(int64_t));
     w->pos = malloc((size_t)E * sizeof(int64_t));
     w->disagree = malloc((size_t)F * sizeof(int64_t));
     w->items = calloc((size_t)F, sizeof(int64_t *));
     w->len = calloc((size_t)F, sizeof(int64_t));
     w->room = calloc((size_t)F, sizeof(int64_t));
-    if (!w->weight || !w->cls || !w->pos || !w->disagree || !w->items || !w->len || !w->room)
+    if (!w->weight || !w->pos || !w->disagree || !w->items || !w->len || !w->room)
         return -1;
     memset(r->counts, 0, (size_t)(F + 1) * sizeof(int64_t));
     for (int64_t e = 0; e < E; e++) {
-        const int64_t *sa = r->state + r->edge_a[e] * F, *sb = r->state + r->edge_b[e] * F;
+        const int64_t *sa = r->state + e * F, *sb = r->state + (e + 1) % V * F;
         int64_t wt = 0;
         for (int64_t i = 0; i < F; i++)
             wt += sa[i] == sb[i];
         w->weight[e] = wt;
-        w->cls[e] = wt < F ? wt : 0;
         r->counts[wt] += 1;
     }
     for (int64_t j = 1; j < F; j++) {
@@ -189,7 +187,7 @@ static int start(struct axsim_run *r)
     }
     r->total = 0;
     for (int64_t e = 0; e < E; e++) {
-        int64_t c = w->cls[e];
+        const int64_t c = w->weight[e] < F ? w->weight[e] : 0;
         if (c) {
             w->pos[e] = w->len[c];
             w->items[c][w->len[c]++] = e;
@@ -259,7 +257,7 @@ int64_t axsim_culture_run(struct axsim_run *r)
         return AXSIM_NOMEM;
     }
     struct work *w = r->work;
-    const int64_t F = r->F;
+    const int64_t F = r->F, E = r->n_edges, V = r->cycle ? E : E + 1;
     int64_t *state = r->state;
 
     for (;;) {
@@ -285,10 +283,10 @@ int64_t axsim_culture_run(struct axsim_run *r)
             j += 1;
         }
         const int64_t e = w->items[j][x / j];
-        int64_t u = r->edge_a[e], v = r->edge_b[e];
+        int64_t u = e, v = e + 1 < V ? e + 1 : 0;
         if (!(draw(r->bitgen, &w->u, 1) < 0.5)) {
-            u = r->edge_b[e];
-            v = r->edge_a[e];
+            u = v;
+            v = e;
         }
         int64_t *su = state + u * F, *sv = state + v * F;
         int64_t k = 0;
@@ -300,11 +298,12 @@ int64_t axsim_culture_run(struct axsim_run *r)
         int64_t delta = 1;
         if (bump(r, w, e, 1) != 0)
             goto nomem;
-        for (int64_t p = r->inc_start[v]; p < r->inc_start[v + 1]; p++) {
-            const int64_t e2 = r->inc_edge[p];
-            if (e2 == e)
-                continue;
-            const int64_t z = r->edge_a[e2] == v ? r->edge_b[e2] : r->edge_a[e2];
+        int64_t e2 = v == e ? e - 1 : e + 1, z = v == e ? v - 1 : v + 1;
+        if (r->cycle) {
+            e2 = (e2 + E) % E;
+            z = (z + V) % V;
+        }
+        if (0 <= e2 && e2 < E) {
             const int64_t zf = state[z * F + feat];
             const int64_t dd = (zf == new) - (zf == old);
             if (dd && bump(r, w, e2, dd) != 0)

@@ -161,6 +161,8 @@ CVM_ALPHABET = (-1, 0, 1)
 
 @dataclass(frozen=True)
 class OpinionConfig:
+    """An opinion per vertex. Integers of other types (numpy ints, bools) are
+    stored as Python ints; anything that is no integer is refused."""
     topology: Topology
     opinions: tuple
     alphabet: tuple = VOTER_ALPHABET
@@ -169,11 +171,16 @@ class OpinionConfig:
         if len(self.opinions) != self.topology.n_vertices:
             raise InvalidInput("one opinion per vertex required")
         allowed = set(self.alphabet)
-        if allowed.issuperset(self.opinions):
+        # Bulk test first; a float equal to an opinion (0.0 == 0) fails only
+        # the type test. The loop finds the first fault and words its error.
+        if {int}.issuperset(map(type, self.opinions)) and allowed.issuperset(self.opinions):
             return
         for o in self.opinions:
+            if not isinstance(o, numbers.Integral):
+                raise InvalidInput(f"opinion {o!r} is not an integer")
             if o not in allowed:
                 raise InvalidInput(f"opinion {o} outside alphabet {self.alphabet}")
+        object.__setattr__(self, "opinions", tuple(map(int, self.opinions)))
 
 
 def voter_projection(cfg: Configuration) -> OpinionConfig:

@@ -58,7 +58,7 @@ import operator
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache, lru_cache, partial
+from functools import cache, partial
 from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
@@ -68,7 +68,6 @@ from .core import (
     Configuration,
     InvalidInput,
     OpinionConfig,
-    Topology,
     check_seed,
     cvm_lift,
     cvm_projection,
@@ -102,8 +101,10 @@ class StopRule:
     def __post_init__(self):
         if self.t_max is None and self.max_events is None and not self.stop_on_absorption:
             raise InvalidInput("stop rule needs at least one bound")
-        if self.t_max is not None and not (math.isfinite(self.t_max) and self.t_max >= 0):
-            raise InvalidInput(f"t_max must be finite and >= 0, got {self.t_max}")
+        if self.t_max is not None:
+            check_times((self.t_max,), "t_max")
+            # Stored as a float, so both kernels report the same end time.
+            object.__setattr__(self, "t_max", float(self.t_max))
         if self.max_events is not None and not (
                 isinstance(self.max_events, numbers.Integral) and self.max_events >= 0):
             raise InvalidInput(f"max_events must be an integer >= 0, got {self.max_events}")
@@ -112,7 +113,11 @@ class StopRule:
 def check_times(times, what: str):
     """Raise InvalidInput unless every time is finite and >= 0."""
     for t in times:
-        if not (math.isfinite(t) and t >= 0):
+        try:
+            ok = math.isfinite(t) and t >= 0
+        except OverflowError:  # an int beyond the largest float
+            ok = False
+        if not ok:
             raise InvalidInput(f"{what} must be finite and >= 0, got {t}")
 
 
@@ -245,9 +250,8 @@ class _Buckets:
     """
 
     def __init__(self, classes: list[int], n_classes: int):
-        """Edge e starts in class `classes[e]`; the list is kept, not copied."""
+        """Edge e starts in class `classes[e]`."""
         self.lists: list[list[int]] = [[] for _ in range(n_classes + 1)]
-        self.cls = classes
         self.pos = pos = [0] * len(classes)
         for e, c in enumerate(classes):
             if c:
@@ -256,8 +260,8 @@ class _Buckets:
                 items.append(e)
         self.total = sum(classes)
 
-    def move(self, e: int, c: int):
-        old = self.cls[e]
+    def move(self, e: int, old: int, c: int):
+        """Edge e from class `old` to class `c`."""
         if c == old:
             return
         pos = self.pos
@@ -271,7 +275,6 @@ class _Buckets:
             items = self.lists[c]
             pos[e] = len(items)
             items.append(e)
-        self.cls[e] = c
         self.total += c - old
 
     def pick(self, u: float) -> int:
@@ -294,25 +297,13 @@ class _Kernel(NamedTuple):
     urn: Callable[[], tuple] | None = None  # the coupled urn's `_Path.urn`, if one is attached
 
 
-@lru_cache(maxsize=8)
-def _incidence(topo: Topology):
-    """int64 columns (a, b, start, inc), read by both culture loops: edge e
-    joins a[e] and b[e], and vertex x's (at most two) edges are
-    inc[start[x]:start[x+1]], in edge order."""
-    edges = topo.edges()
-    incident = [[] for _ in range(topo.n_vertices)]
-    for e, (a, b) in enumerate(edges):
-        incident[a].append(e)
-        incident[b].append(e)
-    start = array("q", [0])
-    for inc in incident:
-        start.append(start[-1] + len(inc))
-    return (array("q", [a for a, _ in edges]), array("q", [b for _, b in edges]),
-            start, array("q", chain.from_iterable(incident)))
-
-
 def _culture_kernel(initial: Configuration, uniform, appenders, urn_rng=None) -> _Kernel:
     """An edge of weight j fires at rate j/F; classes 1..F-1 hold the active edges.
+
+    Edge e joins vertices e and e+1, taken mod V on a cycle. The target v of
+    an event on edge e has at most one other edge: e-1, with far end v-1,
+    where v == e, and e+1, with far end v+1, otherwise; both wrap on a cycle,
+    and on a path the edge exists only inside 0..E-1.
 
     With `urn_rng`, the kernel also steps the coupled urn on that Generator
     after every event (`couple`).
@@ -320,8 +311,9 @@ def _culture_kernel(initial: Configuration, uniform, appenders, urn_rng=None) ->
     F = initial.params.F
     flat = initial.state.tolist()
     states = [flat[k:k + F] for k in range(0, len(flat), F)]
-    edge_a, edge_b, start, inc = _incidence(initial.topology)
-    weight = [sum(map(operator.eq, states[a], states[b])) for a, b in zip(edge_a, edge_b)]
+    topo = initial.topology
+    V, E, cycle = topo.n_vertices, topo.n_edges, topo.kind == "cycle"
+    weight = [sum(map(operator.eq, states[e], states[(e + 1) % V])) for e in range(E)]
     counts = [0] * (F + 1)
     for w in weight:
         counts[w] += 1
@@ -331,7 +323,7 @@ def _culture_kernel(initial: Configuration, uniform, appenders, urn_rng=None) ->
 
     def step(t):
         e = pick(uniform())
-        a, b = edge_a[e], edge_b[e]
+        a, b = e, (e + 1) % V
         u, v = (a, b) if uniform() < 0.5 else (b, a)
         su, sv = states[u], states[v]
         disagree = [i for i in range(F) if su[i] != sv[i]]
@@ -339,10 +331,10 @@ def _culture_kernel(initial: Configuration, uniform, appenders, urn_rng=None) ->
         old, new = sv[feat], su[feat]
         delta = 1
         _bump(weight, counts, buckets, e, 1, F)
-        for e2 in inc[start[v]:start[v + 1]]:
-            if e2 == e:
-                continue
-            z = edge_b[e2] if edge_a[e2] == v else edge_a[e2]
+        e2, z = (e - 1, v - 1) if v == e else (e + 1, v + 1)
+        if cycle:
+            e2, z = e2 % E, z % V
+        if 0 <= e2 < E:
             dd = (states[z][feat] == new) - (states[z][feat] == old)
             if dd:
                 _bump(weight, counts, buckets, e2, dd, F)
@@ -395,10 +387,11 @@ def _culture_kernel(initial: Configuration, uniform, appenders, urn_rng=None) ->
 
 
 def _bump(weight, counts, buckets, e, d, F):
-    counts[weight[e]] -= 1
-    w = weight[e] = weight[e] + d
+    old = weight[e]
+    counts[old] -= 1
+    w = weight[e] = old + d
     counts[w] += 1
-    buckets.move(e, w if w < F else 0)
+    buckets.move(e, old if old < F else 0, w if w < F else 0)
 
 
 def _voter_kernel(initial, uniform, appenders) -> _Kernel:

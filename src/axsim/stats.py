@@ -39,21 +39,21 @@ def census_from_counts(counts) -> EdgeCensus:
 
 
 def edge_census(cfg) -> EdgeCensus:
-    """Count j-edges; for opinion configurations weight is agree (1) / disagree (0)."""
+    """Count j-edges; for opinion configurations weight is agree (1) / disagree (0).
+
+    An opinion counts as a culture of one feature.
+    """
     if isinstance(cfg, Configuration):
-        # Row v against row v+1, the last row against the first: the edges
-        # (v, v+1) of a path, and of a cycle with its closing edge.
-        F = cfg.params.F
-        rows = np.frombuffer(cfg.state, np.int64).reshape(-1, F)
-        weights = (rows == np.roll(rows, -1, axis=0))[:cfg.topology.n_edges].sum(axis=1)
-        counts = np.bincount(weights, minlength=F + 1)
+        F, values = cfg.params.F, np.frombuffer(cfg.state, np.int64)
     elif isinstance(cfg, OpinionConfig):
-        counts = [0, 0]
-        for u, v in cfg.topology.edges():
-            counts[int(cfg.opinions[u] == cfg.opinions[v])] += 1
+        F, values = 1, np.array(cfg.opinions, np.int64)
     else:
         raise InvalidInput(f"cannot census {type(cfg).__name__}")
-    return census_from_counts(counts)
+    # Row v against row v+1, the last row against the first: the edges
+    # (v, v+1) of a path, and of a cycle with its closing edge.
+    rows = values.reshape(-1, F)
+    weights = (rows == np.roll(rows, -1, axis=0))[:cfg.topology.n_edges].sum(axis=1)
+    return census_from_counts(np.bincount(weights, minlength=F + 1))
 
 
 def count_domains(cfg) -> DomainStats:

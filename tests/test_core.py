@@ -1,3 +1,5 @@
+import numbers
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,8 @@ def _culture_loop(cultures, params):
 def _opinion_loop(opinions, alphabet):
     """Reference: the per-opinion check the bulk test falls back to."""
     for o in opinions:
+        if not isinstance(o, numbers.Integral):
+            raise InvalidInput(f"opinion {o!r} is not an integer")
         if o not in set(alphabet):
             raise InvalidInput(f"opinion {o} outside alphabet {alphabet}")
 
@@ -175,12 +179,26 @@ class TestBulkValidation:
     @pytest.mark.parametrize("alphabet,opinions", [
         ((0, 1), (0, 1, 2, 1)), ((0, 1), (-1, 0, 0, 0)), ((0, 1), (1, 1, 0, 0.5)),
         ((-1, 0, 1), (0, 2, -2, 1)), ((-1, 0, 1), (1, 0, None, 0)),
+        ((0, 1), (0.0, 1, 0, 1)), ((-1, 0, 1), (0, 1, 3, -1.0)), ((0, 1), (1, "0", 0, 1)),
     ])
     def test_opinion_faults_match_the_loop(self, alphabet, opinions):
         topo = Topology("cycle", 4)
         expected = _error(lambda: _opinion_loop(opinions, alphabet))
         assert expected is not None and expected[0] is InvalidInput
         assert _error(lambda: OpinionConfig(topo, opinions, alphabet)) == expected
+
+    def test_opinions_are_stored_as_python_ints(self):
+        topo = Topology("path", 4)
+        with pytest.raises(InvalidInput, match="^opinion 0.0 is not an integer$"):
+            OpinionConfig(Topology("path", 3), (0.0, 1, 0))
+        for alphabet, opinions in (((0, 1), (np.int64(0), True, np.uint8(1), 0)),
+                                   ((-1, 0, 1), (np.int8(-1), False, 1, np.int64(1)))):
+            cfg = OpinionConfig(topo, opinions, alphabet)
+            assert [type(o) for o in cfg.opinions] == [int] * 4
+            assert cfg == OpinionConfig(topo, tuple(map(int, opinions)), alphabet)
+            assert repr(cfg) == repr(OpinionConfig(topo, tuple(map(int, opinions)), alphabet))
+        plain = (0, 1, 1, 0)
+        assert OpinionConfig(topo, plain).opinions is plain  # nothing to convert: kept as given
 
     @given(st.integers(1, 4), st.integers(2, 5), st.data())
     def test_accepts_exactly_what_the_loop_accepts(self, F, q, data):

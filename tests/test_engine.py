@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from axsim import (
     voter_projection,
 )
 from axsim.core import cvm_lift
-from axsim.engine import _culture_kernel, _rng_pair
+from axsim.engine import _culture_kernel, _rng_pair, replicate_seeds
 from axsim.logio import replay
 
 
@@ -41,12 +42,19 @@ class TestStopRule:
             StopRule()
         StopRule(stop_on_absorption=True)
 
-    @pytest.mark.parametrize("t_max", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    @pytest.mark.parametrize("t_max", [math.nan, math.inf, -math.inf, -1.0, -1e-300,
+                                       pytest.param(10 ** 400, id="10**400")])
     def test_rejects_a_t_max_that_hangs_or_runs_backward(self, t_max):
         # A NaN bound is never exceeded, so a voter run would never stop.
         with pytest.raises(InvalidInput, match="t_max"):
             StopRule(t_max=t_max)
         StopRule(t_max=0.0)
+
+    def test_t_max_is_stored_as_a_float(self):
+        for t_max in (1, True, np.int64(3), np.float32(0.5), 2 ** 900):
+            stop = StopRule(t_max=t_max)
+            assert type(stop.t_max) is float and stop.t_max == t_max
+        assert StopRule(t_max=2) == StopRule(t_max=2.0)
 
     @pytest.mark.parametrize("max_events", [-1, -3, 2.5])
     def test_rejects_a_negative_or_fractional_max_events(self, max_events):
@@ -216,6 +224,73 @@ class TestExactCvmOracle:
             assert abs(hits[key] - n * p) <= 3 * math.sqrt(n * p * (1 - p)), (key, hits[key], n * p)
         mean = 1 / n_active  # Exp(n_active) has standard deviation equal to its mean
         assert abs(time_sum / n - mean) <= 3 * mean / math.sqrt(n)
+
+
+@cache
+def culture_census_law(kind: str, V: int, F: int, q: int, t: float) -> dict:
+    """Exact law of the edge census at time t from i.i.d. uniform cultures.
+
+    The generator is built from the model's definition, over all q**(V*F)
+    states: an edge whose ends share j of the F features fires at rate j/F,
+    in either orientation with probability 1/2, and the target copies a
+    uniformly chosen disagreeing feature. The state law at t comes by
+    uniformization (Jensen 1953): with L the largest exit rate, it is the
+    Poisson(L*t) mixture of the laws after k steps of the chain I + Q/L.
+    """
+    topo = Topology(kind, V)
+    n = q ** (V * F)
+    place = q ** np.arange(V * F)[::-1]  # state index = sum of digit * place
+    digits = (np.arange(n)[:, None] // place % q).reshape(n, V, F)
+    weights = np.stack([(digits[:, a] == digits[:, b]).sum(axis=1) for a, b in topo.edges()], 1)
+    src, dst, rate = [], [], []
+    for e, (a, b) in enumerate(topo.edges()):
+        j = weights[:, e]
+        for u, v in ((a, b), (b, a)):
+            for i in range(F):
+                s = np.flatnonzero((digits[:, u, i] != digits[:, v, i]) & (j > 0))
+                src.append(s)
+                dst.append(s + (digits[s, u, i] - digits[s, v, i]) * place[v * F + i])
+                rate.append(j[s] / (2 * F * (F - j[s])))
+    src, dst, rate = map(np.concatenate, (src, dst, rate))
+    exit_rate = np.bincount(src, rate, n)
+    L = exit_rate.max()
+    p, law = np.full(n, 1 / n), np.zeros(n)
+    k, poisson, left = 0, math.exp(-L * t), 1.0
+    while left > 1e-12:
+        law += poisson * p
+        left -= poisson
+        p = p - p * exit_rate / L + np.bincount(dst, p[src] * rate / L, n)
+        k += 1
+        poisson *= L * t / k
+    census = (weights[:, :, None] == np.arange(F + 1)).sum(axis=1)
+    cells, cell_of = np.unique(census, axis=0, return_inverse=True)
+    return {tuple(map(int, c)): float(w) for c, w in zip(cells, np.bincount(cell_of.ravel(), law))}
+
+
+class TestExactLawAtTime:
+    """`final_census` at t = 3 against its exact law, on 4-vertex lattices at
+    (F, q) = (3, 2), 4,096 states. Most runs make several events, so the
+    update of the target's other edge shows, and on the cycle so does the
+    wrap-around."""
+    F, Q, V, T, RUNS = 3, 2, 4, 3.0, 3000
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    def test_final_census_matches_the_exact_law(self, kind):
+        law = culture_census_law(kind, self.V, self.F, self.Q, self.T)
+        assert abs(sum(law.values()) - 1) < 1e-9
+        topo, params, n = Topology(kind, self.V), ModelParams(self.F, self.Q), self.RUNS
+        hits, several = Counter(), 0
+        for r in range(n):
+            init_seed, run_seed = replicate_seeds(2718, r)
+            traj = run_model("axelrod", random_config(params, topo, init_seed),
+                             StopRule(t_max=self.T), run_seed)
+            hits[traj.final_census.counts] += 1
+            several += len(traj.events) >= 2
+        assert several >= 0.6 * n
+        assert set(hits) <= {c for c, p in law.items() if p > 0}
+        for cell, p in law.items():
+            assert abs(hits[cell] - n * p) <= 3 * math.sqrt(n * p * (1 - p)), (
+                cell, hits[cell], n * p)
 
 
 class TestRunModel:

@@ -48,10 +48,14 @@ class TestSnapshotsWithMaxEvents:
         ExperimentConfig(kind="simulate", N=10, t_max=t_max, max_events=3).validate()
 
 
+# An int beyond the largest float: `math.isfinite` raises OverflowError on it.
+TOO_BIG = pytest.param(10 ** 400, id="10**400")
+
+
 class TestTimeBounds:
     """Times that would hang a run (NaN), run it backward or never end it fail fast."""
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, TOO_BIG])
     def test_simulate(self, bad):
         for config in (dict(t_max=bad), dict(t_max=2.0, snapshot_times=(bad, 0.5)),
                        dict(model="voter", t_max=bad)):
@@ -60,7 +64,7 @@ class TestTimeBounds:
         with pytest.raises(InvalidInput):
             ExperimentConfig(kind="simulate", N=10, max_events=-3).validate()
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -2.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -2.0, TOO_BIG])
     def test_query_time(self, bad):
         duality = dict(kind="duality-check", topology="cycle", N=8, replicates=1)
         lemma5 = dict(kind="lemma5-estimate", N=10, xyz=(2, 5, 8), replicates=2)

@@ -65,10 +65,10 @@ VERTICES = 13
 T_SHORT, T_LONG = 1.5, 1e4  # T_LONG: every grid run freezes well before it
 
 
-def initial(case, kind: str, seed: int):
-    topo = Topology(kind, VERTICES)
+def initial(case, kind: str, seed: int, size: int = VERTICES):
+    topo = Topology(kind, size)
     if case == "cvm":
-        ops = np.random.default_rng(seed).integers(-1, 2, size=VERTICES).tolist()
+        ops = np.random.default_rng(seed).integers(-1, 2, size=size).tolist()
         return "cvm", OpinionConfig(topo, tuple(ops), (-1, 0, 1))
     return "axelrod", random_config(ModelParams(*case), topo, 1000 + seed)
 
@@ -82,12 +82,16 @@ STOPS = {
 URNS = (False, True)  # attach_urn
 
 
-@pytest.mark.parametrize("kind", ["path", "cycle"])
+# The smallest lattices hit every case of the target's other edge: none on
+# the path of 2, and wrap-arounds at both ends on the cycle of 3.
+@pytest.mark.parametrize("kind,size", [("path", VERTICES), ("cycle", VERTICES),
+                                       ("path", 2), ("cycle", 3)],
+                         ids=["path", "cycle", "path2", "cycle3"])
 @pytest.mark.parametrize("case", CASES, ids=str)
-def test_same_trajectory_on_both_kernels(lib, case, kind):
+def test_same_trajectory_on_both_kernels(lib, case, kind, size):
     frozen = 0
     for seed in SEEDS:
-        model, init = initial(case, kind, seed)
+        model, init = initial(case, kind, seed, size)
         for stop_name, stop in STOPS.items():
             plain = run_on(lib, model, init, stop, seed)
             times = [e.time for e in plain.events]
@@ -99,12 +103,22 @@ def test_same_trajectory_on_both_kernels(lib, case, kind):
                     kwargs = dict(snapshot_times=snaps, attach_urn=urn)
                     got = run_on(lib, model, init, stop, seed, **kwargs)
                     want = run_on(None, model, init, stop, seed, **kwargs)
-                    assert repr(got) == repr(want), (model, case, kind, seed, stop_name,
-                                                     snaps, urn)
+                    assert repr(got) == repr(want), (model, case, kind, size, seed,
+                                                     stop_name, snaps, urn)
             if stop_name == "frozen":
                 assert plain.absorbed and plain.end_time == T_LONG
                 frozen += bool(plain.events)
     assert frozen or case == (1, 2)  # with F=1 nothing ever fires
+
+
+def test_int_t_max_gives_the_same_trajectory(lib):
+    """An int `t_max` is stored as the float bound, so both kernels end at 1.0."""
+    for kind, size, seed in (("path", 60, 0), ("path", 2, 3), ("cycle", 3, 1)):
+        cfg = random_config(ModelParams(3, 12), Topology(kind, size), seed)
+        runs = [run_on(loop, "axelrod", cfg, StopRule(t_max=t), seed, snapshot_times=(0.5,))
+                for loop in (lib, None) for t in (1, 1.0)]
+        assert len({repr(traj) for traj in runs}) == 1, (kind, size)
+        assert repr(runs[0].end_time) == "1.0"
 
 
 def test_long_runs_grow_the_columns_and_classes_alike(lib):

@@ -24,6 +24,7 @@ from test_engine import (  # noqa: F401
     TestCvmRun,
     TestExactCvmOracle,
     TestExactKernelOracle,
+    TestExactLawAtTime,
     TestRunModel,
     TestSeedingAndEvents,
 )

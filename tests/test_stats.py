@@ -48,6 +48,17 @@ class TestEdgeCensus:
                 census = edge_census(cfg)
                 assert census.counts == tuple(want)
                 assert all(type(c) is int for c in census.counts)
+        # Voter and CVM opinions: an edge agrees (1) or not (0).
+        for alphabet, V in [((0, 1), 3), ((0, 1), 40), ((-1, 0, 1), 3), ((-1, 0, 1), 41)]:
+            for seed in range(5):
+                ops = np.random.default_rng(seed).choice(alphabet, V).tolist()
+                cfg = OpinionConfig(Topology(kind, V), tuple(ops), alphabet)
+                want = [0, 0]
+                for u, v in cfg.topology.edges():
+                    want[ops[u] == ops[v]] += 1
+                census = edge_census(cfg)
+                assert census.counts == tuple(want)
+                assert all(type(c) is int for c in census.counts)
 
     def test_conservation(self):
         for seed in range(10):
