@@ -226,6 +226,31 @@ class TestExactCvmOracle:
         assert abs(time_sum / n - mean) <= 3 * mean / math.sqrt(n)
 
 
+def law_at(n: int, src, dst, rate, t: float):
+    """Law at time t, from the uniform law on n states, of the chain that
+    jumps from state src[k] to dst[k] at rate[k], by uniformization (Jensen
+    1953): with L the largest exit rate, it is the Poisson(L*t) mixture of
+    the laws after k steps of the chain I + Q/L."""
+    src, dst, rate = map(np.concatenate, (src, dst, rate))
+    exit_rate = np.bincount(src, rate, n)
+    L = exit_rate.max()
+    p, law = np.full(n, 1 / n), np.zeros(n)
+    k, poisson, left = 0, math.exp(-L * t), 1.0
+    while left > 1e-12:
+        law += poisson * p
+        left -= poisson
+        p = p - p * exit_rate / L + np.bincount(dst, p[src] * rate / L, n)
+        k += 1
+        poisson *= L * t / k
+    return law
+
+
+def census_law(census, law) -> dict:
+    """The law of the census, one row per state, under the state law `law`."""
+    cells, cell_of = np.unique(census, axis=0, return_inverse=True)
+    return {tuple(map(int, c)): float(w) for c, w in zip(cells, np.bincount(cell_of.ravel(), law))}
+
+
 @cache
 def culture_census_law(kind: str, V: int, F: int, q: int, t: float) -> dict:
     """Exact law of the edge census at time t from i.i.d. uniform cultures.
@@ -233,9 +258,7 @@ def culture_census_law(kind: str, V: int, F: int, q: int, t: float) -> dict:
     The generator is built from the model's definition, over all q**(V*F)
     states: an edge whose ends share j of the F features fires at rate j/F,
     in either orientation with probability 1/2, and the target copies a
-    uniformly chosen disagreeing feature. The state law at t comes by
-    uniformization (Jensen 1953): with L the largest exit rate, it is the
-    Poisson(L*t) mixture of the laws after k steps of the chain I + Q/L.
+    uniformly chosen disagreeing feature.
     """
     topo = Topology(kind, V)
     n = q ** (V * F)
@@ -251,20 +274,50 @@ def culture_census_law(kind: str, V: int, F: int, q: int, t: float) -> dict:
                 src.append(s)
                 dst.append(s + (digits[s, u, i] - digits[s, v, i]) * place[v * F + i])
                 rate.append(j[s] / (2 * F * (F - j[s])))
-    src, dst, rate = map(np.concatenate, (src, dst, rate))
-    exit_rate = np.bincount(src, rate, n)
-    L = exit_rate.max()
-    p, law = np.full(n, 1 / n), np.zeros(n)
-    k, poisson, left = 0, math.exp(-L * t), 1.0
-    while left > 1e-12:
-        law += poisson * p
-        left -= poisson
-        p = p - p * exit_rate / L + np.bincount(dst, p[src] * rate / L, n)
-        k += 1
-        poisson *= L * t / k
-    census = (weights[:, :, None] == np.arange(F + 1)).sum(axis=1)
-    cells, cell_of = np.unique(census, axis=0, return_inverse=True)
-    return {tuple(map(int, c)): float(w) for c, w in zip(cells, np.bincount(cell_of.ravel(), law))}
+    law = law_at(n, src, dst, rate, t)
+    return census_law((weights[:, :, None] == np.arange(F + 1)).sum(axis=1), law)
+
+
+@cache
+def opinion_census_law(model: str, kind: str, V: int, t: float) -> dict:
+    """Exact law of the census (disagreeing edges, agreeing edges) at time t
+    from i.i.d. uniform opinions.
+
+    The generator is built from each model's definition, over all a**V
+    states of an a-opinion alphabet, and not from the CVM's lift: in the
+    voter model each vertex copies a uniform neighbor at rate 1; in the CVM
+    each edge whose ends hold different opinions other than -1 and +1 fires
+    at rate 1, and a uniform one of its ends copies the other.
+    """
+    alphabet = np.array((0, 1) if model == "voter" else (-1, 0, 1))
+    topo = Topology(kind, V)
+    n = len(alphabet) ** V
+    place = len(alphabet) ** np.arange(V)[::-1]
+    digits = np.arange(n)[:, None] // place % len(alphabet)
+    ops = alphabet[digits]
+    src, dst, rate = [], [], []
+    for x in range(V):
+        nbrs = topo.neighbors(x)
+        for y in nbrs:
+            live = ops[:, x] != ops[:, y]
+            if model == "cvm":
+                live &= ops[:, x] != -ops[:, y]
+            s = np.flatnonzero(live)
+            src.append(s)
+            dst.append(s + (digits[s, y] - digits[s, x]) * place[x])
+            rate.append(np.full(len(s), 1 / len(nbrs) if model == "voter" else 1 / 2))
+    law = law_at(n, src, dst, rate, t)
+    agree = sum(ops[:, a] == ops[:, b] for a, b in topo.edges())
+    return census_law(np.stack([topo.n_edges - agree, agree], 1), law)
+
+
+def assert_census_law(hits: Counter, law: dict, n: int):
+    """`hits` of n runs lie in the law's support, and every cell within 3 sigma."""
+    assert abs(sum(law.values()) - 1) < 1e-9
+    assert set(hits) <= {c for c, p in law.items() if p > 0}
+    for cell, p in law.items():
+        assert abs(hits[cell] - n * p) <= 3 * math.sqrt(n * p * (1 - p)), (
+            cell, hits[cell], n * p)
 
 
 class TestExactLawAtTime:
@@ -276,8 +329,6 @@ class TestExactLawAtTime:
 
     @pytest.mark.parametrize("kind", ["path", "cycle"])
     def test_final_census_matches_the_exact_law(self, kind):
-        law = culture_census_law(kind, self.V, self.F, self.Q, self.T)
-        assert abs(sum(law.values()) - 1) < 1e-9
         topo, params, n = Topology(kind, self.V), ModelParams(self.F, self.Q), self.RUNS
         hits, several = Counter(), 0
         for r in range(n):
@@ -287,10 +338,52 @@ class TestExactLawAtTime:
             hits[traj.final_census.counts] += 1
             several += len(traj.events) >= 2
         assert several >= 0.6 * n
-        assert set(hits) <= {c for c, p in law.items() if p > 0}
-        for cell, p in law.items():
-            assert abs(hits[cell] - n * p) <= 3 * math.sqrt(n * p * (1 - p)), (
-                cell, hits[cell], n * p)
+        assert_census_law(hits, culture_census_law(kind, self.V, self.F, self.Q, self.T), n)
+
+
+def opinion_runs(model: str, kind: str, V: int, t: float, n: int, master: int) -> list:
+    """n runs of the opinion model to time t from i.i.d. uniform opinions."""
+    alphabet = (0, 1) if model == "voter" else (-1, 0, 1)
+    topo, runs = Topology(kind, V), []
+    for r in range(n):
+        init_seed, run_seed = replicate_seeds(master, r)
+        ops = np.random.default_rng(init_seed).integers(alphabet[0], alphabet[-1] + 1, V)
+        initial = OpinionConfig(topo, tuple(ops.tolist()), alphabet)
+        runs.append(run_model(model, initial, StopRule(t_max=t), run_seed))
+    return runs
+
+
+class TestExactCvmLawAtTime:
+    """The CVM's `final_census` at t = 3 against the exact law of the CVM's
+    own generator on 4-vertex lattices, 81 states. Only this oracle sees the
+    doubled clock on which `run_model` runs the lift."""
+    V, T, RUNS = 4, 3.0, 3000
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    def test_final_census_matches_the_exact_law(self, kind):
+        runs = opinion_runs("cvm", kind, self.V, self.T, self.RUNS, 3141)
+        assert sum(len(traj.events) >= 2 for traj in runs) >= 0.3 * self.RUNS
+        assert_census_law(Counter(traj.final_census.counts for traj in runs),
+                          opinion_census_law("cvm", kind, self.V, self.T), self.RUNS)
+
+
+class TestExactVoterLawAtTime:
+    """The voter model's `final_census` at t = 3 against the exact law of its
+    generator on 4-vertex lattices, 16 states. Every arrival is an event, so
+    the event count is Poisson(V*t) whatever the state; the variance of a
+    sample variance of n Poisson(m) counts is about (m + 2*m**2)/n."""
+    V, T, RUNS = 4, 3.0, 3000
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    def test_final_census_and_event_count_match_the_exact_laws(self, kind):
+        runs = opinion_runs("voter", kind, self.V, self.T, self.RUNS, 1618)
+        n, mean = self.RUNS, self.V * self.T
+        assert_census_law(Counter(traj.final_census.counts for traj in runs),
+                          opinion_census_law("voter", kind, self.V, self.T), n)
+        # The mean and variance of the count within 3 sigma of Poisson(V*t)'s.
+        k = np.array([len(traj.events) for traj in runs])
+        assert abs(k.mean() - mean) <= 3 * math.sqrt(mean / n), k.mean()
+        assert abs(k.var(ddof=1) - mean) <= 3 * math.sqrt((mean + 2 * mean ** 2) / n), k.var()
 
 
 class TestRunModel:

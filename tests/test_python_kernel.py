@@ -22,6 +22,7 @@ from test_acceptance import (  # noqa: F401
 )
 from test_engine import (  # noqa: F401
     TestCvmRun,
+    TestExactCvmLawAtTime,
     TestExactCvmOracle,
     TestExactKernelOracle,
     TestExactLawAtTime,
