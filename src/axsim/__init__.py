@@ -12,6 +12,7 @@ from .core import (
     cvm_projection,
     is_absorbed,
     random_config,
+    random_opinions,
     voter_projection,
 )
 from .engine import (

@@ -36,10 +36,10 @@ within total-variation distance k*2**-53 of uniform. The class-and-edge pick
 is one such draw with k = S: it selects the class by cumulative j*n_j, and
 the remainder divided by j is exactly uniform over the class.
 
-One trajectory uses one Generator in a fixed order of calls, which makes
-runs bit-reproducible from the seed. The attached urn draws from a separate
-substream, so trajectories are identical with or without it. The urn moves
-only on delta_w = 2 events.
+One trajectory uses one Generator in a fixed order of calls, a drawn initial
+state first, which makes runs bit-reproducible from the seed. The attached
+urn draws from a separate substream, so trajectories are identical with or
+without it. The urn moves only on delta_w = 2 events.
 
 The culture and CVM runs go through a compiled copy of the loop and the
 culture kernel (`_ckernel`, `_kernel.c`), which makes the same draws in the
@@ -111,11 +111,11 @@ class StopRule:
 
 
 def check_times(times, what: str):
-    """Raise InvalidInput unless every time is finite and >= 0."""
+    """Raise InvalidInput unless every time is a finite real number >= 0."""
     for t in times:
         try:
             ok = math.isfinite(t) and t >= 0
-        except OverflowError:  # an int beyond the largest float
+        except (OverflowError, TypeError):  # an int beyond the largest float; no number
             ok = False
         if not ok:
             raise InvalidInput(f"{what} must be finite and >= 0, got {t}")
@@ -201,21 +201,17 @@ def classify_delta_w(before: Configuration, event: UpdateEvent, after: Configura
 
 
 def _rng_pair(seed: int, with_urn: bool):
-    """Trajectory and urn Generators: the two children of `SeedSequence(seed).spawn(2)`.
-
-    Each child is built directly from its spawn key, the urn's only when it
-    is used; the streams are those of the spawned children.
-    """
+    """Trajectory and urn Generators, the children `SeedSequence(seed).spawn(2)`
+    gives, each built directly from its spawn key; the urn's only when used."""
     def child(k):
         return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
     return child(0), child(1) if with_urn else None
 
 
-def replicate_seeds(master_seed: int, r: int) -> tuple[int, int]:
-    """Independent (initial-state seed, run seed) of replicate r under master_seed."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(r,))
-    init_seed, run_seed = ss.generate_state(2, np.uint64)
-    return int(init_seed), int(run_seed)
+def replicate_seeds(master_seed: int, n: int) -> list[int]:
+    """The seeds of replicates 0..n-1: word r of `SeedSequence(master_seed)`'s
+    `generate_state(n, np.uint64)` seeds replicate r, whatever n."""
+    return np.random.SeedSequence(master_seed).generate_state(n, np.uint64).tolist()
 
 
 _FIRST_BLOCK, _MAX_BLOCK = 16, 4096  # block sizes of `_Draws`, doubling per refill
@@ -497,13 +493,17 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
               attach_urn: bool = False) -> Trajectory:
     """Statistically exact trajectory of the chosen generator.
 
-    Deterministic given seed. `snapshot_times` record the state just
-    before each requested time; under a `t_max` none may lie beyond it. The
-    model's kernel makes the events; the loop draws the waiting times and
-    owns the stop rule. A run stops once the rate is 0, and on absorption
-    only under `stop_on_absorption` (the voter model keeps logging arrivals
-    after consensus). A culture run that absorbs, and so reaches rate 0,
-    before `t_max` is reported up to `t_max`.
+    `initial` is the initial state, or a draw `f(rng) -> state` such as
+    `partial(random_config, params, topology)`, which the run calls on its
+    own trajectory Generator before the first event (`Trajectory.initial`
+    holds what it drew). Deterministic given seed and such a draw.
+    `snapshot_times` record the state just before each requested time;
+    under a `t_max` none may lie beyond it. The model's kernel makes the
+    events; the loop draws the waiting times and owns the stop rule. A run
+    stops once the rate is 0, and on absorption only under
+    `stop_on_absorption` (the voter model keeps logging arrivals after
+    consensus). A culture run that absorbs, and so reaches rate 0, before
+    `t_max` is reported up to `t_max`.
 
     The CVM runs as culture dynamics on its F=q=2 lift, on a doubled clock;
     this function lifts its initial state, doubles the times it hands the
@@ -511,10 +511,12 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
     to the CVM (see the module docstring).
     """
     check_run(model, stop, snapshot_times, attach_urn)
-    _check_initial(model, initial)
     check_seed(seed)
-    times = sorted(snapshot_times)
     rng, urn_rng = _rng_pair(seed, attach_urn)
+    if callable(initial):
+        initial = initial(rng)
+    _check_initial(model, initial)
+    times = sorted(snapshot_times)
     if model == VOTER:
         path = _python_loop(partial(_voter_kernel, initial), stop, rng, times)
     else:

@@ -1,24 +1,24 @@
 """Replicated, seeded experiment orchestration and artifact emission.
 
-Replicate r always draws from a stream derived from (master_seed, r), and
-aggregation runs in replicate-index order, so results are byte-identical
-regardless of worker count.
+Replicate r has one seed, `replicate_seeds(master_seed, n)[r]`, whose
+Generator draws the initial state and then the trajectory. Aggregation runs
+in replicate-index order, so results are byte-identical regardless of
+worker count.
 """
 from __future__ import annotations
 
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 from time import perf_counter
 
-import numpy as np
-
 from . import bounds as bounds_mod
-from .core import InvalidInput, ModelParams, OpinionConfig, Topology, check_seed, random_config
+from .core import (CVM_ALPHABET, VOTER_ALPHABET, InvalidInput, ModelParams, Topology, check_seed,
+                   random_config, random_opinions)
 from .duality import arrow_log_from_trajectory, check_voter_duality
-from .engine import AXELROD, VOTER, StopRule, check_run, check_times, replicate_seeds, run_model
+from .engine import (AXELROD, VOTER, StopRule, _rng_pair, check_run, check_times, replicate_seeds,
+                     run_model)
 from .logio import atomic_write_text, event_log_text, final_stats_row
 from .stats import edge_census
 from .urn import UrnState, urn_rounds_run
@@ -112,8 +112,6 @@ class ExperimentSummary:
 
 def _mean_se(values):
     n = len(values)
-    if n == 0:
-        return None, None
     m = sum(values) / n
     if n == 1:
         return m, None
@@ -121,27 +119,22 @@ def _mean_se(values):
     return m, math.sqrt(var / n)
 
 
-def _random_initial(model: str, config: ExperimentConfig, seed: int):
+def _initial_draw(model: str, config: ExperimentConfig):
+    """The draw `f(rng)` of an i.i.d. uniform initial state, looking its function up per call."""
     topo = config.make_topology()
     if model == AXELROD:
-        return random_config(ModelParams(config.F, config.q), topo, seed)
-    rng = np.random.default_rng(seed)
-    if model == VOTER:
-        ops = tuple(int(v) for v in rng.integers(0, 2, size=topo.n_vertices))
-        return OpinionConfig(topo, ops, (0, 1))
-    ops = tuple(int(v) for v in rng.integers(-1, 2, size=topo.n_vertices))
-    return OpinionConfig(topo, ops, (-1, 0, 1))
+        params = ModelParams(config.F, config.q)
+        return lambda rng: random_config(params, topo, rng)
+    alphabet = VOTER_ALPHABET if model == VOTER else CVM_ALPHABET
+    return lambda rng: random_opinions(topo, alphabet, rng)
 
 
-def _simulate_replicate(config: ExperimentConfig, r: int) -> dict:
-    init_seed, run_seed = replicate_seeds(config.master_seed, r)
-    initial = _random_initial(config.model, config, init_seed)
-    traj = run_model(config.model, initial, config.stop_rule(), run_seed,
-                     snapshot_times=config.snapshot_times,
-                     attach_urn=config.attach_urn)
+def _simulate_replicate(config: ExperimentConfig, r: int, seed: int) -> dict:
+    traj = run_model(config.model, _initial_draw(config.model, config), config.stop_rule(), seed,
+                     snapshot_times=config.snapshot_times, attach_urn=config.attach_urn)
     row = final_stats_row(traj)
     row["replicate"] = r
-    row["seed"] = run_seed
+    row["seed"] = seed
     row["snapshots"] = [
         (s.time, s.census.counts, s.census.total_agreement, s.domains.domain_count)
         for s in traj.snapshots
@@ -151,11 +144,11 @@ def _simulate_replicate(config: ExperimentConfig, r: int) -> dict:
     return row
 
 
-def _rounds_replicate(config: ExperimentConfig, r: int) -> dict:
-    init_seed, run_seed = replicate_seeds(config.master_seed, r)
+def _rounds_replicate(config: ExperimentConfig, r: int, seed: int) -> dict:
+    rng = _rng_pair(seed, False)[0]  # a run's Generator: the census, then the rounds
     params = ModelParams(config.F, config.q)
-    census = edge_census(random_config(params, config.make_topology(), init_seed))
-    rec = urn_rounds_run(UrnState(census.counts), params, run_seed)
+    census = edge_census(random_config(params, config.make_topology(), rng))
+    rec = urn_rounds_run(UrnState(census.counts), params, rng)
     return {
         "replicate": r,
         "initial_boxes": census.counts,
@@ -165,23 +158,20 @@ def _rounds_replicate(config: ExperimentConfig, r: int) -> dict:
     }
 
 
-def _duality_replicate(config: ExperimentConfig, r: int) -> dict:
+def _duality_replicate(config: ExperimentConfig, r: int, seed: int) -> dict:
     # The pathwise duality identity is a voter-model property: the initial
     # state is a random binary opinion profile (validate rejects a model, F or q).
-    init_seed, run_seed = replicate_seeds(config.master_seed, r)
-    initial = _random_initial(VOTER, config, init_seed)
-    traj = run_model(VOTER, initial, StopRule(t_max=config.t_query), run_seed)
-    report = check_voter_duality(arrow_log_from_trajectory(traj), initial, config.t_query)
+    traj = run_model(VOTER, _initial_draw(VOTER, config), StopRule(t_max=config.t_query), seed)
+    report = check_voter_duality(arrow_log_from_trajectory(traj), traj.initial, config.t_query)
     return {"replicate": r, "mismatches": report.mismatches,
             "n_vertices": len(report.per_vertex)}
 
 
-def _lemma5_replicate(config: ExperimentConfig, r: int) -> tuple[bool, bool]:
+def _lemma5_replicate(config: ExperimentConfig, r: int, seed: int) -> tuple[bool, bool]:
     """(hit, success) at time t on the path {0,...,N}: feature 0 of y differs
     from those of x and z, and those of x and z agree."""
-    init_seed, run_seed = replicate_seeds(config.master_seed, r)
-    initial = random_config(ModelParams(config.F, config.q), config.make_topology(), init_seed)
-    final = run_model(AXELROD, initial, StopRule(t_max=config.t_query), run_seed).final
+    draw = _initial_draw(AXELROD, config)
+    final = run_model(AXELROD, draw, StopRule(t_max=config.t_query), seed).final
     fx, fy, fz = (final.state[v * config.F] for v in config.xyz)
     hit = fy != fx and fy != fz
     return hit, hit and fx == fz
@@ -203,21 +193,23 @@ def _chunksize(n: int, workers: int) -> int:
 
 
 def _map_replicates(fn, config: ExperimentConfig):
-    """fn(config, r) for every replicate r, in replicate order.
+    """fn(config, r, seed) for every replicate r and its seed, in replicate order.
 
     Replicate 0 runs here and is timed; the rest go to a process pool only
     when that time, times the replicates left, exceeds POOL_BREAK_EVEN_S.
     """
     n = config.replicates
+    seeds = replicate_seeds(config.master_seed, n)
     workers = min(config.workers, n, os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(config, r) for r in range(n)]
+        return [fn(config, r, seed) for r, seed in enumerate(seeds)]
     start = perf_counter()
-    rows = [fn(config, 0)]
+    rows = [fn(config, 0, seeds[0])]
     if (perf_counter() - start) * (n - 1) <= POOL_BREAK_EVEN_S:
-        return rows + [fn(config, r) for r in range(1, n)]
+        return rows + [fn(config, r, seeds[r]) for r in range(1, n)]
+    from concurrent.futures import ProcessPoolExecutor  # imported only when a pool starts
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        rows += pool.map(fn, [config] * (n - 1), range(1, n),
+        rows += pool.map(fn, [config] * (n - 1), range(1, n), seeds[1:],
                          chunksize=_chunksize(n - 1, workers))
     return rows
 
@@ -250,14 +242,11 @@ def _simulate(config: ExperimentConfig) -> tuple[dict, dict, dict]:
     if absorbed:
         nd, nd_se = _mean_se([row["N_domains"] / n_edges for row in absorbed])
         w0, w0_se = _mean_se([row["w_counts"][0] / n_edges for row in absorbed])
-        agg["mean_domains_per_edge"] = nd
-        agg["se_domains_per_edge"] = nd_se
-        agg["mean_w0_per_edge"] = w0
-        agg["se_w0_per_edge"] = w0_se
+        agg.update(mean_domains_per_edge=nd, se_domains_per_edge=nd_se, mean_w0_per_edge=w0,
+                   se_w0_per_edge=w0_se)
         if config.attach_urn:
             b0, b0_se = _mean_se([row["urn_boxes"][0] / n_edges for row in absorbed])
-            agg["mean_b0_per_edge"] = b0
-            agg["se_b0_per_edge"] = b0_se
+            agg.update(mean_b0_per_edge=b0, se_b0_per_edge=b0_se)
             agg["urn_b0_violations"] = sum(r["urn_b0_violations"] for r in rows)
             agg["urn_potential_violations"] = sum(r["urn_potential_violations"] for r in rows)
             checks["urn_pathwise_b0_le_w0"] = agg["urn_b0_violations"] == 0
@@ -414,10 +403,7 @@ def _table1(config: ExperimentConfig) -> tuple[dict, dict, dict]:
 def _config_dict(config: ExperimentConfig) -> dict:
     # Scheduling/placement knobs do not affect results and are excluded so
     # reruns are byte-identical regardless of worker count or target dir.
-    d = asdict(config)
-    d.pop("workers")
-    d.pop("output_dir")
-    return d
+    return {k: v for k, v in asdict(config).items() if k not in ("workers", "output_dir")}
 
 
 def execute(config: ExperimentConfig) -> ExperimentSummary:

@@ -8,6 +8,7 @@ do not widen them.
 import math
 import os
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from axsim import (
     urn_exact_expectation,
     urn_rounds_run,
 )
+from axsim.engine import _rng_pair
 
 
 def report(criterion: int, name: str, ok: bool) -> bool:
@@ -125,13 +127,9 @@ def theorem2_runs():
     topo = Topology("path", N_EDGES + 1)
     stop = StopRule(stop_on_absorption=True)
     for (F, q), master in THEOREM2_SETTINGS.items():
-        trajs = []
-        for r in range(N_REPS):
-            init_seed, run_seed = replicate_seeds(master, r)
-            cfg = random_config(ModelParams(F, q), topo, init_seed)
-            trajs.append(run_model("axelrod", cfg, stop, run_seed,
-                                   attach_urn=True))
-        runs[(F, q)] = trajs
+        draw = partial(random_config, ModelParams(F, q), topo)
+        runs[(F, q)] = [run_model("axelrod", draw, stop, seed, attach_urn=True)
+                        for seed in replicate_seeds(master, N_REPS)]
     return runs
 
 
@@ -274,11 +272,9 @@ def test_criterion_09_lineage_ordering():
     params = ModelParams(2, 4)
     topo = Topology("path", 65)
     ordered_logs = 0
-    for seed in range(100):
-        init_seed, run_seed = replicate_seeds(808, seed)
-        cfg = random_config(params, topo, init_seed)
-        traj = run_model("axelrod", cfg,
-                         StopRule(t_max=3.0, stop_on_absorption=False), run_seed)
+    for seed in replicate_seeds(808, 100):
+        traj = run_model("axelrod", partial(random_config, params, topo),
+                         StopRule(t_max=3.0, stop_on_absorption=False), seed)
         log = arrow_log_from_trajectory(traj)
         good = True
         for i in range(params.F):
@@ -302,12 +298,10 @@ def test_criterion_10_clustering_proxy():
     sums_w01 = [0.0] * 3
     sums_w1 = [0.0] * 3
     n_reps = 50
-    for r in range(n_reps):
-        init_seed, run_seed = replicate_seeds(1010, r)
-        cfg = random_config(params, topo, init_seed)
-        traj = run_model("axelrod", cfg,
+    for seed in replicate_seeds(1010, n_reps):
+        traj = run_model("axelrod", partial(random_config, params, topo),
                          StopRule(t_max=1000.0, stop_on_absorption=False),
-                         run_seed, snapshot_times=times)
+                         seed, snapshot_times=times)
         for k, snap in enumerate(traj.snapshots):
             w0, w1, _ = snap.census.counts
             sums_w01[k] += (w0 + w1) / 1024
@@ -339,10 +333,10 @@ def test_criterion_11_rounds_urn_oracle():
     params2 = ModelParams(F, q)
     topo = Topology("path", N + 1)
     fracs = []
-    for r in range(200):
-        init_seed, run_seed = replicate_seeds(1111, r)
-        census = edge_census(random_config(params2, topo, init_seed))
-        rec = urn_rounds_run(UrnState(census.counts), params2, run_seed)
+    for seed in replicate_seeds(1111, 200):
+        rng = _rng_pair(seed, False)[0]  # one Generator draws the census, then the rounds
+        census = edge_census(random_config(params2, topo, rng))
+        rec = urn_rounds_run(UrnState(census.counts), params2, rng)
         fracs.append(rec.final.boxes[0] / N)
     m2, se2 = mean_se(fracs)
     limit = rounds_expectations(N, F, q).closed_form_limit

@@ -1,4 +1,6 @@
 """Backward tracing, pathwise duality, and the conditional-probability estimator."""
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -154,10 +156,9 @@ class TestIncomingIndexCache:
     def test_cached_index_matches_fresh_build(self):
         # Criterion-09 kind of logs: F=2, q=4 on a path of 65 vertices up to t=3.
         params, topo = ModelParams(2, 4), Topology("path", 65)
-        for r in range(4):
-            init_seed, run_seed = replicate_seeds(808, r)
-            traj = run_model("axelrod", random_config(params, topo, init_seed),
-                             StopRule(t_max=3.0), run_seed)
+        for seed in replicate_seeds(808, 4):
+            traj = run_model("axelrod", partial(random_config, params, topo),
+                             StopRule(t_max=3.0), seed)
             log = arrow_log_from_trajectory(traj)
             for t in (1.5, traj.end_time):
                 for i in range(params.F):

@@ -1,7 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 import pytest
@@ -23,6 +23,7 @@ from axsim import (
     is_absorbed,
     propose_and_apply,
     random_config,
+    random_opinions,
     run_model,
     voter_projection,
 )
@@ -43,7 +44,7 @@ class TestStopRule:
         StopRule(stop_on_absorption=True)
 
     @pytest.mark.parametrize("t_max", [math.nan, math.inf, -math.inf, -1.0, -1e-300,
-                                       pytest.param(10 ** 400, id="10**400")])
+                                       pytest.param(10 ** 400, id="10**400"), "1"])
     def test_rejects_a_t_max_that_hangs_or_runs_backward(self, t_max):
         # A NaN bound is never exceeded, so a voter run would never stop.
         with pytest.raises(InvalidInput, match="t_max"):
@@ -331,10 +332,9 @@ class TestExactLawAtTime:
     def test_final_census_matches_the_exact_law(self, kind):
         topo, params, n = Topology(kind, self.V), ModelParams(self.F, self.Q), self.RUNS
         hits, several = Counter(), 0
-        for r in range(n):
-            init_seed, run_seed = replicate_seeds(2718, r)
-            traj = run_model("axelrod", random_config(params, topo, init_seed),
-                             StopRule(t_max=self.T), run_seed)
+        for seed in replicate_seeds(2718, n):
+            traj = run_model("axelrod", partial(random_config, params, topo),
+                             StopRule(t_max=self.T), seed)
             hits[traj.final_census.counts] += 1
             several += len(traj.events) >= 2
         assert several >= 0.6 * n
@@ -342,14 +342,20 @@ class TestExactLawAtTime:
 
 
 def opinion_runs(model: str, kind: str, V: int, t: float, n: int, master: int) -> list:
-    """n runs of the opinion model to time t from i.i.d. uniform opinions."""
-    alphabet = (0, 1) if model == "voter" else (-1, 0, 1)
-    topo, runs = Topology(kind, V), []
+    """n runs of the opinion model to time t from i.i.d. uniform opinions.
+
+    On the streams these oracles were first held to: run r draws its
+    opinions from the first word of `SeedSequence(master, spawn_key=(r,))`
+    and runs on the second, through the int-seed `random_opinions` and
+    `run_model`, whose streams stay fixed. The draw-then-run path of the
+    replicates is held to its exact law by `TestExactLawAtTime`."""
+    topo, alphabet = Topology(kind, V), (0, 1) if model == "voter" else (-1, 0, 1)
+    runs = []
     for r in range(n):
-        init_seed, run_seed = replicate_seeds(master, r)
-        ops = np.random.default_rng(init_seed).integers(alphabet[0], alphabet[-1] + 1, V)
-        initial = OpinionConfig(topo, tuple(ops.tolist()), alphabet)
-        runs.append(run_model(model, initial, StopRule(t_max=t), run_seed))
+        words = np.random.SeedSequence(master, spawn_key=(r,)).generate_state(2, np.uint64)
+        init_seed, run_seed = map(int, words)
+        runs.append(run_model(model, random_opinions(topo, alphabet, init_seed),
+                              StopRule(t_max=t), run_seed))
     return runs
 
 
@@ -559,6 +565,7 @@ class TestOneRunCheck:
         "unknown model": dict(model="potts", t_max=1.0),
         "NaN snapshot time": dict(t_max=1.0, snapshot_times=(0.5, math.nan)),
         "negative snapshot time": dict(snapshot_times=(-0.5,)),
+        "snapshot time that is no number": dict(snapshot_times=(None,)),
         "snapshot beyond t_max": dict(t_max=1.0, snapshot_times=(0.5, 2.0)),
         "urn on voter": dict(model="voter", t_max=1.0, attach_urn=True),
         "urn on cvm": dict(model="cvm", t_max=1.0, attach_urn=True),

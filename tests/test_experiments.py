@@ -1,13 +1,20 @@
 """Experiment orchestration: snapshot tables, summary checks, the worker pool."""
+import concurrent.futures
 import csv
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from functools import partial
 
+import numpy as np
 import pytest
 
-from axsim import ExperimentConfig, InvalidInput, execute
-from axsim import experiments
+from axsim import (ExperimentConfig, InvalidInput, ModelParams, execute, random_config,
+                   random_opinions, run_model)
+from axsim import engine, experiments
 
 
 def read_csv(path):
@@ -64,7 +71,7 @@ class TestTimeBounds:
         with pytest.raises(InvalidInput):
             ExperimentConfig(kind="simulate", N=10, max_events=-3).validate()
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -2.0, TOO_BIG])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -2.0, TOO_BIG, "2"])
     def test_query_time(self, bad):
         duality = dict(kind="duality-check", topology="cycle", N=8, replicates=1)
         lemma5 = dict(kind="lemma5-estimate", N=10, xyz=(2, 5, 8), replicates=2)
@@ -163,15 +170,16 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, configs, rs, chunksize=1):
+    def map(self, fn, configs, rs, seeds, chunksize=1):
         self.tasks.append((list(rs), chunksize))
-        return map(fn, configs, self.tasks[-1][0])
+        return map(fn, configs, self.tasks[-1][0], seeds)
 
 
 def _patch_pool(monkeypatch, cpus=4, replicate_s=1.0):
     """Fake pool and CPU count, and a clock on which each reading is
     `replicate_s` after the previous one, so replicate 0 seems to take that long."""
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+    # `_map_replicates` imports the pool from `concurrent.futures` only when it starts one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(_RecordingPool, "tasks", [])
@@ -247,3 +255,74 @@ class TestLemma5Workers:
             experiments.ModelParams(2, 5), 20, 5, 10, 15, 1.0, 40, 6)
         assert serial.aggregates["hits"] == est.hits > 0
         assert serial.aggregates["estimate"] == est.estimate
+
+
+class TestOneSeedPerReplicate:
+    KINDS = {
+        "simulate": dict(kind="simulate", F=2, q=3, topology="cycle", N=12, t_max=2.0),
+        "simulate-urn": dict(kind="simulate", F=2, q=3, N=12, attach_urn=True),
+        "voter": dict(kind="simulate", model="voter", topology="cycle", N=12, t_max=2.0),
+        "cvm": dict(kind="simulate", model="cvm", N=12, t_max=2.0),
+        "urn-rounds": dict(kind="urn-rounds", F=2, q=4, N=12),
+        "duality-check": dict(kind="duality-check", topology="cycle", N=12, t_query=2.0),
+        "lemma5-estimate": dict(kind="lemma5-estimate", F=2, q=5, N=12, xyz=(2, 5, 8),
+                                t_query=1.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(KINDS))
+    def test_one_generator_per_replicate(self, name, monkeypatch):
+        """Each replicate builds one Generator (two with the urn), and the
+        experiment one SeedSequence for all its replicate seeds."""
+        built, words = [], []
+        default_rng, seeds = np.random.default_rng, experiments.replicate_seeds
+        monkeypatch.setattr(np.random, "default_rng", lambda seed=None: (
+            built.append(seed) if not isinstance(seed, np.random.Generator) else None,
+            default_rng(seed))[1])
+        monkeypatch.setattr(experiments, "replicate_seeds",
+                            lambda master, n: words.append(n) or seeds(master, n))
+        execute(ExperimentConfig(replicates=5, master_seed=9, **self.KINDS[name]))
+        assert words == [5]
+        assert len(built) == (10 if name == "simulate-urn" else 5)
+
+    def test_word_r_seeds_replicate_r_whatever_the_count(self):
+        for master in (0, 9, 2 ** 64 - 1):
+            words = np.random.SeedSequence(master).generate_state(50, np.uint64).tolist()
+            for n in (1, 2, 7, 50):
+                assert experiments.replicate_seeds(master, n) == words[:n]
+            assert len(set(words)) == 50 and all(type(w) is int for w in words)
+
+    @pytest.mark.parametrize("loop", ["compiled", "python"])
+    @pytest.mark.parametrize("model", ["axelrod", "cvm"])
+    def test_an_aggregate_row_seed_reruns_its_replicate(self, loop, model, tmp_path,
+                                                        monkeypatch):
+        """`run_model(model, draw, stop, seed)` with a row's seed alone gives
+        that row's event count and census."""
+        if loop == "python":
+            monkeypatch.setattr(engine, "_kernel_lib", lambda: None)
+        elif engine._kernel_lib() is None:
+            pytest.skip("the compiled loop could not be built on this host")
+        config = ExperimentConfig(kind="simulate", model=model, F=2, q=2 if model == "cvm" else 4,
+                                  N=30, t_max=5.0, replicates=6, master_seed=21,
+                                  attach_urn=model == "axelrod", output_dir=str(tmp_path))
+        execute(config)
+        topo = config.make_topology()
+        draw = (partial(random_config, ModelParams(2, 4), topo) if model == "axelrod"
+                else partial(random_opinions, topo, (-1, 0, 1)))
+        rows = read_csv(tmp_path / "aggregate.csv")
+        header = rows[0]
+        for row in rows[1:]:
+            row = dict(zip(header, row))
+            traj = run_model(model, draw, config.stop_rule(), int(row["seed"]))
+            assert len(traj.events) == int(row["n_events"]) > 0
+            assert list(traj.final_census.counts) == [
+                int(row[f"w_{j}"]) for j in range(len(traj.final_census.counts))]
+
+
+def test_importing_the_cli_leaves_the_pool_unloaded():
+    """`concurrent.futures` is imported only when a pool starts."""
+    probe = ("import sys, axsim.cli\n"
+             "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n")
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

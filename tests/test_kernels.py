@@ -5,6 +5,8 @@ wherever it builds. The Python kernel is its oracle: both must give the same
 trajectory, bit for bit, for every seed, stop rule, snapshot set and urn.
 """
 import ctypes
+import hashlib
+import itertools
 import os
 import re
 import shutil
@@ -25,6 +27,7 @@ from axsim import (
     edge_census,
     execute,
     random_config,
+    random_opinions,
     run_model,
 )
 from axsim import _ckernel, engine
@@ -109,6 +112,29 @@ def test_same_trajectory_on_both_kernels(lib, case, kind, size):
                 assert plain.absorbed and plain.end_time == T_LONG
                 frozen += bool(plain.events)
     assert frozen or case == (1, 2)  # with F=1 nothing ever fires
+
+
+def drawn(case, kind: str, size: int = VERTICES):
+    """(model, draw) of an i.i.d. uniform initial state that the run draws itself."""
+    topo = Topology(kind, size)
+    if case == "cvm":
+        return "cvm", partial(random_opinions, topo, (-1, 0, 1))
+    return "axelrod", partial(random_config, ModelParams(*case), topo)
+
+
+@pytest.mark.parametrize("kind,size", [("path", VERTICES), ("cycle", 3)], ids=["path", "cycle3"])
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_drawn_initial_runs_are_the_same_on_both_kernels(lib, case, kind, size):
+    """The initial state is the trajectory Generator's first draws, and the
+    compiled loop goes on from the bitgen where numpy's draw left it."""
+    model, draw = drawn(case, kind, size)
+    for seed in SEEDS[:4]:
+        for stop in STOPS.values():
+            for urn in URNS if model == "axelrod" else URNS[:1]:
+                kwargs = dict(snapshot_times=(0.0, 0.4), attach_urn=urn)
+                got = run_on(lib, model, draw, stop, seed, **kwargs)
+                assert repr(got) == repr(run_on(None, model, draw, stop, seed, **kwargs))
+                assert got.initial == draw(engine._rng_pair(seed, False)[0])
 
 
 def test_int_t_max_gives_the_same_trajectory(lib):
@@ -217,6 +243,79 @@ def test_run_struct_matches_its_ctypes_mirror():
     assert len(fields) > 20
     used = set(re.findall(r"\br->(\w+)", source))
     assert [name for name, _ in fields if name not in used] == []
+
+
+SANITIZE = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",
+            "-fno-omit-frame-pointer", "-shared", "-fPIC", "-ffp-contract=off")
+
+
+def grid_digest() -> str:
+    """sha256 over the `repr` of a grid of culture and CVM runs on the kernel
+    `run_model` picks: the both-kernel grid's lattices, cases and stop rules
+    from given and drawn initial states, a run whose weight classes outgrow
+    their first room, and the exact-law lattices."""
+    digest = hashlib.sha256()
+
+    def add(*args, **kwargs):
+        digest.update(repr(run_model(*args, **kwargs)).encode())
+
+    lattices = (("path", VERTICES), ("cycle", VERTICES), ("path", 2), ("cycle", 3))
+    for case, (kind, size), seed in itertools.product(CASES, lattices, SEEDS[:2]):
+        model, init = initial(case, kind, seed, size)
+        for start, stop in itertools.product((init, drawn(case, kind, size)[1]), STOPS.values()):
+            limit = stop.t_max if stop.t_max is not None else 3.0
+            for snaps, urn in itertools.product(((), (0.0, 0.4, limit)), URNS):
+                if model == "axelrod" or not urn:
+                    add(model, start, stop, seed, snapshot_times=snaps, attach_urn=urn)
+    add("axelrod", random_config(ModelParams(3, 3), Topology("path", 400), 7),
+        StopRule(stop_on_absorption=True), 11, snapshot_times=(1.0, 5.0), attach_urn=True)
+    for kind, seed in itertools.product(("path", "cycle"), range(40)):
+        add(*drawn((3, 2), kind, 4), StopRule(t_max=3.0), seed, snapshot_times=(1.0,))
+        add(*drawn("cvm", kind, 4), StopRule(t_max=3.0), seed, snapshot_times=(1.0,))
+    return digest.hexdigest()
+
+
+def _sanitizer_runtimes() -> list:
+    """The paths of libasan and libubsan as the C compiler reports them; a
+    library it cannot find comes back as its bare name."""
+    names = []
+    for name in ("libasan.so", "libubsan.so"):
+        out = subprocess.run([*_ckernel._CC, f"-print-file-name={name}"], capture_output=True,
+                             text=True, timeout=60).stdout.strip()
+        if not os.path.isabs(out) or not os.path.exists(out):
+            pytest.skip(f"{name} not found by {_ckernel._CC[0]}")
+        names.append(out)
+    return names
+
+
+def test_grid_is_clean_under_address_and_undefined_behaviour_sanitizers(lib):
+    """The compiled loop writes through raw pointers into arrays Python owns.
+    Built with ASan and UBSan and run with their runtimes preloaded and
+    Python's allocator off (so each array is a heap block ASan can bound),
+    the grid must report nothing and give the plain build's digest."""
+    if shutil.which(_ckernel._CC[0]) is None:
+        pytest.skip("no C compiler on this host")
+    preload = _sanitizer_runtimes()
+    probe = (
+        "import sys\n"
+        f"sys.path[:0] = [{os.path.dirname(os.path.abspath(__file__))!r}]\n"
+        "from axsim import _ckernel, engine\n"
+        f"_ckernel._CFLAGS = {SANITIZE!r}\n"
+        "import test_kernels\n"
+        "lib = engine._kernel_lib()\n"
+        "source = open(_ckernel._KERNEL_C, 'rb').read()\n"
+        "print(lib is not None and lib._name == _ckernel.build_path(source))\n"
+        "print(test_kernels.grid_digest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = {**os.environ, "PYTHONPATH": src, "LD_PRELOAD": " ".join(preload),
+           "PYTHONMALLOC": "malloc", "ASAN_OPTIONS": "detect_leaks=0"}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=600, env=env)
+    assert proc.returncode == 0 and "Sanitizer" not in proc.stderr, proc.stderr[-4000:]
+    sanitized, digest = proc.stdout.split()
+    assert sanitized == "True"  # the sanitized build ran, not a fallback
+    assert digest == grid_digest()
 
 
 def test_voter_runs_stay_in_python(lib):

@@ -137,7 +137,7 @@ class TestNoTuplesOnHotPaths:
         trajs = _spy_runs(monkeypatch)
         config = ExperimentConfig(kind="simulate", model=AXELROD, F=2, q=4, topology="path",
                                   N=200, replicates=1, attach_urn=True)
-        row = experiments._simulate_replicate(config, 0)
+        row = experiments._simulate_replicate(config, 0, SEED)
         (traj,) = trajs
         assert row["absorbed"] and traj.urn_final is not None
         assert _built_tuples(traj.initial, traj.final) == []
@@ -146,7 +146,7 @@ class TestNoTuplesOnHotPaths:
         trajs = _spy_runs(monkeypatch)
         config = ExperimentConfig(kind="lemma5-estimate", F=2, q=5, N=40, xyz=(10, 20, 30),
                                   t_query=3.0, replicates=1)
-        experiments._lemma5_replicate(config, 0)
+        experiments._lemma5_replicate(config, 0, SEED)
         (traj,) = trajs
         assert len(traj.events) > 0
         assert _built_tuples(traj.initial, traj.final) == []
@@ -157,7 +157,7 @@ class TestNoTuplesOnHotPaths:
         monkeypatch.setattr(experiments, "random_config",
                             lambda *a: drawn.append(draw(*a)) or drawn[-1])
         config = ExperimentConfig(kind="urn-rounds", F=2, q=4, N=500, replicates=1)
-        row = experiments._rounds_replicate(config, 0)
+        row = experiments._rounds_replicate(config, 0, SEED)
         (initial,) = drawn
         assert sum(row["initial_boxes"]) == 500
         assert _built_tuples(initial) == []
