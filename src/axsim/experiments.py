@@ -120,7 +120,8 @@ def _mean_se(values):
 
 
 def _initial_draw(model: str, config: ExperimentConfig):
-    """The draw `f(rng)` of an i.i.d. uniform initial state, looking its function up per call."""
+    """The draw `f(rng)` of an i.i.d. uniform initial state. It looks its function up
+    when called, so a wrapper installed on or removed from the name takes effect."""
     topo = config.make_topology()
     if model == AXELROD:
         params = ModelParams(config.F, config.q)

@@ -126,7 +126,8 @@ def drawn(case, kind: str, size: int = VERTICES):
 @pytest.mark.parametrize("case", CASES, ids=str)
 def test_drawn_initial_runs_are_the_same_on_both_kernels(lib, case, kind, size):
     """The initial state is the trajectory Generator's first draws, and the
-    compiled loop goes on from the bitgen where numpy's draw left it."""
+    compiled loop goes on from the bitgen where numpy's draw left it. Equal
+    arguments, the draw included, give equal trajectories."""
     model, draw = drawn(case, kind, size)
     for seed in SEEDS[:4]:
         for stop in STOPS.values():
@@ -134,6 +135,7 @@ def test_drawn_initial_runs_are_the_same_on_both_kernels(lib, case, kind, size):
                 kwargs = dict(snapshot_times=(0.0, 0.4), attach_urn=urn)
                 got = run_on(lib, model, draw, stop, seed, **kwargs)
                 assert repr(got) == repr(run_on(None, model, draw, stop, seed, **kwargs))
+                assert repr(got) == repr(run_on(lib, model, draw, stop, seed, **kwargs))
                 assert got.initial == draw(engine._rng_pair(seed, False)[0])
 
 
