@@ -59,6 +59,14 @@ class DualWalkResult:
     path: tuple  # ((vertex, (t_lo, t_hi)), ...) from start back to time 0
     end_vertex: int
 
+    @classmethod
+    def _of(cls, start: tuple, path: tuple, end_vertex: int) -> DualWalkResult:
+        """The result as the tracer builds it, without the frozen dataclass's
+        per-field `object.__setattr__`. Nothing is checked or copied."""
+        res = cls.__new__(cls)
+        res.__dict__.update(start=start, path=path, end_vertex=end_vertex)
+        return res
+
 
 @dataclass(frozen=True)
 class DualityReport:
@@ -75,6 +83,10 @@ def arrow_log_from_trajectory(traj) -> ArrowLog:
     if traj.model not in (VOTER, AXELROD):
         raise InvalidInput(f"no arrow-log form for model {traj.model!r}")
     return ArrowLog(EventTable.of(traj.events), traj.end_time, labeled=traj.model == AXELROD)
+
+
+# The index entry of a label no arrow carries; `_trace` only reads it.
+_NO_ARROWS = ({}, {})
 
 
 def _incoming_index(log: ArrowLog) -> dict:
@@ -98,7 +110,7 @@ def _trace(times, sources, x: int, t: float) -> DualWalkResult:
         i = bisect_left(ts, cur_t) - 1 if ts else -1
         if i < 0:
             path.append((cur, (0.0, cur_t)))
-            return DualWalkResult((x, t), tuple(path), cur)
+            return DualWalkResult._of((x, t), tuple(path), cur)
         path.append((cur, (ts[i], cur_t)))
         cur_t = ts[i]
         cur = sources[cur][i]
@@ -110,7 +122,7 @@ def trace_dual_walk(log: ArrowLog, x: int, t: float) -> DualWalkResult:
         raise InvalidInput("dual walk needs a voter (unlabeled) log")
     if t > log.horizon:
         raise InvalidInput(f"t={t} beyond log horizon {log.horizon}")
-    times, sources = log._incoming.get(None, ({}, {}))
+    times, sources = log._incoming.get(None, _NO_ARROWS)
     return _trace(times, sources, x, t)
 
 
@@ -120,7 +132,7 @@ def trace_lineage(log: ArrowLog, i: int, u: int, t: float) -> DualWalkResult:
         raise InvalidInput("lineage tracing needs a labeled log")
     if t > log.horizon:
         raise InvalidInput(f"t={t} beyond log horizon {log.horizon}")
-    times, sources = log._incoming.get(i, ({}, {}))
+    times, sources = log._incoming.get(i, _NO_ARROWS)
     return _trace(times, sources, u, t)
 
 
@@ -132,7 +144,7 @@ def check_voter_duality(log: ArrowLog, initial, t: float) -> DualityReport:
     if t > log.horizon:
         raise InvalidInput(f"t={t} beyond log horizon {log.horizon}")
     ops = replay(initial, log.arrows, VOTER, upto=t).opinions
-    times, sources = log._incoming.get(None, ({}, {}))
+    times, sources = log._incoming.get(None, _NO_ARROWS)
     per_vertex = []
     for x in range(initial.topology.n_vertices):
         end = _trace(times, sources, x, t).end_vertex

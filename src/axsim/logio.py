@@ -2,13 +2,20 @@
 
 The event log is a CSV with '#'-prefixed metadata lines (model, topology,
 parameters, seed, initial state) followed by one row per event:
-time,source,target,feature,delta_w. Times are written with repr so reimport
-is bit-exact and replay reproduces the final configuration. Rows are written
-from, and parsed into, the columns of an `EventTable`.
+time,source,target,feature,delta_w, in nondecreasing time. Times are written
+with repr so reimport is bit-exact and replay reproduces the final
+configuration. Rows are written from the columns of an `EventTable`.
+
+Reading a log parses its rows, and a culture log's initial state, in one
+`np.loadtxt` pass each and checks them by column. Text that pass might read
+otherwise than Python's `int` and `float` do, or that fails a check, is
+parsed row by row with those, which names the first faulty line.
 """
 from __future__ import annotations
 
+import io
 import os
+import warnings
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
@@ -25,7 +32,7 @@ from .core import (
     VOTER_ALPHABET,
 )
 from .engine import AXELROD, MODELS, VOTER, _check_initial
-from .events import EventTable
+from .events import EventTable, UpdateEvent
 # `edge_census` and `count_domains` stay importable from here by name: the
 # benchmark's tracer wraps them as the census layer.
 from .stats import count_domains, domains_from_census, edge_census
@@ -86,49 +93,89 @@ def save_event_log(traj, path: str):
     atomic_write_text(path, event_log_text(traj))
 
 
-def _row_fault(row: str, n_vertices: int, features: range, end_time: float) -> str | None:
-    """Why `row` is no event row of its log, or None; the per-row form of the
-    column checks in `load_event_log`."""
+# The row header names the columns of an event row; `_ROW` parses one.
+_ROW = np.dtype([(name, "f8" if name == "time" else "i8") for name in _HEADER.split(",")])
+# Line breaks of `str.splitlines` besides "\n" ("\r" and "\r\n" are "\n" once
+# read in text mode), and the bytes `save_event_log` writes rows and states with.
+_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_PLAIN = b"0123456789.e+-,\n"
+
+
+def _bulk(text: str, dtype: np.dtype):
+    """The lines of `text`, each ending in "\n", parsed by one `np.loadtxt`
+    pass into records of `dtype`, or None unless `text` is plain and every
+    line a record.
+
+    On plain text (`_PLAIN` bytes only) `np.loadtxt` and Python's `int` and
+    `float` accept the same fields and read the same values, bit for bit.
+    Elsewhere they differ (`loadtxt` refuses `1_0` and skips blank lines), so
+    the caller parses other text as Python does.
+    """
+    data = text.encode()
+    if data.translate(None, _PLAIN):
+        return None
+    try:
+        with warnings.catch_warnings():
+            # Blank lines only make `loadtxt` warn of no data, and numpy before
+            # 2.0 warns where it reads an int from a float such as "1.0".
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.BytesIO(data), dtype, delimiter=",", comments=None,
+                              ndmin=1, encoding="ascii")
+    except (ValueError, Warning):
+        return None
+    return rows if len(rows) == data.count(b"\n") else None
+
+
+def _event(row: str, n_vertices: int, features: range, end_time: float,
+           after: float) -> UpdateEvent:
+    """`row` as an event of its log, whose previous row is at time `after`;
+    otherwise ValueError naming the fault."""
     fields = row.split(",")
     if len(fields) != 5:
-        return f"{len(fields)} fields, expected 5 ({_HEADER})"
+        raise ValueError(f"{len(fields)} fields, expected 5 ({_HEADER})")
     try:
         t = float(fields[0])
         source, target, feature, delta_w = map(int, fields[1:])
     except ValueError:
-        return f"non-numeric field in {row!r}"
+        raise ValueError(f"non-numeric field in {row!r}") from None
     if not 0 <= t <= end_time:
-        return f"time {t!r} outside [0, end_time={end_time!r}]"
+        raise ValueError(f"time {t!r} outside [0, end_time={end_time!r}]")
     if not (0 <= source < n_vertices and 0 <= target < n_vertices):
-        return f"vertex outside 0..{n_vertices - 1}"
+        raise ValueError(f"vertex outside 0..{n_vertices - 1}")
     if feature not in features:
-        return f"feature {feature} outside {features.start}..{features.stop - 1}"
+        raise ValueError(f"feature {feature} outside {features.start}..{features.stop - 1}")
     if not 0 <= delta_w <= 2:
-        return f"delta_w {delta_w} outside 0..2"
-    return None
+        raise ValueError(f"delta_w {delta_w} outside 0..2")
+    if t < after:
+        raise ValueError(f"time {t!r} before the previous row's {after!r}")
+    return UpdateEvent(t, target, source, feature, delta_w)
 
 
-def _columns(rows: list, n_vertices: int, features: range,
-             end_time: float) -> EventTable | None:
-    """Event rows parsed in bulk into columns; None if any row is faulty."""
-    if not rows:
-        return EventTable()
-    if set(map(str.count, rows, repeat(","))) != {4}:
-        return None
-    fields = ",".join(rows).split(",")
-    try:
-        table = EventTable(map(float, fields[0::5]), map(int, fields[2::5]),
-                           map(int, fields[1::5]), map(int, fields[3::5]),
-                           map(int, fields[4::5]))
-    except (ValueError, OverflowError):
-        return None
-    ok = (0 <= min(table.time) and max(table.time) <= end_time
-          and 0 <= min(table.source) and max(table.source) < n_vertices
-          and 0 <= min(table.target) and max(table.target) < n_vertices
-          and features.start <= min(table.copied_feature)
-          and max(table.copied_feature) < features.stop
-          and 0 <= min(table.delta_w) and max(table.delta_w) <= 2)
-    return table if ok else None
+def _events(body: str, line: int, path: str, n_vertices: int, features: range,
+            end_time: float) -> EventTable:
+    """The event rows of `body`, the first on line `line` of the log.
+
+    Rows are parsed in bulk and checked by column; where that fails they are
+    parsed one by one, which names the first faulty line.
+    """
+    rows = _bulk(body, _ROW)
+    if rows is not None:
+        t, u, v = rows["time"], rows["source"], rows["target"]
+        feature, delta_w = rows["feature"], rows["delta_w"]
+        if (0 <= t.min() and t.max() <= end_time and (t[:-1] <= t[1:]).all()
+                and 0 <= min(u.min(), v.min()) and max(u.max(), v.max()) < n_vertices
+                and features.start <= feature.min() and feature.max() < features.stop
+                and 0 <= delta_w.min() and delta_w.max() <= 2):
+            return EventTable(t.tobytes(), v.tobytes(), u.tobytes(), feature.tobytes(),
+                              delta_w.tobytes())
+    events = []
+    for n, row in enumerate(body.splitlines(), start=line):
+        try:
+            events.append(_event(row, n_vertices, features, end_time,
+                                 events[-1].time if events else 0.0))
+        except ValueError as exc:
+            raise InvalidInput(f"{path}, line {n}: {exc}") from None
+    return EventTable.of(events)
 
 
 def _meta(meta: dict, key: str, parse, path: str):
@@ -142,6 +189,13 @@ def _meta(meta: dict, key: str, parse, path: str):
 
 def _state(text: str, n_vertices: int, params: ModelParams) -> array:
     """The '# initial=' value as a `Configuration.state`."""
+    # One line per culture: a culture ends with ";" or with the text.
+    rows = _bulk(text.replace(";", "\n") + "\n", np.dtype("i8," * params.F))
+    if rows is not None and len(rows) == n_vertices:
+        values = rows.view(np.int64)
+        if 0 <= values.min() and values.max() < params.q:
+            return array("q", values.tobytes())
+    # Python's `int` reads what the bulk pass did not take, and words the fault.
     chunks = text.split(";")
     if len(chunks) != n_vertices or set(map(str.count, chunks, repeat(","))) != {params.F - 1}:
         raise ValueError(f"expected {n_vertices} cultures of {params.F} features")
@@ -158,16 +212,19 @@ def load_event_log(path: str) -> LogBundle:
     """Read an event log written by `save_event_log`.
 
     A log that is not of that form raises InvalidInput naming the missing
-    metadata key or the first faulty line.
+    metadata key or the first faulty line. Row times must not decrease.
     """
     with open(path) as fh:
-        lines = fh.read().splitlines()
+        text = fh.read()
+    if not text.endswith("\n") or any(c in text for c in _BREAKS):
+        text = "\n".join(text.splitlines() + [""])  # the same lines, each ending in "\n"
     meta = {}
-    k = 0
-    while k < len(lines) and lines[k].startswith("#"):
-        key, _, value = lines[k][1:].strip().partition("=")
+    k = pos = 0  # line k starts at text[pos]
+    while text.startswith("#", pos):
+        end = text.index("\n", pos)
+        key, _, value = text[pos + 1:end].strip().partition("=")
         meta[key.strip()] = value
-        k += 1
+        k, pos = k + 1, end + 1
     model = _meta(meta, "model", str, path)
     if model not in MODELS:
         raise InvalidInput(f"{path}: unknown model {model!r}")
@@ -183,15 +240,10 @@ def load_event_log(path: str) -> LogBundle:
         opinions = _meta(meta, "initial", lambda v: tuple(map(int, v.split(";"))), path)
         initial = OpinionConfig(topo, opinions, alphabet)
         features = range(-1, 0)
-    if k == len(lines) or lines[k] != _HEADER:
+    end = text.find("\n", pos)
+    if end < 0 or text[pos:end] != _HEADER:
         raise InvalidInput(f"{path}, line {k + 1}: expected the row header {_HEADER!r}")
-    rows = lines[k + 1:]
-    events = _columns(rows, topo.n_vertices, features, end_time)
-    if events is None:
-        for n, row in enumerate(rows, start=k + 2):
-            fault = _row_fault(row, topo.n_vertices, features, end_time)
-            if fault:
-                raise InvalidInput(f"{path}, line {n}: {fault}")
+    events = _events(text[end + 1:], k + 2, path, topo.n_vertices, features, end_time)
     return LogBundle(model, initial, events, end_time,
                      bool(_meta(meta, "absorbed", int, path)), _meta(meta, "seed", int, path))
 

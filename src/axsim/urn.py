@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CapacityError, InvalidInput, ModelParams
+from .core import CapacityError, InvalidInput, ModelParams, check_seed
 
 EXACT_BALL_CAP = 12
 EXACT_F_CAP = 4
@@ -80,19 +80,22 @@ def _round_eligible(whites, F):
     return [j for j in range(1, F) if whites[j] > 0]
 
 
-def urn_rounds_run(initial: UrnState, params: ModelParams, seed: int) -> RoundsRecord:
+def urn_rounds_run(initial: UrnState, params: ModelParams, seed) -> RoundsRecord:
     """Discrete rounds game; halts when all balls sit in box 0 or box F.
 
     Round 1 paints box-0 balls black and the rest white; each step moves a
     white ball up from a uniformly chosen white-holding box below F, then
     with probability 1/(q-1) a ball moves from box 0 to box 1. A round ends
     when every white ball is in box F; the next round repaints box 1 white.
+    `seed` is an integer >= 0 or a Generator, which the game advances.
     """
     import numpy as np
 
     F = params.F
     if len(initial.boxes) != F + 1:
         raise InvalidInput("urn state does not match F")
+    if not isinstance(seed, np.random.Generator):
+        check_seed(seed)
     rng = np.random.default_rng(seed)
     p_move = 1.0 / (params.q - 1)
 

@@ -1,6 +1,15 @@
 """Event-log serialization, replay, and CSV artifacts."""
+import math
+import os
+import sys
+import tempfile
+from array import array
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from axsim import (
     Configuration,
@@ -13,6 +22,7 @@ from axsim import (
     count_domains,
     cvm_projection,
     edge_census,
+    EventTable,
     event_log_text,
     final_stats_row,
     load_event_log,
@@ -21,6 +31,7 @@ from axsim import (
     run_model,
     save_event_log,
 )
+from axsim import logio
 
 
 def axelrod_traj(seed=5, **kw):
@@ -175,19 +186,27 @@ class TestFinalStatsRowOracle:
             assert ("urn_boxes" in row) == urn
 
 
+def write_log(tmp_path, edit, newline="\n"):
+    """The log of `axelrod_traj(seed=2)` (8 events on a cycle of 12, (F, q) =
+    (2, 3), end_time 4.0), its lines edited by `edit(lines, k)` where line
+    k is the first event row, joined by `newline`. Returns the path and the
+    first row's line number."""
+    _, traj = axelrod_traj(seed=2)
+    lines = event_log_text(traj).splitlines()
+    first_row = lines.index("time,source,target,feature,delta_w") + 1
+    assert len(lines) > first_row + 3
+    edit(lines, first_row)
+    path = tmp_path / "log.csv"
+    path.write_text(newline.join(lines) + newline, newline="")
+    return str(path), first_row + 1  # line number of the first event row
+
+
 class TestCorruptLogs:
     """A log that is not what `save_event_log` writes fails with InvalidInput
     naming the first faulty line or the missing key."""
 
     def write(self, tmp_path, edit):
-        _, traj = axelrod_traj(seed=2)
-        lines = event_log_text(traj).splitlines()
-        first_row = lines.index("time,source,target,feature,delta_w") + 1
-        assert len(lines) > first_row + 3
-        edit(lines, first_row)
-        path = tmp_path / "log.csv"
-        path.write_text("\n".join(lines) + "\n")
-        return str(path), first_row + 1  # line number of the first event row
+        return write_log(tmp_path, edit)
 
     def test_short_row(self, tmp_path):
         def edit(lines, k):
@@ -239,3 +258,223 @@ class TestCorruptLogs:
         path, _ = self.write(tmp_path, edit)
         with pytest.raises(InvalidInput, match="initial"):
             load_event_log(path)
+
+
+def columns(events) -> tuple:
+    """An event table's columns as bytes, so that times compare bit for bit."""
+    return tuple(c.tobytes() for c in EventTable.of(events).columns())
+
+
+def edit_field(row: int, field: int, text: str):
+    """An edit for `write_log` that sets field `field` of event row `row`."""
+    def edit(lines, k):
+        fields = lines[k + row].split(",")
+        fields[field] = text
+        lines[k + row] = ",".join(fields)
+    return edit
+
+
+def with_underscore(t: float) -> str:
+    """`repr(t)` with an underscore between two digits of its fraction."""
+    text = repr(t)
+    point = text.index(".")
+    return text[:point + 2] + "_" + text[point + 2:]
+
+
+class TestBulkParseParity:
+    """Logs read by the one-pass parse load to the columns Python's `int` and
+    `float` give, row by row, or fail with the message naming the first
+    faulty line, as they did before that parse."""
+
+    @staticmethod
+    def events():
+        """The events `write_log` writes."""
+        return axelrod_traj(seed=2)[1].events
+
+    @pytest.mark.parametrize("field,text,value", [
+        (1, "1_0", 10),  # source
+        (2, "\u0661", 1),  # target, ARABIC-INDIC DIGIT ONE
+        (1, " 3 ", 3),
+        (4, "+2", 2),  # delta_w
+    ], ids=["underscore", "arabic-indic-digit", "spaces", "plus-sign"])
+    def test_int_fields_load_as_python_reads_them(self, tmp_path, field, text, value):
+        path, _ = write_log(tmp_path, edit_field(1, field, text))
+        expected = [list(e) for e in self.events()]
+        expected[1][{1: 2, 2: 1, 4: 4}[field]] = value  # row order -> UpdateEvent order
+        assert columns(load_event_log(path).events) == columns([tuple(e) for e in expected])
+
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_time_with_an_underscore(self, tmp_path, row):
+        t = self.events()[row].time
+        path, _ = write_log(tmp_path, edit_field(row, 0, with_underscore(t)))
+        assert columns(load_event_log(path).events) == columns(self.events())
+
+    def test_crlf_line_endings(self, tmp_path):
+        path, _ = write_log(tmp_path, lambda lines, k: None, newline="\r\n")
+        assert b"\r\n" in Path(path).read_bytes()
+        assert columns(load_event_log(path).events) == columns(self.events())
+
+    def test_no_newline_after_the_last_row(self, tmp_path):
+        path, _ = write_log(tmp_path, lambda lines, k: None)
+        Path(path).write_text(Path(path).read_text()[:-1])
+        assert columns(load_event_log(path).events) == columns(self.events())
+
+    def test_negative_zero_time(self, tmp_path):
+        path, _ = write_log(tmp_path, edit_field(0, 0, "-0.0"))
+        time = load_event_log(path).events.time
+        assert time[0] == 0.0 and math.copysign(1.0, time[0]) == -1.0
+        assert time[1:] == self.events().time[1:]
+
+    @pytest.mark.parametrize("edit,at,fault", [
+        (lambda lines, k: lines.insert(k + 2, ""), 2, "1 fields, expected 5"),
+        (lambda lines, k: lines.insert(k + 2, "   "), 2, "1 fields, expected 5"),
+        (lambda lines, k: lines.append(""), 8, "1 fields, expected 5"),
+        (lambda lines, k: lines.insert(k + 2, "# a note"), 2, "1 fields, expected 5"),
+        (lambda lines, k: lines.insert(k + 2, "#,0,1,0,1"), 2, "non-numeric field"),
+        (lambda lines, k: lines.__setitem__(k + 1, lines[k + 1] + ",1"), 1,
+         "6 fields, expected 5"),
+        (lambda lines, k: lines.__setitem__(k + 1, lines[k + 1].rsplit(",", 1)[0]), 1,
+         "4 fields, expected 5"),
+        # A form feed ends a line for `str.splitlines`; `loadtxt` reads it as a space.
+        (lambda lines, k: lines.__setitem__(k + 1, lines[k + 1] + "\x0c"), 2,
+         "1 fields, expected 5"),
+        (edit_field(0, 0, "nan"), 0, r"time nan outside \[0, end_time=4.0\]"),
+        (edit_field(3, 0, "inf"), 3, r"time inf outside \[0, end_time=4.0\]"),
+        (edit_field(2, 0, "1e400"), 2, r"time inf outside"),
+        (edit_field(2, 1, "99999999999999999999"), 2, "vertex outside 0..11"),
+        (edit_field(2, 2, "-99999999999999999999"), 2, "vertex outside 0..11"),
+        (edit_field(2, 3, "1.0"), 2, "non-numeric field"),
+        (edit_field(2, 1, "0x1"), 2, "non-numeric field"),
+    ], ids=["blank-line", "spaces-line", "blank-last-line", "comment-line",
+            "comment-row", "6-fields", "4-fields", "form-feed", "nan-first-row",
+            "inf", "overflowing-time", "20-digit-vertex", "20-digit-negative-vertex",
+            "float-feature", "hex-vertex"])
+    def test_refused_with_the_row_by_row_message(self, tmp_path, edit, at, fault):
+        path, line = write_log(tmp_path, edit)
+        with pytest.raises(InvalidInput, match=f"line {line + at}: {fault}"):
+            load_event_log(path)
+
+    @pytest.mark.parametrize("old,new,fault", [
+        (";0,0", ";0_0,0", None),
+        ("0,0", "0,0;", "expected 12 cultures of 2 features"),
+        (";0,0", ";;0,0", "expected 12 cultures of 2 features"),
+        (";0,0", ";0,0,0", "expected 12 cultures of 2 features"),
+        (";0,0", ";0,3", "feature state 3 outside 0..2"),
+        (";0,0", ";0,-1", "feature state -1 outside 0..2"),
+    ], ids=["underscore", "trailing-semicolon", "empty-culture", "3-features", "state-3",
+            "state--1"])
+    def test_initial_state(self, tmp_path, old, new, fault):
+        def edit(lines, k):
+            lines[k - 2] = lines[k - 2].replace(old, new, 1)
+        path, _ = write_log(tmp_path, edit)
+        if fault is None:
+            assert load_event_log(path).initial == axelrod_traj(seed=2)[0]
+        else:
+            with pytest.raises(InvalidInput, match=fault):
+                load_event_log(path)
+
+    def test_a_plain_log_is_read_in_one_pass(self, tmp_path, monkeypatch):
+        path, _ = write_log(tmp_path, lambda lines, k: None)
+
+        def per_row(*args):
+            raise AssertionError("a plain log was parsed row by row")
+        monkeypatch.setattr(logio, "_event", per_row)
+        assert columns(load_event_log(path).events) == columns(self.events())
+
+
+class TestRowTimesMustNotDecrease:
+    """Every writer emits rows in nondecreasing time, and backward tracing
+    bisects on that order. Logs that break it loaded before this check."""
+
+    def test_swapped_rows(self, tmp_path):
+        def edit(lines, k):
+            lines[k + 3], lines[k + 4] = lines[k + 4], lines[k + 3]
+        path, line = write_log(tmp_path, edit)
+        with pytest.raises(InvalidInput,
+                           match=f"line {line + 4}: time .* before the previous row's"):
+            load_event_log(path)
+
+    def test_reversed_voter_log(self, tmp_path):
+        topo = Topology("path", 9)
+        init = OpinionConfig(topo, (0, 1, 0, 1, 1, 0, 0, 1, 0), (0, 1))
+        traj = run_model("voter", init, StopRule(t_max=3.0), 7)
+        lines = event_log_text(traj).splitlines()
+        k = lines.index("time,source,target,feature,delta_w") + 1
+        lines[k:] = lines[k:][::-1]
+        path = tmp_path / "voter.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(InvalidInput, match=f"line {k + 2}: time .* before the previous row's"):
+            load_event_log(str(path))
+
+    def test_nan_after_the_first_row(self, tmp_path):
+        # Python's min and max skip a nan that is not first, so this loaded.
+        path, line = write_log(tmp_path, edit_field(3, 0, "nan"))
+        with pytest.raises(InvalidInput, match=fr"line {line + 3}: time nan outside"):
+            load_event_log(path)
+
+    def test_equal_times_load(self, tmp_path):
+        def edit(lines, k):
+            lines[k + 1] = lines[k].split(",", 1)[0] + "," + lines[k + 1].split(",", 1)[1]
+        path, _ = write_log(tmp_path, edit)
+        time = load_event_log(path).events.time
+        assert time[0] == time[1]
+
+
+def log_with_rows(directory: str, rows: list, end_time: float) -> str:
+    """A culture log on a cycle of 12 at (F, q) = (2, 3) with the given row
+    texts; returns its path."""
+    path = os.path.join(directory, "log.csv")
+    head = ["# model=axelrod", "# topology=cycle", "# size=12", "# F=2", "# q=3", "# seed=0",
+            f"# end_time={end_time!r}", "# absorbed=0", "# initial=" + ";".join(["0,1"] * 12),
+            "time,source,target,feature,delta_w"]
+    with open(path, "w", newline="") as fh:
+        fh.write("\n".join(head + rows) + "\n")
+    return path
+
+
+def outcome(path: str):
+    """What loading `path` gives: the bundle's columns as bytes, or the error."""
+    try:
+        return columns(load_event_log(path).events)
+    except InvalidInput as exc:
+        return str(exc)
+
+
+class TestBulkParseProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=20))
+    @example([5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+    @example([-0.0, 0.0, 1e-310, 0.1, 1 / 3, 2.0 ** 53 + 2])
+    def test_repr_of_any_finite_double_reads_back_bit_exact(self, times):
+        """A row written with `repr` gives the bits `float` gives, in one pass."""
+        times = sorted(times)
+        with tempfile.TemporaryDirectory() as d, mock.patch.object(logio, "_event"):
+            path = log_with_rows(d, [f"{t!r},0,1,0,1" for t in times], sys.float_info.max)
+            time = load_event_log(path).events.time
+            logio._event.assert_not_called()
+        assert time.tobytes() == array("d", map(float, map(repr, times))).tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 0.5), st.integers(-1, 12), st.integers(0, 11),
+                              st.integers(0, 2), st.integers(0, 3)), max_size=8),
+           st.lists(st.tuples(st.integers(0, 7), st.integers(0, 5),
+                              st.text("0123456789.-+e_ \t\x1f\x0c\u0661naif#,", max_size=5)),
+                    max_size=2))
+    def test_one_pass_and_row_by_row_agree(self, rows, edits):
+        """Rows with random edits load to the same columns, or fail with the
+        same message, as when every row is parsed by Python's `int` and `float`."""
+        texts, t = [], 0.0
+        for dt, *rest in rows:
+            t += dt
+            texts.append(",".join(map(repr, [t, *rest])))
+        for row, field, text in edits:
+            if row < len(texts):
+                fields = texts[row].split(",")
+                fields[field:field + 1] = [text]
+                texts[row] = text if field == 5 else ",".join(fields)
+        with tempfile.TemporaryDirectory() as d:
+            path = log_with_rows(d, texts, 2.0)
+            bulk = outcome(path)
+            with mock.patch.object(logio, "_bulk", return_value=None):
+                assert outcome(path) == bulk

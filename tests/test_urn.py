@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from axsim import (
     CapacityError,
+    InvalidInput,
     ModelParams,
     StopRule,
     Topology,
@@ -147,6 +148,17 @@ class TestRoundsUrn:
     def test_no_whites(self):
         rec = urn_rounds_run(UrnState((7, 0, 0)), ModelParams(2, 3), 0)
         assert rec.final.boxes == (7, 0, 0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_refuses_a_seed_that_is_no_integer_at_least_0(self, seed):
+        with pytest.raises(InvalidInput, match="seed must be an integer >= 0"):
+            urn_rounds_run(UrnState((2, 2, 2)), ModelParams(2, 3), seed)
+
+    def test_takes_a_generator_as_it_takes_its_seed(self):
+        by_seed = urn_rounds_run(UrnState((3, 2, 1, 2)), ModelParams(3, 5), 7)
+        rng = np.random.default_rng(7)
+        assert urn_rounds_run(UrnState((3, 2, 1, 2)), ModelParams(3, 5), rng) == by_seed
+        assert rng.bit_generator.state != np.random.default_rng(7).bit_generator.state
 
     def test_terminal_state_only_outer_boxes(self):
         for seed in range(30):
