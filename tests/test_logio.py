@@ -319,6 +319,18 @@ class TestBulkParseParity:
         Path(path).write_text(Path(path).read_text()[:-1])
         assert columns(load_event_log(path).events) == columns(self.events())
 
+    @pytest.mark.parametrize("brk", ["\x0c", "\x0b", "\x1e", "\x85", "\u2028"])
+    def test_line_break_in_the_metadata(self, tmp_path, brk):
+        # `str.splitlines` ends the seed line at `brk`, so "# note" is a
+        # metadata line of its own and the log loads as written.
+        def edit(lines, k):
+            i = next(j for j, line in enumerate(lines) if line.startswith("# seed="))
+            lines[i] += brk + "# note"
+        path, _ = write_log(tmp_path, edit)
+        bundle = load_event_log(path)
+        assert bundle.seed == 2
+        assert columns(bundle.events) == columns(self.events())
+
     def test_negative_zero_time(self, tmp_path):
         path, _ = write_log(tmp_path, edit_field(0, 0, "-0.0"))
         time = load_event_log(path).events.time
@@ -345,10 +357,14 @@ class TestBulkParseParity:
         (edit_field(2, 2, "-99999999999999999999"), 2, "vertex outside 0..11"),
         (edit_field(2, 3, "1.0"), 2, "non-numeric field"),
         (edit_field(2, 1, "0x1"), 2, "non-numeric field"),
+        # `loadtxt` strips a unit separator around a number; Python does not.
+        (edit_field(2, 1, "\x1f3"), 2, "non-numeric field"),
+        (lambda lines, k: lines.__setitem__(k + 2, lines[k + 2].replace(",", "\x1f,", 1)), 2,
+         "non-numeric field"),
     ], ids=["blank-line", "spaces-line", "blank-last-line", "comment-line",
             "comment-row", "6-fields", "4-fields", "form-feed", "nan-first-row",
             "inf", "overflowing-time", "20-digit-vertex", "20-digit-negative-vertex",
-            "float-feature", "hex-vertex"])
+            "float-feature", "hex-vertex", "unit-separator-vertex", "unit-separator-time"])
     def test_refused_with_the_row_by_row_message(self, tmp_path, edit, at, fault):
         path, line = write_log(tmp_path, edit)
         with pytest.raises(InvalidInput, match=f"line {line + at}: {fault}"):
