@@ -1,8 +1,8 @@
 """Command-line experiment harness.
 
-Subcommands: simulate, bounds, urn-rounds, duality-check, lemma5-estimate,
-table1. A flat key=value config file can seed any flag of the subcommand;
-explicit flags win.
+One subcommand per experiment kind in `experiments.KINDS`, with one flag per
+field the kind reads. A flat key=value config file can seed any flag of the
+subcommand; explicit flags win.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import sys
 
 from .bounds import table1_generate
 from .core import InvalidInput
-from .experiments import ExperimentConfig, execute
+from .experiments import KINDS, ExperimentConfig, execute
 
 
 def _parse_config_file(path: str) -> dict:
@@ -64,65 +64,38 @@ def _add_common(p):
     p.add_argument("--workers", type=int, default=None)
 
 
-def _add_model_flags(p):
-    p.add_argument("--model", choices=("axelrod", "voter", "cvm"), default=None)
-    p.add_argument("--F", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--topology", choices=("path", "cycle"), default=None)
-    p.add_argument("--N", type=int, default=None,
-                   help="path: edge count; cycle: vertex count")
-    p.add_argument("--replicates", type=int, default=None)
+# ExperimentConfig field -> {flag: argparse keywords}. Every flag defaults to None,
+# so a flag left unset keeps the field's default.
+_FLAGS = {
+    "model": {"--model": dict(choices=("axelrod", "voter", "cvm"))},
+    "F": {"--F": dict(type=int)},
+    "q": {"--q": dict(type=int)},
+    "topology": {"--topology": dict(choices=("path", "cycle"))},
+    "N": {"--N": dict(type=int, help="path: edge count; cycle: vertex count")},
+    "replicates": {"--replicates": dict(type=int)},
+    "t_max": {"--t-max": dict(type=float)},
+    "max_events": {"--max-events": dict(type=int)},
+    "snapshot_times": {"--snapshots": dict(type=_snapshot_times,
+                                           help="comma-separated sample times")},
+    "attach_urn": {"--attach-urn": dict(action="store_true")},
+    "save_events": {"--save-events": dict(action="store_true")},
+    "theta": {"--theta": dict(type=float)},
+    "xyz": {flag: dict(type=int) for flag in ("--x", "--y", "--z")},
+    "t_query": {"--t": dict(type=float)},
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="axsim")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="replicated trajectories with aggregation")
-    _add_common(p)
-    _add_model_flags(p)
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--max-events", type=int, default=None)
-    p.add_argument("--snapshots", type=_snapshot_times, default=None,
-                   help="comma-separated sample times")
-    p.add_argument("--attach-urn", action="store_true", default=None)
-    p.add_argument("--save-events", action="store_true", default=None)
-
-    p = sub.add_parser("bounds", help="single bound / psi query")
-    _add_common(p)
-    p.add_argument("--F", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--theta", type=float, default=None)
-
-    p = sub.add_parser("table1", help="full reference table (CSV + text)")
-    _add_common(p)
-    p.add_argument("--format", choices=("text", "csv"), default="text")
-
-    p = sub.add_parser("urn-rounds", help="standalone rounds-urn replicates")
-    _add_common(p)
-    p.add_argument("--F", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--replicates", type=int, default=None)
-
-    p = sub.add_parser("duality-check", help="pathwise voter duality over seeds")
-    _add_common(p)
-    p.add_argument("--topology", choices=("path", "cycle"), default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--replicates", type=int, default=None)
-
-    p = sub.add_parser("lemma5-estimate",
-                       help="conditional feature-agreement probability on a path")
-    _add_common(p)
-    p.add_argument("--F", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--N", type=int, default=None)
-    p.add_argument("--x", type=int, default=None)
-    p.add_argument("--y", type=int, default=None)
-    p.add_argument("--z", type=int, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--replicates", type=int, default=None)
+    for name, kind in KINDS.items():
+        p = sub.add_parser(name, help=kind.help)
+        _add_common(p)
+        for field in kind.fields:
+            for flag, kwargs in _FLAGS[field].items():
+                p.add_argument(flag, default=None, **kwargs)
+        if name == "table1":
+            p.add_argument("--format", choices=("text", "csv"), default="text")
     return ap
 
 

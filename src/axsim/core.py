@@ -230,21 +230,25 @@ def check_seed(seed):
         raise InvalidInput(f"seed must be an integer >= 0, got {seed}")
 
 
+def as_generator(seed) -> np.random.Generator:
+    """`seed` itself if it is a Generator, else a new one from the integer
+    `seed` >= 0 (InvalidInput otherwise), as `np.random.default_rng` builds it."""
+    if not isinstance(seed, np.random.Generator):
+        check_seed(seed)
+    return np.random.default_rng(seed)
+
+
 def random_config(params: ModelParams, topology: Topology, seed) -> Configuration:
     """Every feature of every vertex i.i.d. uniform on {0,...,q-1}, drawn
     from `seed`: an integer >= 0, or a Generator, which the draw advances."""
-    if not isinstance(seed, np.random.Generator):
-        check_seed(seed)
-    draw = np.random.default_rng(seed).integers(0, params.q, size=topology.n_vertices * params.F)
+    draw = as_generator(seed).integers(0, params.q, size=topology.n_vertices * params.F)
     return Configuration._of(topology, params, array("q", draw.tobytes()))
 
 
 def random_opinions(topology: Topology, alphabet: tuple, seed) -> OpinionConfig:
     """Every opinion i.i.d. uniform on `alphabet`, consecutive integers such
     as `VOTER_ALPHABET` or `CVM_ALPHABET`, drawn from `seed` as in `random_config`."""
-    if not isinstance(seed, np.random.Generator):
-        check_seed(seed)
-    draw = np.random.default_rng(seed).integers(alphabet[0], alphabet[-1] + 1, topology.n_vertices)
+    draw = as_generator(seed).integers(alphabet[0], alphabet[-1] + 1, topology.n_vertices)
     return OpinionConfig(topology, tuple(draw.tolist()), alphabet)
 
 

@@ -12,6 +12,7 @@ import math
 import os
 from dataclasses import asdict, dataclass, field, fields
 from time import perf_counter
+from typing import Callable, NamedTuple
 
 from . import bounds as bounds_mod
 from .core import (CVM_ALPHABET, VOTER_ALPHABET, InvalidInput, ModelParams, Topology, check_seed,
@@ -22,11 +23,6 @@ from .engine import (AXELROD, VOTER, StopRule, _rng_pair, check_run, check_times
 from .logio import atomic_write_text, event_log_text, final_stats_row
 from .stats import edge_census
 from .urn import UrnState, urn_rounds_run
-
-EXPERIMENT_KINDS = ("simulate", "bounds", "urn-rounds", "duality-check",
-                    "lemma5-estimate", "table1")
-REPLICATED_KINDS = ("simulate", "urn-rounds", "duality-check", "lemma5-estimate")
-SIMULATE_ONLY = ("model", "t_max", "max_events", "snapshot_times", "attach_urn", "save_events")
 
 
 @dataclass(frozen=True)
@@ -46,28 +42,29 @@ class ExperimentConfig:
     save_events: bool = False
     output_dir: str | None = None
     workers: int = 1
-    theta: float | None = None  # bounds query
-    xyz: tuple = ()  # lemma5 conditioning vertices
-    t_query: float | None = None  # lemma5 / duality time
+    theta: float | None = None  # mean-field potential query point
+    xyz: tuple = ()  # conditioning vertices x < y < z
+    t_query: float | None = None  # query time t
 
     def validate(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in KINDS:
             raise InvalidInput(f"unknown experiment kind {self.kind!r}")
+        reads = KINDS[self.kind].fields + _ALWAYS_READ
         if self.workers < 1:
             raise InvalidInput("workers must be >= 1")
-        if self.kind in REPLICATED_KINDS and self.replicates < 1:
+        if "replicates" in reads and self.replicates < 1:
             raise InvalidInput("replicates must be >= 1")
         check_seed(self.master_seed)
         check_times(self.snapshot_times, "snapshot times")
         if self.t_query is not None:
             check_times((self.t_query,), "time t")
+        if self.kind == "lemma5-estimate" and self.topology != "path":
+            raise InvalidInput("lemma5-estimate runs on a path only")
         # Fields a kind does not read would be recorded in summary.json as if it had.
-        if self.kind != "simulate":
-            for f in fields(self):
-                if f.name in SIMULATE_ONLY and getattr(self, f.name) != f.default:
-                    raise InvalidInput(f"{self.kind} takes no {f.name}")
-        if self.kind == "duality-check" and (self.F, self.q) != (2, 2):
-            raise InvalidInput("duality-check runs the voter model and takes no F or q")
+        for f in fields(self):
+            if f.name not in reads and getattr(self, f.name) != f.default:
+                name = "F or q" if f.name in ("F", "q") else f.name
+                raise InvalidInput(f"{self.kind} takes no {name}")
         if self.kind == "simulate":
             ModelParams(self.F, self.q)
             self.make_topology()
@@ -79,8 +76,6 @@ class ExperimentConfig:
                 raise InvalidInput("snapshot times cannot be combined with max_events")
         if self.kind == "lemma5-estimate":
             ModelParams(self.F, self.q)
-            if self.topology != "path":
-                raise InvalidInput("lemma5-estimate runs on a path only")
             if len(self.xyz) != 3:
                 raise InvalidInput("lemma5-estimate needs x,y,z")
             x, y, z = self.xyz
@@ -183,21 +178,14 @@ def _lemma5_replicate(config: ExperimentConfig, r: int, seed: int) -> tuple[bool
 # busy-wait tasks of 2.5 to 10 ms about 30 ms later than half their serial
 # time, so it wins only on more than twice that.
 POOL_BREAK_EVEN_S = 0.06
-MAX_CHUNK = 16  # replicates per pool task; larger chunks add little on short runs
-
-
-def _chunksize(n: int, workers: int) -> int:
-    """At most MAX_CHUNK, with a chunk count that is a multiple of `workers`
-    where possible, so the workers' shares differ by at most one chunk."""
-    rounds = -(-n // (workers * MAX_CHUNK))
-    return -(-n // (workers * rounds))
 
 
 def _map_replicates(fn, config: ExperimentConfig):
     """fn(config, r, seed) for every replicate r and its seed, in replicate order.
 
-    Replicate 0 runs here and is timed; the rest go to a process pool only
-    when that time, times the replicates left, exceeds POOL_BREAK_EVEN_S.
+    Replicate 0 runs here and is timed; the rest go to a process pool, one
+    contiguous task per worker, only when that time, times the replicates
+    left, exceeds POOL_BREAK_EVEN_S.
     """
     n = config.replicates
     seeds = replicate_seeds(config.master_seed, n)
@@ -211,7 +199,7 @@ def _map_replicates(fn, config: ExperimentConfig):
     from concurrent.futures import ProcessPoolExecutor  # imported only when a pool starts
     with ProcessPoolExecutor(max_workers=workers) as pool:
         rows += pool.map(fn, [config] * (n - 1), range(1, n), seeds[1:],
-                         chunksize=_chunksize(n - 1, workers))
+                         chunksize=-(-(n - 1) // workers))
     return rows
 
 
@@ -407,18 +395,33 @@ def _config_dict(config: ExperimentConfig) -> dict:
     return {k: v for k, v in asdict(config).items() if k not in ("workers", "output_dir")}
 
 
+class Kind(NamedTuple):
+    run: Callable  # config -> (aggregates, checks, {file name: text})
+    fields: tuple  # the ExperimentConfig fields it reads, besides _ALWAYS_READ
+    help: str
+
+
+# Every experiment kind, in the CLI's order. A kind's fields are also its CLI flags, in order.
+KINDS = {
+    "simulate": Kind(_simulate, ("model", "F", "q", "topology", "N", "replicates", "t_max",
+                                 "max_events", "snapshot_times", "attach_urn", "save_events"),
+                     "replicated trajectories with aggregation"),
+    "bounds": Kind(_bounds_query, ("F", "q", "theta"), "single bound / psi query"),
+    "table1": Kind(_table1, (), "full reference table (CSV + text)"),
+    "urn-rounds": Kind(_urn_rounds, ("F", "q", "N", "replicates"),
+                       "standalone rounds-urn replicates"),
+    "duality-check": Kind(_duality_check, ("topology", "N", "t_query", "replicates"),
+                          "pathwise voter duality over seeds"),
+    "lemma5-estimate": Kind(_lemma5, ("F", "q", "N", "xyz", "t_query", "replicates"),
+                            "conditional feature-agreement probability on a path"),
+}
+_ALWAYS_READ = ("kind", "master_seed", "workers", "output_dir")
+
+
 def execute(config: ExperimentConfig) -> ExperimentSummary:
     """Run one experiment; deterministic given the master seed."""
     config.validate()
-    dispatch = {
-        "simulate": _simulate,
-        "urn-rounds": _urn_rounds,
-        "duality-check": _duality_check,
-        "lemma5-estimate": _lemma5,
-        "bounds": _bounds_query,
-        "table1": _table1,
-    }
-    aggregates, checks, files = dispatch[config.kind](config)
+    aggregates, checks, files = KINDS[config.kind].run(config)
     summary = ExperimentSummary(config.kind, _config_dict(config), aggregates, checks)
     _emit(summary, config, files)
     return summary

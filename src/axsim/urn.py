@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import CapacityError, InvalidInput, ModelParams, check_seed
+from .core import CapacityError, InvalidInput, ModelParams, as_generator
 
 EXACT_BALL_CAP = 12
 EXACT_F_CAP = 4
@@ -89,14 +89,10 @@ def urn_rounds_run(initial: UrnState, params: ModelParams, seed) -> RoundsRecord
     when every white ball is in box F; the next round repaints box 1 white.
     `seed` is an integer >= 0 or a Generator, which the game advances.
     """
-    import numpy as np
-
     F = params.F
     if len(initial.boxes) != F + 1:
         raise InvalidInput("urn state does not match F")
-    if not isinstance(seed, np.random.Generator):
-        check_seed(seed)
-    rng = np.random.default_rng(seed)
+    rng = as_generator(seed)
     p_move = 1.0 / (params.q - 1)
 
     black0 = initial.boxes[0]

@@ -1,4 +1,5 @@
 """Command-line interface: subcommands, config files, and rerun determinism."""
+import argparse
 import json
 import os
 import re
@@ -9,6 +10,7 @@ import pytest
 
 from axsim import ExperimentConfig
 from axsim.cli import build_parser, main
+from axsim.experiments import KINDS
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 
@@ -240,6 +242,27 @@ class TestReadmeCommands:
                 pytest.fail(f"README command does not parse: {shlex.join(argv)}")
         assert seen == {"simulate", "bounds", "table1", "urn-rounds", "duality-check",
                         "lemma5-estimate"}
+
+
+# Each ExperimentConfig field's flags, by name.
+FIELD_FLAGS = {"model": ["--model"], "F": ["--F"], "q": ["--q"], "topology": ["--topology"],
+               "N": ["--N"], "replicates": ["--replicates"], "t_max": ["--t-max"],
+               "max_events": ["--max-events"], "snapshot_times": ["--snapshots"],
+               "attach_urn": ["--attach-urn"], "save_events": ["--save-events"],
+               "theta": ["--theta"], "xyz": ["--x", "--y", "--z"], "t_query": ["--t"]}
+
+
+class TestKindsTable:
+    def test_each_subcommand_takes_its_rows_fields_and_the_common_flags(self):
+        (subparsers,) = (a for a in build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction))
+        assert list(subparsers.choices) == list(KINDS)
+        for kind, row in KINDS.items():
+            flags = [opt for a in subparsers.choices[kind]._actions for opt in a.option_strings]
+            expected = (["-h", "--help", "--config", "--seed", "--out", "--workers"]
+                        + [flag for field in row.fields for flag in FIELD_FLAGS[field]]
+                        + (["--format"] if kind == "table1" else []))  # output format only
+            assert flags == expected, kind
 
 
 class TestDeterminism:

@@ -1,10 +1,12 @@
 """Experiment orchestration: snapshot tables, summary checks, the worker pool."""
 import concurrent.futures
 import csv
+import dataclasses
 import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from functools import partial
@@ -145,6 +147,37 @@ class TestLemma5Topology:
             ExperimentConfig(**config, topology="cycle").validate()
 
 
+# A valid config of each kind, and for each field besides the four every kind
+# reads, a value away from its default.
+VALID = {**TestFieldsAKindIgnores.BASES, "simulate": dict(N=10, t_max=1.0)}
+AWAY = dict(model="voter", F=3, q=7, topology="cycle", N=12, t_max=2.0, max_events=5,
+            replicates=2, snapshot_times=(1.0,), attach_urn=True, save_events=True, theta=0.5,
+            xyz=(1, 2, 3), t_query=1.0)
+
+
+class TestKindsTable:
+    """`experiments.KINDS` alone decides which fields each kind reads."""
+
+    def test_every_field_and_kind_is_covered(self):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert names - set(AWAY) == {"kind", "master_seed", "workers", "output_dir"}
+        assert set(VALID) == set(experiments.KINDS)
+        for kind, row in experiments.KINDS.items():
+            assert set(row.fields) <= set(AWAY)
+            ExperimentConfig(kind=kind, **VALID[kind]).validate()
+
+    @pytest.mark.parametrize("kind,field", [(kind, field) for kind, row in experiments.KINDS.items()
+                                            for field in AWAY if field not in row.fields])
+    def test_a_field_outside_the_row_is_refused(self, kind, field):
+        if (kind, field) == ("lemma5-estimate", "topology"):
+            message = "lemma5-estimate runs on a path only"
+        else:
+            message = f"{kind} takes no {'F or q' if field in ('F', 'q') else field}"
+        config = ExperimentConfig(kind=kind, **{**VALID[kind], field: AWAY[field]})
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            config.validate()
+
+
 class TestChainCheck:
     def test_urn_attached_cycle_run(self):
         summary = execute(ExperimentConfig(kind="simulate", F=2, q=3, topology="cycle",
@@ -225,29 +258,37 @@ class TestWorkers:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 19, 31, 32, 33, 100, 999, 4099])
     @pytest.mark.parametrize("workers", [2, 3, 8])
-    def test_shares_differ_by_at_most_one_chunk(self, n, workers):
-        size = experiments._chunksize(n, workers)
-        assert 1 <= size <= experiments.MAX_CHUNK
-        chunks = -(-n // size)
-        shares = [0] * workers  # equal chunks dealt in turn, as idle workers take them
-        for k in range(chunks):
-            shares[k % workers] += min(size, n - k * size)
-        assert sum(shares) == n
+    def test_shares_differ_by_at_most_one_chunk(self, monkeypatch, n, workers):
+        # Replicates 1..n-1 go to the pool as at most one contiguous task per worker.
+        _patch_pool(monkeypatch, cpus=8)
+        config = ExperimentConfig(kind="urn-rounds", replicates=n, workers=workers)
+        rows = experiments._map_replicates(lambda config, r, seed: r, config)
+        assert rows == list(range(n))
+        if n == 1:
+            assert _RecordingPool.tasks == []
+            return
+        workers = min(workers, n)
+        assert _RecordingPool.sizes == [workers]
+        [(pooled, size)] = _RecordingPool.tasks
+        assert pooled == list(range(1, n))
+        chunks = -(-(n - 1) // size)
+        shares = [min(size, n - 1 - k * size) for k in range(chunks)] + [0] * (workers - chunks)
+        assert chunks <= workers and sum(shares) == n - 1
         assert max(shares) - min(shares) <= size
-        assert size <= -(-n // workers)  # no chunk exceeds an even share
+        assert size == -(-(n - 1) // workers)  # no chunk exceeds an even share
 
 
 class TestLemma5Workers:
     def test_replicates_go_through_the_pool(self, monkeypatch, tmp_path):
         # 40 replicates at 2 workers: replicate 0 here, 1..39 to the pool in
-        # chunks of 10; the artifacts and the estimate equal the serial run's.
+        # one task of 20 per worker; the artifacts and the estimate equal the serial run's.
         kwargs = dict(kind="lemma5-estimate", F=2, q=5, N=20, xyz=(5, 10, 15), t_query=1.0,
                       replicates=40, master_seed=6)
         serial = execute(ExperimentConfig(output_dir=str(tmp_path / "w1"), **kwargs))
         _patch_pool(monkeypatch, cpus=2)
         pooled = execute(ExperimentConfig(output_dir=str(tmp_path / "w2"), workers=2, **kwargs))
         assert _RecordingPool.sizes == [2]
-        assert _RecordingPool.tasks == [(list(range(1, 40)), 10)]
+        assert _RecordingPool.tasks == [(list(range(1, 40)), 20)]
         assert pooled == serial
         for name in serial.outputs:
             assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()

@@ -69,9 +69,9 @@ class TestEventLogRoundtrip:
         _, traj = axelrod_traj()
         path = str(tmp_path / "log.csv")
         save_event_log(traj, path)
-        first = open(path).read()
+        first = Path(path).read_text()
         save_event_log(traj, path)
-        assert open(path).read() == first
+        assert Path(path).read_text() == first
 
 
 class TestReplay:
@@ -233,7 +233,7 @@ class TestCorruptLogs:
             end = float(next(l for l in lines if l.startswith("# end_time="))[11:])
             lines.append(f"{end + 0.5!r},0,1,0,1")
         path, _ = self.write(tmp_path, edit)
-        last = len(open(path).read().splitlines())
+        last = len(Path(path).read_text().splitlines())
         with pytest.raises(InvalidInput, match=fr"line {last}: time .* outside \[0, end_time="):
             load_event_log(path)
 
