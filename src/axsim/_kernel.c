@@ -116,7 +116,7 @@ void axsim_culture_free(struct axsim_run *r)
     r->work = NULL;
 }
 
-/* Edge e from class old to class c (0: absent), as `_Buckets.move`. */
+/* Edge e from class old to class c (0: absent), as `_Buckets.move` in engine.py. */
 static int move(struct axsim_run *r, struct work *w, int64_t e, int64_t old, int64_t c)
 {
     if (c == old)
@@ -145,7 +145,7 @@ static int move(struct axsim_run *r, struct work *w, int64_t e, int64_t old, int
     return 0;
 }
 
-/* Weight of edge e by d, as `_bump`. */
+/* Weight of edge e by d, as `_Buckets.bump` in engine.py. */
 static int bump(struct axsim_run *r, struct work *w, int64_t e, int64_t d)
 {
     const int64_t old = w->weight[e];
@@ -208,7 +208,8 @@ static int start(struct axsim_run *r)
 
 /* The coupled urn after an event that changed W by delta, as `couple` in
  * engine.py: on delta 2 a ball moves up from a uniformly chosen nonempty
- * inner box (`urn_coupled_step`), then the two violations are counted. */
+ * inner box, then box 0 gives a ball to box 1 if it has one (`urn_move` in
+ * urn.py), and the two violations are counted. */
 static void couple(struct axsim_run *r, int64_t delta)
 {
     const int64_t F = r->F;

@@ -12,6 +12,7 @@ import sys
 
 from .bounds import table1_generate
 from .core import InvalidInput
+from .engine import MODELS
 from .experiments import KINDS, ExperimentConfig, execute
 
 
@@ -67,7 +68,7 @@ def _add_common(p):
 # ExperimentConfig field -> {flag: argparse keywords}. Every flag defaults to None,
 # so a flag left unset keeps the field's default.
 _FLAGS = {
-    "model": {"--model": dict(choices=("axelrod", "voter", "cvm"))},
+    "model": {"--model": dict(choices=tuple(MODELS))},
     "F": {"--F": dict(type=int)},
     "q": {"--q": dict(type=int)},
     "topology": {"--topology": dict(choices=("path", "cycle"))},

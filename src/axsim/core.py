@@ -32,12 +32,20 @@ class CapacityError(RuntimeError):
     """Exact enumeration requested above the configured state-space cap."""
 
 
+def is_int(x) -> bool:
+    """Whether x is an integer; an int skips the slower ABC check."""
+    return type(x) is int or isinstance(x, numbers.Integral)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     F: int
     q: int
 
     def __post_init__(self):
+        for name, value in (("F", self.F), ("q", self.q)):
+            if not is_int(value):
+                raise InvalidInput(f"{name} must be an integer, got {value!r}")
         if self.F < 1:
             raise InvalidInput(f"F must be >= 1, got {self.F}")
         if self.q < 2:
@@ -54,6 +62,8 @@ class Topology:
     def __post_init__(self):
         if self.kind not in ("path", "cycle"):
             raise InvalidInput(f"unknown topology kind {self.kind!r}")
+        if not is_int(self.size):
+            raise InvalidInput(f"topology size must be an integer, got {self.size!r}")
         if self.kind == "path" and self.size < 2:
             raise InvalidInput("path needs at least 2 vertices")
         if self.kind == "cycle" and self.size < 3:
@@ -225,8 +235,7 @@ def cvm_lift(cfg: OpinionConfig) -> Configuration:
 
 def check_seed(seed):
     """Raise InvalidInput unless `seed` is an integer >= 0."""
-    # An int skips the slower ABC check of `numbers.Integral`.
-    if not (type(seed) is int or isinstance(seed, numbers.Integral)) or seed < 0:
+    if not is_int(seed) or seed < 0:
         raise InvalidInput(f"seed must be an integer >= 0, got {seed}")
 
 

@@ -46,41 +46,35 @@ culture kernel (`_ckernel`, `_kernel.c`), which makes the same draws in the
 same order and so the same trajectory, bit for bit. It is built with the
 system C compiler on the first culture run of a process and loaded with
 ctypes. Where it cannot be built, the Python kernel runs; it is also the
-oracle the compiled loop is tested against. Both culture kernels step the
-attached urn after each event, with the same draws from the urn's
-substream, and count its violations of B_0 <= w_0 and beta >= eps as they go.
+oracle the compiled loop is tested against, and its twin line for line:
+both update a copy of the flat `Configuration.state`, feature i of vertex v
+at v*F + i, and `_Buckets.bump` and `move` are `bump()` and `move()` there.
+Both culture kernels step the attached urn (in Python by `urn.urn_move`)
+after each event, with the same draws from the urn's substream, and count
+its violations of B_0 <= w_0 and beta >= eps as they go.
 """
 from __future__ import annotations
 
 import math
 import numbers
-import operator
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import chain
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import (
-    Configuration,
-    InvalidInput,
-    OpinionConfig,
-    check_seed,
-    cvm_lift,
-    cvm_projection,
-    edge_overlap_count,
-)
+from .core import (CVM_ALPHABET, VOTER_ALPHABET, Configuration, InvalidInput, OpinionConfig,
+                   check_seed, cvm_lift, cvm_projection, edge_overlap_count)
 from .events import EventTable, UpdateEvent
-from .stats import DomainStats, EdgeCensus, census_from_counts, domains_from_census
-from .urn import UrnState
+from .stats import DomainStats, EdgeCensus, census_from_counts, domains_from_census, edge_weights
+from .urn import UrnState, urn_move
 
 AXELROD = "axelrod"
 VOTER = "voter"
 CVM = "cvm"
-MODELS = (AXELROD, VOTER, CVM)
+MODELS = {AXELROD: None, VOTER: VOTER_ALPHABET, CVM: CVM_ALPHABET}  # opinion alphabets
 
 
 @dataclass(frozen=True)
@@ -123,7 +117,7 @@ def check_times(times, what: str):
 
 def check_run(model, stop: StopRule, snapshot_times, attach_urn: bool):
     """Raise InvalidInput unless `run_model` takes these arguments."""
-    if model not in MODELS:
+    if not isinstance(model, str) or model not in MODELS:  # a dict key must hash
         raise InvalidInput(f"unknown model {model!r}")
     check_times(snapshot_times, "snapshot times")
     if stop.t_max is not None and any(s > stop.t_max for s in snapshot_times):
@@ -240,24 +234,31 @@ class _Draws:
 
 
 class _Buckets:
-    """Edges in swap-remove lists by weight class 1..K; class 0 means absent.
+    """Edge weights `weight`, their counts w_0..w_F and the edges of weight
+    1..F-1 in swap-remove lists by class (0: absent), as in `_kernel.c`.
 
     `total` is S = sum_j j*n_j over the classes, kept as edges move.
     """
 
-    def __init__(self, classes: list[int], n_classes: int):
-        """Edge e starts in class `classes[e]`."""
-        self.lists: list[list[int]] = [[] for _ in range(n_classes + 1)]
-        self.pos = pos = [0] * len(classes)
-        for e, c in enumerate(classes):
-            if c:
-                items = self.lists[c]
-                pos[e] = len(items)
-                items.append(e)
-        self.total = sum(classes)
+    def __init__(self, weight: list[int], F: int):
+        self.F, self.weight, self.total = F, weight, 0
+        self.counts = [0] * (F + 1)
+        self.lists: list[list[int]] = [[] for _ in range(F)]
+        self.pos = [0] * len(weight)
+        for e, w in enumerate(weight):
+            self.counts[w] += 1
+            self.move(e, 0, w if w < F else 0)
+
+    def bump(self, e: int, d: int):
+        """Edge e's weight by d, as `bump` in `_kernel.c`."""
+        F, old = self.F, self.weight[e]
+        self.counts[old] -= 1
+        w = self.weight[e] = old + d
+        self.counts[w] += 1
+        self.move(e, old if old < F else 0, w if w < F else 0)
 
     def move(self, e: int, old: int, c: int):
-        """Edge e from class `old` to class `c`."""
+        """Edge e from class `old` to class `c`, as `move` in `_kernel.c`."""
         if c == old:
             return
         pos = self.pos
@@ -305,37 +306,33 @@ def _culture_kernel(initial: Configuration, uniform, appenders, urn_rng=None) ->
     after every event (`couple`).
     """
     F = initial.params.F
-    flat = initial.state.tolist()
-    states = [flat[k:k + F] for k in range(0, len(flat), F)]
+    state = initial.state.tolist()  # feature i of vertex v is state[v*F + i]
     topo = initial.topology
     V, E, cycle = topo.n_vertices, topo.n_edges, topo.kind == "cycle"
-    weight = [sum(map(operator.eq, states[e], states[(e + 1) % V])) for e in range(E)]
-    counts = [0] * (F + 1)
-    for w in weight:
-        counts[w] += 1
-    buckets = _Buckets([w if w < F else 0 for w in weight], F - 1)
-    pick = buckets.pick
+    buckets = _Buckets(edge_weights(initial).tolist(), F)
+    pick, bump, counts = buckets.pick, buckets.bump, buckets.counts
     add_time, add_target, add_source, add_feature, add_delta = appenders
 
     def step(t):
         e = pick(uniform())
         a, b = e, (e + 1) % V
         u, v = (a, b) if uniform() < 0.5 else (b, a)
-        su, sv = states[u], states[v]
-        disagree = [i for i in range(F) if su[i] != sv[i]]
+        su, sv = u * F, v * F
+        disagree = [i for i in range(F) if state[su + i] != state[sv + i]]
         feat = disagree[int(uniform() * len(disagree))]  # >= 1 on an active edge
-        old, new = sv[feat], su[feat]
+        old, new = state[sv + feat], state[su + feat]
         delta = 1
-        _bump(weight, counts, buckets, e, 1, F)
+        bump(e, 1)
         e2, z = (e - 1, v - 1) if v == e else (e + 1, v + 1)
         if cycle:
             e2, z = e2 % E, z % V
         if 0 <= e2 < E:
-            dd = (states[z][feat] == new) - (states[z][feat] == old)
+            zf = state[z * F + feat]
+            dd = (zf == new) - (zf == old)
             if dd:
-                _bump(weight, counts, buckets, e2, dd, F)
+                bump(e2, dd)
             delta += dd
-        sv[feat] = new
+        state[sv + feat] = new
         add_time(t)
         add_target(v)
         add_source(u)
@@ -346,29 +343,19 @@ def _culture_kernel(initial: Configuration, uniform, appenders, urn_rng=None) ->
 
     couple = urn = None
     if urn_rng is not None:  # as `urn_init`: B_j = w_j
-        boxes, E = list(counts), len(weight)
+        boxes = list(counts)
         W = sum(j * counts[j] for j in range(1, F + 1))
         beta = sum((F - j) * counts[j] for j in range(1, F + 1))
         b0_viol = pot_viol = 0
 
         def couple(delta):
             """The urn after an event that changed W by delta, as `couple` in
-            `_kernel.c`: on delta 2 a ball moves up from a uniformly chosen
-            nonempty inner box (`urn_coupled_step`), then the two violations
-            are counted, with eps = F*(E - w_0) - W as in `urn_potentials`."""
+            `_kernel.c`: `urn_move` on delta 2, then the two violations, with
+            eps = F*(E - w_0) - W as in `urn_potentials`."""
             nonlocal W, beta, b0_viol, pot_viol
             W += delta
             if delta == 2:
-                inner = [j for j in range(1, F) if boxes[j] > 0]
-                if inner:
-                    j = inner[int(urn_rng.integers(len(inner)))]
-                    boxes[j] -= 1
-                    boxes[j + 1] += 1
-                    beta -= 1
-                    if boxes[0] > 0:
-                        boxes[0] -= 1
-                        boxes[1] += 1
-                        beta += F - 1
+                beta += urn_move(boxes, urn_rng)
             w0 = counts[0]
             b0_viol += boxes[0] > w0
             pot_viol += boxes[0] > 0 and beta < F * (E - w0) - W
@@ -378,16 +365,7 @@ def _culture_kernel(initial: Configuration, uniform, appenders, urn_rng=None) ->
 
     return _Kernel(lambda: buckets.total / F, step, lambda: counts,
                    lambda: buckets.total == 0,
-                   lambda: Configuration._of(initial.topology, initial.params,
-                                             array("q", chain.from_iterable(states))), urn)
-
-
-def _bump(weight, counts, buckets, e, d, F):
-    old = weight[e]
-    counts[old] -= 1
-    w = weight[e] = old + d
-    counts[w] += 1
-    buckets.move(e, old if old < F else 0, w if w < F else 0)
+                   lambda: Configuration._of(topo, initial.params, array("q", state)), urn)
 
 
 def _voter_kernel(initial, uniform, appenders) -> _Kernel:
@@ -478,14 +456,14 @@ def _kernel_lib():
 
 
 def _check_initial(model, initial):
-    if model == AXELROD:
+    alphabet = MODELS[model]
+    if alphabet is None:
         if not isinstance(initial, Configuration):
             raise InvalidInput("culture model takes a Configuration")
         return
-    alphabet = {0, 1} if model == VOTER else {-1, 0, 1}
     if not isinstance(initial, OpinionConfig):
         raise InvalidInput(f"{model} takes an OpinionConfig")
-    if set(initial.alphabet) != alphabet:
+    if set(initial.alphabet) != set(alphabet):
         raise InvalidInput(f"{model} initial must use opinions {sorted(alphabet)}")
 
 

@@ -15,11 +15,11 @@ from time import perf_counter
 from typing import Callable, NamedTuple
 
 from . import bounds as bounds_mod
-from .core import (CVM_ALPHABET, VOTER_ALPHABET, InvalidInput, ModelParams, Topology, check_seed,
-                   random_config, random_opinions)
+from .core import (InvalidInput, ModelParams, Topology, check_seed, is_int, random_config,
+                   random_opinions)
 from .duality import arrow_log_from_trajectory, check_voter_duality
-from .engine import (AXELROD, VOTER, StopRule, _rng_pair, check_run, check_times, replicate_seeds,
-                     run_model)
+from .engine import (AXELROD, MODELS, VOTER, StopRule, _rng_pair, check_run, check_times,
+                     replicate_seeds, run_model)
 from .logio import atomic_write_text, event_log_text, final_stats_row
 from .stats import edge_census
 from .urn import UrnState, urn_rounds_run
@@ -50,6 +50,10 @@ class ExperimentConfig:
         if self.kind not in KINDS:
             raise InvalidInput(f"unknown experiment kind {self.kind!r}")
         reads = KINDS[self.kind].fields + _ALWAYS_READ
+        for name in ("workers", "replicates", "N"):
+            value = getattr(self, name)
+            if name in reads and not is_int(value):
+                raise InvalidInput(f"{name} must be an integer, got {value!r}")
         if self.workers < 1:
             raise InvalidInput("workers must be >= 1")
         if "replicates" in reads and self.replicates < 1:
@@ -78,6 +82,8 @@ class ExperimentConfig:
             ModelParams(self.F, self.q)
             if len(self.xyz) != 3:
                 raise InvalidInput("lemma5-estimate needs x,y,z")
+            if not all(map(is_int, self.xyz)):
+                raise InvalidInput(f"x, y and z must be integers, got {self.xyz}")
             x, y, z = self.xyz
             if not 0 <= x < y < z <= self.N:
                 raise InvalidInput("need 0 <= x < y < z <= N")
@@ -121,8 +127,7 @@ def _initial_draw(model: str, config: ExperimentConfig):
     if model == AXELROD:
         params = ModelParams(config.F, config.q)
         return lambda rng: random_config(params, topo, rng)
-    alphabet = VOTER_ALPHABET if model == VOTER else CVM_ALPHABET
-    return lambda rng: random_opinions(topo, alphabet, rng)
+    return lambda rng: random_opinions(topo, MODELS[model], rng)
 
 
 def _simulate_replicate(config: ExperimentConfig, r: int, seed: int) -> dict:
@@ -183,23 +188,23 @@ POOL_BREAK_EVEN_S = 0.06
 def _map_replicates(fn, config: ExperimentConfig):
     """fn(config, r, seed) for every replicate r and its seed, in replicate order.
 
-    Replicate 0 runs here and is timed; the rest go to a process pool, one
-    contiguous task per worker, only when that time, times the replicates
-    left, exceeds POOL_BREAK_EVEN_S.
+    Replicate 0 runs here and is timed; the rest go to a process pool of one
+    worker per contiguous task, at most one task per worker, only when they
+    make two tasks or more and that time, times their number, exceeds POOL_BREAK_EVEN_S.
     """
     n = config.replicates
     seeds = replicate_seeds(config.master_seed, n)
-    workers = min(config.workers, n, os.cpu_count() or 1)
-    if workers <= 1:
+    chunk = max(1, -(-(n - 1) // min(config.workers, n, os.cpu_count() or 1)))
+    tasks = -(-(n - 1) // chunk)
+    if tasks <= 1:
         return [fn(config, r, seed) for r, seed in enumerate(seeds)]
     start = perf_counter()
     rows = [fn(config, 0, seeds[0])]
     if (perf_counter() - start) * (n - 1) <= POOL_BREAK_EVEN_S:
         return rows + [fn(config, r, seeds[r]) for r in range(1, n)]
     from concurrent.futures import ProcessPoolExecutor  # imported only when a pool starts
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        rows += pool.map(fn, [config] * (n - 1), range(1, n), seeds[1:],
-                         chunksize=-(-(n - 1) // workers))
+    with ProcessPoolExecutor(max_workers=tasks) as pool:
+        rows += pool.map(fn, [config] * (n - 1), range(1, n), seeds[1:], chunksize=chunk)
     return rows
 
 

@@ -28,10 +28,8 @@ from .core import (
     ModelParams,
     OpinionConfig,
     Topology,
-    CVM_ALPHABET,
-    VOTER_ALPHABET,
 )
-from .engine import AXELROD, MODELS, VOTER, _check_initial
+from .engine import AXELROD, MODELS, _check_initial
 from .events import EventTable, UpdateEvent
 # `edge_census` and `count_domains` stay importable from here by name: the
 # benchmark's tracer wraps them as the census layer.
@@ -236,9 +234,8 @@ def load_event_log(path: str) -> LogBundle:
         initial = Configuration._of(topo, params, state)
         features = range(params.F)
     else:
-        alphabet = VOTER_ALPHABET if model == VOTER else CVM_ALPHABET
         opinions = _meta(meta, "initial", lambda v: tuple(map(int, v.split(";"))), path)
-        initial = OpinionConfig(topo, opinions, alphabet)
+        initial = OpinionConfig(topo, opinions, MODELS[model])
         features = range(-1, 0)
     end = text.find("\n", pos)
     if end < 0 or text[pos:end] != _HEADER:
@@ -260,7 +257,7 @@ def replay(initial, events, model: str, upto: float | None = None):
     returns the resulting state. The state must be one `model` runs on, and
     each applied event must name vertices, and on a culture state a
     feature, of that state; otherwise InvalidInput."""
-    if model not in MODELS:
+    if not isinstance(model, str) or model not in MODELS:  # a dict key must hash
         raise InvalidInput(f"unknown model {model!r}")
     _check_initial(model, initial)
     ev = EventTable.of(events)

@@ -38,11 +38,9 @@ def census_from_counts(counts) -> EdgeCensus:
     return EdgeCensus(counts, sum(j * c for j, c in enumerate(counts)))
 
 
-def edge_census(cfg) -> EdgeCensus:
-    """Count j-edges; for opinion configurations weight is agree (1) / disagree (0).
-
-    An opinion counts as a culture of one feature.
-    """
+def edge_weights(cfg) -> np.ndarray:
+    """Edge e's weight, the features its ends e and e+1 (mod V) share, at index
+    e. An opinion counts as a culture of one feature: agree 1, disagree 0."""
     if isinstance(cfg, Configuration):
         F, values = cfg.params.F, np.frombuffer(cfg.state, np.int64)
     elif isinstance(cfg, OpinionConfig):
@@ -52,8 +50,13 @@ def edge_census(cfg) -> EdgeCensus:
     # Row v against row v+1, the last row against the first: the edges
     # (v, v+1) of a path, and of a cycle with its closing edge.
     rows = values.reshape(-1, F)
-    weights = (rows == np.roll(rows, -1, axis=0))[:cfg.topology.n_edges].sum(axis=1)
-    return census_from_counts(np.bincount(weights, minlength=F + 1))
+    return (rows == np.roll(rows, -1, axis=0))[:cfg.topology.n_edges].sum(axis=1)
+
+
+def edge_census(cfg) -> EdgeCensus:
+    """Count j-edges, j = 0..F (0..1 on opinions), from `edge_weights`."""
+    F = cfg.params.F if isinstance(cfg, Configuration) else 1
+    return census_from_counts(np.bincount(edge_weights(cfg), minlength=F + 1))
 
 
 def count_domains(cfg) -> DomainStats:

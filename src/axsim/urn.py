@@ -42,27 +42,32 @@ def urn_init(census) -> UrnState:
     return UrnState(tuple(census.counts))
 
 
-def urn_coupled_step(urn: UrnState, delta_w: int, rng) -> UrnState:
-    """One coupled step: act only on agreement jumps of 2.
+def urn_move(boxes: list, rng) -> int:
+    """The coupled move on `boxes`, B_0..B_F, in place: a ball up from a uniformly
+    chosen nonempty inner box, and if one moved, a ball from box 0 to box 1 if
+    it has one. Returns beta's change: 0 with no move, -1, or F-2 (0 at F = 2)."""
+    F = len(boxes) - 1
+    inner = [j for j in range(1, F) if boxes[j] > 0]
+    if not inner:
+        return 0
+    j = inner[int(rng.integers(len(inner)))]
+    boxes[j] -= 1
+    boxes[j + 1] += 1
+    if not boxes[0]:
+        return -1
+    boxes[0] -= 1
+    boxes[1] += 1
+    return F - 2
 
-    Then a ball moves up from a uniformly chosen nonempty inner box, and if
-    one did, a ball moves from box 0 to box 1 if available.
-    """
+
+def urn_coupled_step(urn: UrnState, delta_w: int, rng) -> UrnState:
+    """One coupled step: `urn_move` on an agreement jump of 2, nothing otherwise."""
     if delta_w not in (0, 1, 2):
         raise InvalidInput(f"delta_w {delta_w} outside {{0,1,2}}")
     if delta_w <= 1:
         return urn
     boxes = list(urn.boxes)
-    F = len(boxes) - 1
-    inner = [j for j in range(1, F) if boxes[j] > 0]
-    if not inner:
-        return urn
-    j = inner[int(rng.integers(len(inner)))]
-    boxes[j] -= 1
-    boxes[j + 1] += 1
-    if boxes[0] > 0:
-        boxes[0] -= 1
-        boxes[1] += 1
+    urn_move(boxes, rng)
     return UrnState(tuple(boxes))
 
 

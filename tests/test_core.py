@@ -39,6 +39,22 @@ class TestParams:
         cfg = random_config(ModelParams(2, 2 ** 63), Topology("path", 4), 0)
         assert max(max(c) for c in cfg.cultures) < 2 ** 63
 
+    @pytest.mark.parametrize("F,q", [(2.5, 4), (2, 4.0), (2.0, 2), ("2", 4), (None, 3)])
+    def test_params_must_be_integers(self, F, q):
+        with pytest.raises(InvalidInput, match="^[Fq] must be an integer, got "):
+            ModelParams(F, q)
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    @pytest.mark.parametrize("size", [10.5, 10.0, "10", None])
+    def test_topology_size_must_be_an_integer(self, kind, size):
+        with pytest.raises(InvalidInput, match="^topology size must be an integer, got "):
+            Topology(kind, size)
+
+    def test_numpy_ints_and_bools_are_integers(self):
+        assert ModelParams(np.int64(2), np.int32(3)) == ModelParams(2, 3)
+        assert ModelParams(True, 2).F == 1
+        assert Topology("path", np.int64(5)).n_edges == 4
+
     def test_topology_bounds(self):
         with pytest.raises(InvalidInput):
             Topology("path", 1)

@@ -137,6 +137,36 @@ class TestFieldsAKindIgnores:
         assert not any(tmp_path.iterdir())
 
 
+class TestNonIntegers:
+    """A count, size, vertex or parameter that is no integer is refused
+    before anything runs or is written."""
+
+    @pytest.mark.parametrize("config,message", [
+        (dict(kind="simulate", N=10.5, t_max=1.0), "N must be an integer, got 10.5"),
+        (dict(kind="simulate", N=10, t_max=1.0, replicates=2.5),
+         "replicates must be an integer, got 2.5"),
+        (dict(kind="simulate", N=10, t_max=1.0, F=2.0), "F must be an integer, got 2.0"),
+        (dict(kind="simulate", N=10, t_max=1.0, workers=2.5),
+         "workers must be an integer, got 2.5"),
+        (dict(kind="urn-rounds", F=2, q=3, N=7.5), "N must be an integer, got 7.5"),
+        (dict(kind="urn-rounds", F=2, q=3.0, N=7), "q must be an integer, got 3.0"),
+        (dict(kind="duality-check", topology="cycle", N=8.5, t_query=1.0),
+         "N must be an integer, got 8.5"),
+        (dict(kind="lemma5-estimate", N=100, xyz=(10.5, 20, 30), t_query=1.0),
+         "x, y and z must be integers, got (10.5, 20, 30)"),
+    ])
+    def test_refused(self, tmp_path, config, message):
+        with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+            execute(ExperimentConfig(output_dir=str(tmp_path), **config))
+        assert not any(tmp_path.iterdir())
+
+    def test_numpy_ints_pass(self):
+        ExperimentConfig(kind="simulate", N=np.int64(10), t_max=1.0, replicates=np.int32(2),
+                         workers=np.int64(1)).validate()
+        ExperimentConfig(kind="lemma5-estimate", N=np.int64(10), t_query=0.5,
+                         xyz=tuple(np.arange(2, 9, 3))).validate()
+
+
 class TestLemma5Topology:
     def test_only_a_path_is_accepted(self):
         # The estimate is defined on the path {0,...,N}; a cycle would be
@@ -227,7 +257,7 @@ class TestWorkers:
             execute(ExperimentConfig(kind="urn-rounds", N=10, workers=workers))
 
     @pytest.mark.parametrize("workers,replicates,cpus,size", [
-        (64, 3, 4, 3), (64, 10, 4, 4), (2, 10, 4, 2), (1, 10, 4, None),
+        (64, 3, 4, 2), (64, 10, 4, 3), (2, 10, 4, 2), (1, 10, 4, None), (8, 2, 4, None),
         (8, 1, 4, None), (8, 10, None, None)])
     def test_pool_capped(self, monkeypatch, workers, replicates, cpus, size):
         _patch_pool(monkeypatch, cpus)
@@ -259,21 +289,22 @@ class TestWorkers:
     @pytest.mark.parametrize("n", [1, 2, 3, 19, 31, 32, 33, 100, 999, 4099])
     @pytest.mark.parametrize("workers", [2, 3, 8])
     def test_shares_differ_by_at_most_one_chunk(self, monkeypatch, n, workers):
-        # Replicates 1..n-1 go to the pool as at most one contiguous task per worker.
+        # Replicates 1..n-1 go to the pool as at most one contiguous task per
+        # worker, with one worker per task; a single task runs in this process.
         _patch_pool(monkeypatch, cpus=8)
         config = ExperimentConfig(kind="urn-rounds", replicates=n, workers=workers)
         rows = experiments._map_replicates(lambda config, r, seed: r, config)
         assert rows == list(range(n))
-        if n == 1:
-            assert _RecordingPool.tasks == []
+        if n <= 2:
+            assert _RecordingPool.sizes == _RecordingPool.tasks == []
             return
         workers = min(workers, n)
-        assert _RecordingPool.sizes == [workers]
         [(pooled, size)] = _RecordingPool.tasks
         assert pooled == list(range(1, n))
         chunks = -(-(n - 1) // size)
-        shares = [min(size, n - 1 - k * size) for k in range(chunks)] + [0] * (workers - chunks)
-        assert chunks <= workers and sum(shares) == n - 1
+        assert _RecordingPool.sizes == [chunks] and 2 <= chunks <= workers
+        shares = [min(size, n - 1 - k * size) for k in range(chunks)]
+        assert sum(shares) == n - 1 and min(shares) >= 1  # no worker idles
         assert max(shares) - min(shares) <= size
         assert size == -(-(n - 1) // workers)  # no chunk exceeds an even share
 

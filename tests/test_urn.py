@@ -1,3 +1,4 @@
+import itertools
 import sys
 
 import numpy as np
@@ -25,6 +26,7 @@ from axsim import (
 from axsim.engine import _rng_pair
 from axsim.logio import replay
 from axsim.stats import census_from_counts
+from axsim.urn import urn_move
 
 
 class TestUrnInit:
@@ -62,6 +64,35 @@ class TestCoupledStep:
         rng = np.random.default_rng(seed)
         u = UrnState(boxes)
         assert urn_coupled_step(u, delta, rng).total == u.total
+
+
+class TestUrnMove:
+    """The one statement of the coupled urn's move, which `urn_coupled_step`
+    and the Python kernel's `couple` both call."""
+
+    @pytest.mark.parametrize("F", [1, 2, 3, 4])
+    def test_returns_the_change_in_beta(self, F):
+        # Every urn of up to 2 balls a box, and three draws each.
+        def beta(boxes):
+            return sum((F - j) * boxes[j] for j in range(1, F + 1))
+
+        for start in itertools.product(range(3), repeat=F + 1):
+            for seed in range(3):
+                boxes = list(start)
+                change = urn_move(boxes, np.random.default_rng(seed))
+                assert change == beta(boxes) - beta(start)
+                assert sum(boxes) == sum(start) and min(boxes) >= 0
+                moved = any(start[1:F])
+                assert (boxes != list(start)) == moved
+                assert boxes[0] == start[0] - (moved and start[0] > 0)
+
+    def test_box_zero_step_at_F_2_leaves_beta_unchanged(self):
+        # Box 1 -> 2 lowers beta by 1 and box 0 -> 1 raises it by F - 1 = 1:
+        # the urn moved, though beta did not change.
+        boxes = [1, 1, 0]
+        assert urn_move(boxes, np.random.default_rng(0)) == 0
+        assert boxes == [0, 1, 1]
+        assert urn_coupled_step(UrnState((1, 1, 0)), 2, np.random.default_rng(0)).boxes == (0, 1, 1)
 
 
 class TestPotentials:
