@@ -48,6 +48,7 @@ _CC = ("cc",)
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _DONE, _FULL = 0, 1  # return codes of axsim_culture_run; negative: out of memory
 _FIRST_CAP = 256  # events the columns first make room for
+_FIRST_TIMES, _FIRST_INTS = (array(code, bytes(8 * _FIRST_CAP)) for code in "dq")
 
 
 def build_path(source: bytes) -> str:
@@ -59,6 +60,12 @@ def build_path(source: bytes) -> str:
     command = "\0".join((np.__version__, *_CC, *_CFLAGS)).encode()
     return os.path.join(os.path.dirname(_KERNEL_C), "__pycache__",
                         f"_kernel.{zlib.crc32(source):08x}{zlib.crc32(command):08x}.so")
+
+
+def build_command(out: str) -> list:
+    """The compiler command that builds `_kernel.c` into the library `out`."""
+    npyrandom = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a")
+    return [*_CC, *_CFLAGS, "-I", np.get_include(), "-o", out, _KERNEL_C, npyrandom]
 
 
 def load():
@@ -74,11 +81,9 @@ def load():
 
         # A private name renamed into place: concurrent builds never load a partial file.
         tmp = f"{path}.{os.getpid()}.tmp"
-        npyrandom = os.path.join(os.path.dirname(np.__file__), "random", "lib", "libnpyrandom.a")
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
-            subprocess.run([*_CC, *_CFLAGS, "-I", np.get_include(), "-o", tmp, _KERNEL_C,
-                            npyrandom], check=True, capture_output=True, timeout=300)
+            subprocess.run(build_command(tmp), check=True, capture_output=True, timeout=300)
             os.replace(tmp, path)
         except (OSError, subprocess.SubprocessError):
             with contextlib.suppress(OSError):
@@ -118,17 +123,18 @@ def compiled_loop(lib, cfg: Configuration, stop: StopRule, rng, times: list, urn
     snap_time = array("d", times)
     snap_counts = array("q", bytes(8 * len(times) * (F + 1)))
     counts = array("q", bytes(8 * (F + 1)))
-    events = EventTable()
-    columns = events.columns()
+    columns = (_FIRST_TIMES[:], _FIRST_INTS[:], _FIRST_INTS[:], _FIRST_INTS[:], _FIRST_INTS[:])
+    events = EventTable._of(columns)
     run = _Run(_bitgen(rng), F, topo.n_edges, topo.kind == "cycle", _address(state),
                math.inf if stop.t_max is None else stop.t_max,
                min(stop.max_events if stop.max_events is not None else 2 ** 62, 2 ** 62),
-               _address(snap_time), len(times), _address(snap_counts), _address(counts))
+               _address(snap_time), len(times), _address(snap_counts), _address(counts),
+               *map(_address, columns), _FIRST_CAP)
     if urn_rng is not None:
         urn_boxes = array("q", bytes(8 * (F + 1)))
         run.urn_bitgen, run.urn_boxes = _bitgen(urn_rng), _address(urn_boxes)
     try:
-        while True:
+        while (status := lib.axsim_culture_run(run)) == _FULL:
             # The columns grow by a quarter, so a long run returns here often
             # enough for Ctrl-C to act, and their slack stays small.
             room = bytes(8 * (run.cap // 4 + _FIRST_CAP))
@@ -137,13 +143,11 @@ def compiled_loop(lib, cfg: Configuration, stop: StopRule, rng, times: list, urn
             run.cap = len(events)
             run.ev_time, run.ev_target, run.ev_source, run.ev_feature, run.ev_delta = map(
                 _address, columns)
-            status = lib.axsim_culture_run(run)
-            if status == _DONE:
-                break
-            if status != _FULL:
-                raise MemoryError("compiled culture loop ran out of memory")
-    finally:
-        lib.axsim_culture_free(run)  # frees nothing after a finished run
+        if status != _DONE:
+            raise MemoryError("compiled culture loop ran out of memory")
+    except BaseException:  # a finished or failed run has freed its work area itself
+        lib.axsim_culture_free(run)
+        raise
     for col in columns:
         del col[run.n_events:]
     width = F + 1

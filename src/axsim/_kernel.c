@@ -158,7 +158,10 @@ static int bump(struct axsim_run *r, struct work *w, int64_t e, int64_t d)
 static int start(struct axsim_run *r)
 {
     const int64_t F = r->F, E = r->n_edges, V = r->cycle ? E : E + 1;
-    struct work *w = calloc(1, sizeof *w);
+    /* Not calloc: zeroing the 64 KB of draw buffers costs about as much as
+     * a short run's events. Every field the loop reads is set below, and each
+     * pointer before a failure can reach `axsim_culture_free`. */
+    struct work *w = malloc(sizeof *w);
     if (w == NULL)
         return -1;
     r->work = w;
@@ -194,6 +197,7 @@ static int start(struct axsim_run *r)
             r->total += c;
         }
     }
+    w->u.left = w->e.left = 0;
     w->u.next = w->e.next = FIRST_BLOCK;
     if (r->urn_bitgen != NULL) {  /* as `urn_init`: B_j = w_j */
         memcpy(r->urn_boxes, r->counts, (size_t)(F + 1) * sizeof(int64_t));

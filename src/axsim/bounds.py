@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import InvalidInput
+from .core import InvalidInput, check_int
 
 
 class PoleError(InvalidInput):
@@ -38,6 +38,8 @@ def _bound_fraction(F: int, q: int) -> Fraction:
 
 def theorem2_bound(F: int, q: int) -> BoundResult:
     """Lower bound on lim E(N_t)/N for the F-feature q-state path dynamics."""
+    check_int("F", F)
+    check_int("q", q)
     if F < 1 or q < 2:
         raise InvalidInput("need F >= 1 and q >= 2")
     if F == q:

@@ -37,15 +37,20 @@ def is_int(x) -> bool:
     return type(x) is int or isinstance(x, numbers.Integral)
 
 
+def check_int(name: str, value):
+    """Raise InvalidInput unless `value` is an integer."""
+    if not is_int(value):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     F: int
     q: int
 
     def __post_init__(self):
-        for name, value in (("F", self.F), ("q", self.q)):
-            if not is_int(value):
-                raise InvalidInput(f"{name} must be an integer, got {value!r}")
+        check_int("F", self.F)
+        check_int("q", self.q)
         if self.F < 1:
             raise InvalidInput(f"F must be >= 1, got {self.F}")
         if self.q < 2:
@@ -62,8 +67,7 @@ class Topology:
     def __post_init__(self):
         if self.kind not in ("path", "cycle"):
             raise InvalidInput(f"unknown topology kind {self.kind!r}")
-        if not is_int(self.size):
-            raise InvalidInput(f"topology size must be an integer, got {self.size!r}")
+        check_int("topology size", self.size)
         if self.kind == "path" and self.size < 2:
             raise InvalidInput("path needs at least 2 vertices")
         if self.kind == "cycle" and self.size < 3:
@@ -242,15 +246,16 @@ def check_seed(seed):
 def as_generator(seed) -> np.random.Generator:
     """`seed` itself if it is a Generator, else a new one from the integer
     `seed` >= 0 (InvalidInput otherwise), as `np.random.default_rng` builds it."""
-    if not isinstance(seed, np.random.Generator):
-        check_seed(seed)
+    if isinstance(seed, np.random.Generator):
+        return seed
+    check_seed(seed)
     return np.random.default_rng(seed)
 
 
 def random_config(params: ModelParams, topology: Topology, seed) -> Configuration:
     """Every feature of every vertex i.i.d. uniform on {0,...,q-1}, drawn
     from `seed`: an integer >= 0, or a Generator, which the draw advances."""
-    draw = as_generator(seed).integers(0, params.q, size=topology.n_vertices * params.F)
+    draw = as_generator(seed).integers(0, params.q, topology.n_vertices * params.F, np.int64)
     return Configuration._of(topology, params, array("q", draw.tobytes()))
 
 

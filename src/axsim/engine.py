@@ -68,7 +68,7 @@ import numpy as np
 from .core import (CVM_ALPHABET, VOTER_ALPHABET, Configuration, InvalidInput, OpinionConfig,
                    check_seed, cvm_lift, cvm_projection, edge_overlap_count)
 from .events import EventTable, UpdateEvent
-from .stats import DomainStats, EdgeCensus, census_from_counts, domains_from_census, edge_weights
+from .stats import DomainStats, EdgeCensus, domains_from_census, edge_weights
 from .urn import UrnState, urn_move
 
 AXELROD = "axelrod"
@@ -373,7 +373,7 @@ def _voter_kernel(initial, uniform, appenders) -> _Kernel:
     ops = list(initial.opinions)
     topo = initial.topology
     V, E = topo.n_vertices, topo.n_edges
-    agree = sum(1 for a, b in topo.edges() if ops[a] == ops[b])
+    agree = int(edge_weights(initial).sum())
     nbrs = [topo.neighbors(x) for x in range(V)]
     add_time, add_target, add_source, add_feature, add_delta = appenders
 
@@ -446,11 +446,15 @@ def _python_loop(kernel_of, stop: StopRule, rng, times: list) -> _Path:
                  kernel.urn and kernel.urn())
 
 
+_ckernel = None  # the `_ckernel` module, once `_kernel_lib` has imported it
+
+
 @cache
 def _kernel_lib():
     """The compiled culture loop (`_ckernel`), built and loaded on the first
     call in a process; None where it cannot be, and then the Python kernel
     runs. `_ckernel` is imported here, so importing axsim does not pay for it."""
+    global _ckernel
     from . import _ckernel
     return _ckernel.load()
 
@@ -505,8 +509,7 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
             loop_stop = StopRule(t_max if t_max < math.inf else None, stop.max_events, True)
         lib = _kernel_lib()
         if lib is not None:
-            from ._ckernel import compiled_loop
-            path = compiled_loop(lib, cfg, loop_stop, rng, loop_times, urn_rng)
+            path = _ckernel.compiled_loop(lib, cfg, loop_stop, rng, loop_times, urn_rng)
         else:
             path = _python_loop(partial(_culture_kernel, cfg, urn_rng=urn_rng),
                                 loop_stop, rng, loop_times)
@@ -527,12 +530,12 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
     taken += [counts] * (bisect_right(times, upto) - len(taken))
     snapshots = []
     for s, c in zip(times, taken):
-        census = census_from_counts(c)
+        census = EdgeCensus._of(c)
         snapshots.append(Snapshot(s, census, domains_from_census(census, initial.topology)))
     urn, b0_viol, pot_viol = None, 0, 0
     if path.urn is not None:
         boxes, b0_viol, pot_viol = path.urn[:3]
         urn = UrnState(boxes)
     return Trajectory(model, initial, path.events, snapshots, final, path.absorbed, end_time,
-                      seed, census_from_counts(counts), urn_final=urn,
+                      seed, EdgeCensus._of(counts), urn_final=urn,
                       urn_b0_violations=b0_viol, urn_potential_violations=pot_viol)

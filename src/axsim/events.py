@@ -44,6 +44,14 @@ class EventTable:
             raise InvalidInput("event columns differ in length")
 
     @classmethod
+    def _of(cls, columns) -> EventTable:
+        """The table of these five columns themselves, which the program made
+        with the right types and one length. Nothing is copied or checked."""
+        table = cls.__new__(cls)
+        table.time, table.target, table.source, table.copied_feature, table.delta_w = columns
+        return table
+
+    @classmethod
     def of(cls, events) -> EventTable:
         """`events` as a table: a table as it is, else rows in `UpdateEvent` order."""
         return events if isinstance(events, cls) else cls(*zip(*events))

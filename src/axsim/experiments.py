@@ -11,12 +11,13 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property, partial
 from time import perf_counter
 from typing import Callable, NamedTuple
 
 from . import bounds as bounds_mod
-from .core import (InvalidInput, ModelParams, Topology, check_seed, is_int, random_config,
-                   random_opinions)
+from .core import (InvalidInput, ModelParams, Topology, check_int, check_seed, is_int,
+                   random_config, random_opinions)
 from .duality import arrow_log_from_trajectory, check_voter_duality
 from .engine import (AXELROD, MODELS, VOTER, StopRule, _rng_pair, check_run, check_times,
                      replicate_seeds, run_model)
@@ -51,9 +52,8 @@ class ExperimentConfig:
             raise InvalidInput(f"unknown experiment kind {self.kind!r}")
         reads = KINDS[self.kind].fields + _ALWAYS_READ
         for name in ("workers", "replicates", "N"):
-            value = getattr(self, name)
-            if name in reads and not is_int(value):
-                raise InvalidInput(f"{name} must be an integer, got {value!r}")
+            if name in reads:
+                check_int(name, getattr(self, name))
         if self.workers < 1:
             raise InvalidInput("workers must be >= 1")
         if "replicates" in reads and self.replicates < 1:
@@ -101,6 +101,25 @@ class ExperimentConfig:
             return StopRule(stop_on_absorption=True)
         return StopRule(self.t_max, self.max_events, stop_on_absorption=self.t_max is None)
 
+    @cached_property
+    def setup(self) -> Setup:
+        """What its replicates share, built on first use and kept with the config,
+        so a pool's workers receive it pickled with the config."""
+        model = VOTER if self.kind == "duality-check" else self.model
+        topo = self.make_topology()
+        draw = (partial(_draw_culture, ModelParams(self.F, self.q), topo) if model == AXELROD
+                else partial(_draw_opinions, MODELS[model], topo))
+        stop = self.stop_rule() if self.t_query is None else StopRule(t_max=self.t_query)
+        return Setup(model, draw, stop, tuple(sorted(self.snapshot_times)))
+
+
+class Setup(NamedTuple):
+    """An experiment's replicates share these; `ExperimentConfig.setup` builds them."""
+    model: str  # the model its replicates run
+    draw: Callable  # f(rng) -> an i.i.d. uniform initial state
+    stop: StopRule  # simulate's stop rule, or t_max = t_query
+    times: tuple  # the snapshot times, sorted
+
 
 @dataclass
 class ExperimentSummary:
@@ -120,19 +139,20 @@ def _mean_se(values):
     return m, math.sqrt(var / n)
 
 
-def _initial_draw(model: str, config: ExperimentConfig):
-    """The draw `f(rng)` of an i.i.d. uniform initial state. It looks its function up
-    when called, so a wrapper installed on or removed from the name takes effect."""
-    topo = config.make_topology()
-    if model == AXELROD:
-        params = ModelParams(config.F, config.q)
-        return lambda rng: random_config(params, topo, rng)
-    return lambda rng: random_opinions(topo, MODELS[model], rng)
+# The draws of `Setup`. Each looks its function up when called, so a wrapper
+# installed on or removed from the name takes effect.
+def _draw_culture(params, topo, rng):
+    return random_config(params, topo, rng)
+
+
+def _draw_opinions(alphabet, topo, rng):
+    return random_opinions(topo, alphabet, rng)
 
 
 def _simulate_replicate(config: ExperimentConfig, r: int, seed: int) -> dict:
-    traj = run_model(config.model, _initial_draw(config.model, config), config.stop_rule(), seed,
-                     snapshot_times=config.snapshot_times, attach_urn=config.attach_urn)
+    setup = config.setup
+    traj = run_model(setup.model, setup.draw, setup.stop, seed, snapshot_times=setup.times,
+                     attach_urn=config.attach_urn)
     row = final_stats_row(traj)
     row["replicate"] = r
     row["seed"] = seed
@@ -147,9 +167,8 @@ def _simulate_replicate(config: ExperimentConfig, r: int, seed: int) -> dict:
 
 def _rounds_replicate(config: ExperimentConfig, r: int, seed: int) -> dict:
     rng = _rng_pair(seed, False)[0]  # a run's Generator: the census, then the rounds
-    params = ModelParams(config.F, config.q)
-    census = edge_census(random_config(params, config.make_topology(), rng))
-    rec = urn_rounds_run(UrnState(census.counts), params, rng)
+    census = edge_census(config.setup.draw(rng))
+    rec = urn_rounds_run(UrnState(census.counts), ModelParams(config.F, config.q), rng)
     return {
         "replicate": r,
         "initial_boxes": census.counts,
@@ -162,7 +181,8 @@ def _rounds_replicate(config: ExperimentConfig, r: int, seed: int) -> dict:
 def _duality_replicate(config: ExperimentConfig, r: int, seed: int) -> dict:
     # The pathwise duality identity is a voter-model property: the initial
     # state is a random binary opinion profile (validate rejects a model, F or q).
-    traj = run_model(VOTER, _initial_draw(VOTER, config), StopRule(t_max=config.t_query), seed)
+    setup = config.setup
+    traj = run_model(setup.model, setup.draw, setup.stop, seed)
     report = check_voter_duality(arrow_log_from_trajectory(traj), traj.initial, config.t_query)
     return {"replicate": r, "mismatches": report.mismatches,
             "n_vertices": len(report.per_vertex)}
@@ -171,8 +191,8 @@ def _duality_replicate(config: ExperimentConfig, r: int, seed: int) -> dict:
 def _lemma5_replicate(config: ExperimentConfig, r: int, seed: int) -> tuple[bool, bool]:
     """(hit, success) at time t on the path {0,...,N}: feature 0 of y differs
     from those of x and z, and those of x and z agree."""
-    draw = _initial_draw(AXELROD, config)
-    final = run_model(AXELROD, draw, StopRule(t_max=config.t_query), seed).final
+    setup = config.setup
+    final = run_model(setup.model, setup.draw, setup.stop, seed).final
     fx, fy, fz = (final.state[v * config.F] for v in config.xyz)
     hit = fy != fx and fy != fz
     return hit, hit and fx == fz
@@ -188,9 +208,11 @@ POOL_BREAK_EVEN_S = 0.06
 def _map_replicates(fn, config: ExperimentConfig):
     """fn(config, r, seed) for every replicate r and its seed, in replicate order.
 
-    Replicate 0 runs here and is timed; the rest go to a process pool of one
-    worker per contiguous task, at most one task per worker, only when they
-    make two tasks or more and that time, times their number, exceeds POOL_BREAK_EVEN_S.
+    Replicate 0 runs here and is timed. Replicates 1..n-1 split into
+    contiguous tasks, at most one per worker. When they make two tasks or
+    more and replicate 0's time, times their number, exceeds
+    POOL_BREAK_EVEN_S, a pool of one worker per task but the first runs the
+    others while this process runs the first.
     """
     n = config.replicates
     seeds = replicate_seeds(config.master_seed, n)
@@ -203,8 +225,17 @@ def _map_replicates(fn, config: ExperimentConfig):
     if (perf_counter() - start) * (n - 1) <= POOL_BREAK_EVEN_S:
         return rows + [fn(config, r, seeds[r]) for r in range(1, n)]
     from concurrent.futures import ProcessPoolExecutor  # imported only when a pool starts
-    with ProcessPoolExecutor(max_workers=tasks) as pool:
-        rows += pool.map(fn, [config] * (n - 1), range(1, n), seeds[1:], chunksize=chunk)
+    mine = chunk + 1  # replicate 0 and the first task
+    with ProcessPoolExecutor(max_workers=tasks - 1) as pool:
+        # This process waits for a no-op sent ahead of the tasks, so that the
+        # pool's threads here send the tasks while it is idle: busy with its
+        # own share, it would hand them the GIL once a switch interval (5 ms).
+        ahead = pool.submit(int)
+        theirs = pool.map(fn, [config] * (n - mine), range(mine, n), seeds[mine:],
+                          chunksize=chunk)
+        ahead.result()
+        rows += [fn(config, r, seeds[r]) for r in range(1, mine)]
+        rows += theirs
     return rows
 
 

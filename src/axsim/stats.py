@@ -4,6 +4,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -22,9 +24,22 @@ class EdgeCensus:
     counts: tuple  # w_0,...,w_F
     total_agreement: int  # W = sum_j j*w_j
 
+    @classmethod
+    def _of(cls, counts: tuple) -> EdgeCensus:
+        """The census of `counts`, a tuple of Python ints the program made.
+        Nothing is checked or converted, as in `Configuration._of`."""
+        census = cls.__new__(cls)
+        census.__dict__.update(counts=counts,
+                               total_agreement=sum(map(mul, range(len(counts)), counts)))
+        return census
+
     @property
     def n_edges(self) -> int:
         return sum(self.counts)
+
+
+# Fraction(V, n) for n domains on V vertices; a run's few values recur in every replicate.
+_mean_size = lru_cache(maxsize=1024)(Fraction)
 
 
 @dataclass(frozen=True)
@@ -32,10 +47,17 @@ class DomainStats:
     domain_count: int
     mean_size: Fraction
 
+    @classmethod
+    def _of(cls, domain_count: int, n_vertices: int) -> DomainStats:
+        """`domain_count` domains on `n_vertices` vertices, built as `EdgeCensus._of`."""
+        domains = cls.__new__(cls)
+        domains.__dict__.update(domain_count=domain_count,
+                                mean_size=_mean_size(n_vertices, domain_count))
+        return domains
+
 
 def census_from_counts(counts) -> EdgeCensus:
-    counts = tuple(int(c) for c in counts)
-    return EdgeCensus(counts, sum(j * c for j, c in enumerate(counts)))
+    return EdgeCensus._of(tuple(map(int, counts)))
 
 
 def edge_weights(cfg) -> np.ndarray:
@@ -69,7 +91,7 @@ def domains_from_census(census: EdgeCensus, topology) -> DomainStats:
     # edges leaves k components, and 0 removals leave the single cycle.
     removed = census.n_edges - census.counts[-1]
     n = removed + 1 if topology.kind == "path" else max(removed, 1)
-    return DomainStats(n, Fraction(topology.n_vertices, n))
+    return DomainStats._of(n, topology.n_vertices)
 
 
 def domains_equals_w0_plus_1(cfg: Configuration) -> bool:

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from axsim import (
+    ExperimentConfig,
     InvalidInput,
     PoleError,
     binom_pj,
     psi_mean_field,
     rounds_expectations,
+    execute,
     table1_generate,
     theorem2_bound,
 )
@@ -31,6 +33,25 @@ class TestTheorem2Bound:
     def test_pole(self):
         with pytest.raises(PoleError):
             theorem2_bound(4, 4)
+
+    @pytest.mark.parametrize("F,q,message", [
+        (2.5, 4, "F must be an integer, got 2.5"),
+        (2.0, 4, "F must be an integer, got 2.0"),
+        (2, 4.5, "q must be an integer, got 4.5")])
+    def test_non_integers_refused(self, F, q, message):
+        for call in (lambda: theorem2_bound(F, q),
+                     lambda: execute(ExperimentConfig(kind="bounds", F=F, q=q))):
+            with pytest.raises(InvalidInput) as exc:
+                call()
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("F,q,message", [
+        (0, 4, "need F >= 1 and q >= 2"), (2, 1, "need F >= 1 and q >= 2"),
+        (4, 4, "bound undefined at F = q")])
+    def test_other_refusals_keep_their_messages(self, F, q, message):
+        with pytest.raises(InvalidInput) as exc:
+            execute(ExperimentConfig(kind="bounds", F=F, q=q))
+        assert str(exc.value) == message
 
     def test_out_of_hypothesis_flagged(self):
         b = theorem2_bound(5, 3)

@@ -7,15 +7,17 @@ import json
 import math
 import os
 import re
+import pickle
 import subprocess
 import sys
+import weakref
 from functools import partial
 
 import numpy as np
 import pytest
 
-from axsim import (ExperimentConfig, InvalidInput, ModelParams, execute, random_config,
-                   random_opinions, run_model)
+from axsim import (ExperimentConfig, InvalidInput, ModelParams, StopRule, execute,
+                   random_config, random_opinions, run_model)
 from axsim import engine, experiments
 
 
@@ -233,6 +235,11 @@ class _RecordingPool:
     def __exit__(self, *exc):
         return False
 
+    def submit(self, fn, *args):
+        done = concurrent.futures.Future()
+        done.set_result(fn(*args))
+        return done
+
     def map(self, fn, configs, rs, seeds, chunksize=1):
         self.tasks.append((list(rs), chunksize))
         return map(fn, configs, self.tasks[-1][0], seeds)
@@ -256,15 +263,16 @@ class TestWorkers:
         with pytest.raises(InvalidInput):
             execute(ExperimentConfig(kind="urn-rounds", N=10, workers=workers))
 
-    @pytest.mark.parametrize("workers,replicates,cpus,size", [
+    @pytest.mark.parametrize("workers,replicates,cpus,tasks", [
         (64, 3, 4, 2), (64, 10, 4, 3), (2, 10, 4, 2), (1, 10, 4, None), (8, 2, 4, None),
         (8, 1, 4, None), (8, 10, None, None)])
-    def test_pool_capped(self, monkeypatch, workers, replicates, cpus, size):
+    def test_pool_capped(self, monkeypatch, workers, replicates, cpus, tasks):
+        # This process runs the first task; the pool has one worker per other task.
         _patch_pool(monkeypatch, cpus)
         config = ExperimentConfig(kind="urn-rounds", F=2, q=3, N=10,
                                   replicates=replicates, workers=workers)
         rows = experiments._map_replicates(experiments._rounds_replicate, config)
-        assert _RecordingPool.sizes == ([] if size is None else [size])
+        assert _RecordingPool.sizes == ([] if tasks is None else [tasks - 1])
         serial = ExperimentConfig(kind="urn-rounds", F=2, q=3, N=10, replicates=replicates)
         assert json.dumps(rows) == json.dumps(
             experiments._map_replicates(experiments._rounds_replicate, serial))
@@ -273,14 +281,15 @@ class TestWorkers:
         (experiments.POOL_BREAK_EVEN_S / 19 * 0.99, False),
         (experiments.POOL_BREAK_EVEN_S / 19 * 1.01, True)])
     def test_pool_only_when_it_pays(self, monkeypatch, replicate_s, pooled):
-        # Replicate 0 runs in the parent and is timed; the other 19 go to the
-        # pool only if 19 times its duration exceeds the break-even time.
+        # Replicate 0 runs in the parent and is timed; the other 19 make two
+        # tasks of 10 and 9, and the second goes to a pool of one worker only
+        # if 19 times replicate 0's duration exceeds the break-even time.
         _patch_pool(monkeypatch, cpus=2, replicate_s=replicate_s)
         config = ExperimentConfig(kind="urn-rounds", F=2, q=3, N=10, replicates=20,
                                   workers=2)
         rows = experiments._map_replicates(experiments._rounds_replicate, config)
-        assert _RecordingPool.sizes == ([2] if pooled else [])
-        assert _RecordingPool.tasks == ([(list(range(1, 20)), 10)] if pooled else [])
+        assert _RecordingPool.sizes == ([1] if pooled else [])
+        assert _RecordingPool.tasks == ([(list(range(11, 20)), 10)] if pooled else [])
         assert [row["replicate"] for row in rows] == list(range(20))
         serial = ExperimentConfig(kind="urn-rounds", F=2, q=3, N=10, replicates=20)
         assert json.dumps(rows) == json.dumps(
@@ -289,20 +298,26 @@ class TestWorkers:
     @pytest.mark.parametrize("n", [1, 2, 3, 19, 31, 32, 33, 100, 999, 4099])
     @pytest.mark.parametrize("workers", [2, 3, 8])
     def test_shares_differ_by_at_most_one_chunk(self, monkeypatch, n, workers):
-        # Replicates 1..n-1 go to the pool as at most one contiguous task per
-        # worker, with one worker per task; a single task runs in this process.
+        # Replicates 1..n-1 make at most one contiguous task per worker. This
+        # process runs the first, with replicate 0, after the pool, of one
+        # worker per other task, has the others, and before it reads the
+        # pool's rows (the stand-in runs them then); a single task runs here.
         _patch_pool(monkeypatch, cpus=8)
         config = ExperimentConfig(kind="urn-rounds", replicates=n, workers=workers)
-        rows = experiments._map_replicates(lambda config, r, seed: r, config)
+        calls = []
+        rows = experiments._map_replicates(
+            lambda config, r, seed: calls.append((r, len(_RecordingPool.tasks))) or r, config)
         assert rows == list(range(n))
         if n <= 2:
+            assert calls == [(r, 0) for r in range(n)]
             assert _RecordingPool.sizes == _RecordingPool.tasks == []
             return
+        assert calls == [(0, 0)] + [(r, 1) for r in range(1, n)]
         workers = min(workers, n)
         [(pooled, size)] = _RecordingPool.tasks
-        assert pooled == list(range(1, n))
+        assert pooled == list(range(size + 1, n))
         chunks = -(-(n - 1) // size)
-        assert _RecordingPool.sizes == [chunks] and 2 <= chunks <= workers
+        assert _RecordingPool.sizes == [chunks - 1] and 2 <= chunks <= workers
         shares = [min(size, n - 1 - k * size) for k in range(chunks)]
         assert sum(shares) == n - 1 and min(shares) >= 1  # no worker idles
         assert max(shares) - min(shares) <= size
@@ -311,15 +326,16 @@ class TestWorkers:
 
 class TestLemma5Workers:
     def test_replicates_go_through_the_pool(self, monkeypatch, tmp_path):
-        # 40 replicates at 2 workers: replicate 0 here, 1..39 to the pool in
-        # one task of 20 per worker; the artifacts and the estimate equal the serial run's.
+        # 40 replicates at 2 workers: replicates 1..39 make two tasks of 20
+        # and 19. Replicate 0 and the first task run here, and the second in a
+        # pool of one worker; the artifacts and the estimate equal the serial run's.
         kwargs = dict(kind="lemma5-estimate", F=2, q=5, N=20, xyz=(5, 10, 15), t_query=1.0,
                       replicates=40, master_seed=6)
         serial = execute(ExperimentConfig(output_dir=str(tmp_path / "w1"), **kwargs))
         _patch_pool(monkeypatch, cpus=2)
         pooled = execute(ExperimentConfig(output_dir=str(tmp_path / "w2"), workers=2, **kwargs))
-        assert _RecordingPool.sizes == [2]
-        assert _RecordingPool.tasks == [(list(range(1, 40)), 20)]
+        assert _RecordingPool.sizes == [1]
+        assert _RecordingPool.tasks == [(list(range(21, 40)), 20)]
         assert pooled == serial
         for name in serial.outputs:
             assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
@@ -327,6 +343,70 @@ class TestLemma5Workers:
             experiments.ModelParams(2, 5), 20, 5, 10, 15, 1.0, 40, 6)
         assert serial.aggregates["hits"] == est.hits > 0
         assert serial.aggregates["estimate"] == est.estimate
+
+
+class TestRealPool:
+    def test_a_forked_worker_gives_the_serial_artifacts(self, monkeypatch, tmp_path):
+        """A real pool of one worker runs the second task on the config it
+        receives pickled, with the setup replicate 0 built; every artifact
+        equals the serial run's."""
+        started = []
+
+        class Spy(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+        monkeypatch.setattr(experiments, "POOL_BREAK_EVEN_S", 0.0)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+        kwargs = dict(kind="simulate", F=2, q=5, N=40, t_max=3.0, snapshot_times=(2.0, 1.0),
+                      attach_urn=True, save_events=True, replicates=9, master_seed=5)
+        for workers in (1, 2):
+            execute(ExperimentConfig(workers=workers, output_dir=str(tmp_path / f"w{workers}"),
+                                     **kwargs))
+        assert started == [1]
+        names = sorted(os.listdir(tmp_path / "w1"))
+        assert names == sorted(os.listdir(tmp_path / "w2")) and len(names) == 12
+        for name in names:
+            assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
+
+
+class TestSetup:
+    def test_built_once_and_pickled_with_the_config(self):
+        config = ExperimentConfig(kind="simulate", F=2, q=5, N=40, t_max=3.0,
+                                  snapshot_times=(2.0, 0.5, 1.0))
+        setup = config.setup
+        assert config.setup is setup
+        assert setup.times == (0.5, 1.0, 2.0) and setup.stop == config.stop_rule()
+        back = pickle.loads(pickle.dumps(config))
+        assert back == config and back.setup._replace(draw=None) == setup._replace(draw=None)
+        assert back.setup.draw(np.random.default_rng(3)) == setup.draw(np.random.default_rng(3))
+
+    @pytest.mark.parametrize("kind,model,stop", [
+        ("simulate", "voter", StopRule(t_max=2.0)),
+        ("duality-check", "voter", StopRule(t_max=1.5)),
+        ("lemma5-estimate", "axelrod", StopRule(t_max=1.5)),
+        ("urn-rounds", "axelrod", StopRule(stop_on_absorption=True))])
+    def test_each_kind_runs_its_model(self, kind, model, stop):
+        kwargs = {"simulate": dict(model="voter", t_max=2.0),
+                  "duality-check": dict(t_query=1.5),
+                  "lemma5-estimate": dict(xyz=(1, 2, 3), t_query=1.5)}.get(kind, {})
+        config = ExperimentConfig(kind=kind, N=10, **kwargs)
+        config.validate()
+        assert (config.setup.model, config.setup.stop) == (model, stop)
+
+    def test_no_state_outlives_its_config(self):
+        """Nothing keeps a finished experiment's config, or what its
+        replicates shared, alive: a cache keyed on the config would."""
+        refs = []
+        for seed, kwargs in itertools.product(range(6), TestOneSeedPerReplicate.KINDS.values()):
+            config = ExperimentConfig(master_seed=seed, replicates=3, **kwargs)
+            execute(config)
+            assert "setup" in vars(config)  # its replicates shared one
+            refs.append(weakref.ref(config))
+        del config
+        assert [ref() for ref in refs] == [None] * len(refs)
 
 
 class TestOneSeedPerReplicate:

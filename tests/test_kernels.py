@@ -404,6 +404,17 @@ def test_numpy_prototypes_match_numpys_header(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_kernel_builds_without_warnings(tmp_path):
+    """The whole of `_kernel.c`, built as `load` builds it, draws no warning
+    from -Wall -Wextra."""
+    if shutil.which(_ckernel._CC[0]) is None:
+        pytest.skip("no C compiler on this host")
+    proc = subprocess.run([*_ckernel.build_command(str(tmp_path / "kernel.so")),
+                           "-Wall", "-Wextra", "-Werror"], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def tree(root):
     out = {}
     for d, _, names in os.walk(root):

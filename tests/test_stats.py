@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -20,6 +22,7 @@ from axsim import (
 )
 from axsim.core import edge_overlap_count
 from axsim.logio import replay
+from axsim.stats import DomainStats, EdgeCensus, census_from_counts, domains_from_census
 
 
 def make_cfg(kind, cultures, F, q):
@@ -83,6 +86,42 @@ class TestEdgeCensus:
             p = binom_pj(F, q, j)
             sigma = (total * p * (1 - p)) ** 0.5
             assert abs(pooled[j] - total * p) <= 3 * sigma
+
+
+class TestValuesBuiltWithoutInit:
+    """`EdgeCensus._of` and `DomainStats._of`, which the engine builds each
+    run's values with, give the public constructors' values."""
+
+    @staticmethod
+    def same(fast, public):
+        assert type(fast) is type(public)
+        assert fast == public and hash(fast) == hash(public) and repr(fast) == repr(public)
+        assert vars(fast) == vars(public)
+
+    @pytest.mark.parametrize("kind", ["path", "cycle"])
+    @pytest.mark.parametrize("F", [1, 2, 3])
+    def test_equal_to_the_public_constructors(self, kind, F):
+        topo = Topology(kind, 6)
+        E = topo.n_edges
+        for counts in itertools.product(range(E + 1), repeat=F + 1):
+            if sum(counts) != E:
+                continue
+            census = EdgeCensus._of(counts)
+            W = sum(j * c for j, c in enumerate(counts))
+            self.same(census, EdgeCensus(counts, W))
+            self.same(census_from_counts(np.array(counts)), census)
+            removed = E - counts[-1]
+            n = removed + 1 if kind == "path" else max(removed, 1)
+            domains = domains_from_census(census, topo)
+            self.same(domains, DomainStats(n, Fraction(6, n)))
+            self.same(DomainStats._of(n, 6), domains)
+            assert type(domains.mean_size) is Fraction
+
+    def test_census_of_a_configuration(self):
+        cfg = random_config(ModelParams(3, 3), Topology("cycle", 30), 4)
+        census = edge_census(cfg)
+        self.same(census, EdgeCensus(census.counts, census.total_agreement))
+        assert all(type(c) is int for c in census.counts)
 
 
 class TestDomains:
