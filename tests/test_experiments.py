@@ -6,8 +6,8 @@ import itertools
 import json
 import math
 import os
-import re
 import pickle
+import re
 import subprocess
 import sys
 import weakref
