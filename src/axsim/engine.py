@@ -39,7 +39,11 @@ the remainder divided by j is exactly uniform over the class.
 One trajectory uses one Generator in a fixed order of calls, a drawn initial
 state first, which makes runs bit-reproducible from the seed. The attached
 urn draws from a separate substream, so trajectories are identical with or
-without it. The urn moves only on delta_w = 2 events.
+without it. The urn moves only on delta_w = 2 events. The two Generators are
+the seed's children with spawn keys 0 and 1. A replicated experiment derives
+every replicate's child words (`generate_state(4, np.uint64)`) at once with
+`child_words` and builds each PCG64 from its words (`Seeded`), which skips
+the per-run `SeedSequence` and gives the same streams.
 
 The culture and CVM runs go through a compiled copy of the loop and the
 culture kernel (`_ckernel`, `_kernel.c`), which makes the same draws in the
@@ -194,18 +198,106 @@ def classify_delta_w(before: Configuration, event: UpdateEvent, after: Configura
     return delta
 
 
-def _rng_pair(seed: int, with_urn: bool):
+class Seeded(NamedTuple):
+    """A seed with its children's words (`child_words`), from which `run_model`
+    builds the seed's Generators: the same streams as from the seed alone."""
+    seed: int
+    words: bytes
+
+
+def _rng_pair(seed: int | Seeded, with_urn: bool):
     """Trajectory and urn Generators, the children `SeedSequence(seed).spawn(2)`
-    gives, each built directly from its spawn key; the urn's only when used."""
+    gives; the urn's only when used. `seed` is an int, or a `Seeded`, whose
+    words build child k where they hold it."""
+    seed, words = seed if isinstance(seed, Seeded) else (seed, b"")
+
     def child(k):
-        return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+        if len(words) > 32 * k:
+            bits = np.random.PCG64(_seed_words()(np.frombuffer(words, np.uint64, 4, 32 * k)))
+        else:
+            bits = np.random.SeedSequence(seed, spawn_key=(k,))
+        return np.random.default_rng(bits)
     return child(0), child(1) if with_urn else None
+
+
+@cache
+def _seed_words():
+    """`SeedWords`, the `ISeedSequence` that hands `PCG64` a child's words.
+    It is defined on first use, so importing axsim does not load numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        def __init__(self, words):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words  # `PCG64` asks for its 4 np.uint64 words only
+
+    return SeedWords
 
 
 def replicate_seeds(master_seed: int, n: int) -> list[int]:
     """The seeds of replicates 0..n-1: word r of `SeedSequence(master_seed)`'s
     `generate_state(n, np.uint64)` seeds replicate r, whatever n."""
     return np.random.SeedSequence(master_seed).generate_state(n, np.uint64).tolist()
+
+
+# numpy's `SeedSequence` hash (O'Neill's seed_seq_fe, as NEP 19 adopted it):
+# the start and multiplier of its two hash-constant sequences, and the
+# multipliers of its mixer, all mod 2**32.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_M32 = 0xFFFFFFFF
+
+
+def child_words(seeds: list[int], keys: int) -> list[bytes]:
+    """Item r: for k = 0..keys-1, the 4 words of
+    `SeedSequence(seeds[r], spawn_key=(k,)).generate_state(4, np.uint64)` as
+    native-order bytes.
+
+    The seeds' hashes are computed at once, one uint32 array operation per
+    step of numpy's `mix_entropy` and `generate_state`. A child of a seed
+    below 2**64 has the entropy [lo, hi, 0, 0, k], the seed's 32-bit halves
+    padded to the pool's 4 words and then the spawn key, and the hash
+    constants advance alike for every seed.
+    """
+    s = np.array(seeds, np.uint64)
+    zero = np.zeros(1, np.uint32)
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ h
+        h = h * _MULT_A & _M32
+        v = v * h
+        return v ^ (v >> 16)
+
+    def mix(x, y):
+        v = x * _MIX_L - y * _MIX_R
+        return v ^ (v >> 16)
+
+    pool = [hashmix(e) for e in ((s & _M32).astype(np.uint32), (s >> 32).astype(np.uint32),
+                                 zero, zero)]
+    for i in range(4):
+        for j in range(4):
+            if i != j:
+                pool[j] = mix(pool[j], hashmix(pool[i]))
+    out = np.empty((len(s), keys, 8), np.uint32)
+    pooled = h
+    for k in range(keys):
+        h = pooled
+        child = [mix(p, hashmix(zero + k)) for p in pool]
+        g = _INIT_B
+        for i in range(8):
+            v = child[i % 4] ^ g
+            g = g * _MULT_B & _M32
+            v = v * g
+            out[:, k, i] = v ^ (v >> 16)
+    # numpy joins little-endian pairs of 32-bit words into each 64-bit word.
+    words = out.astype("<u4").view("<u8").astype(np.uint64).tobytes()
+    size = 32 * keys
+    return [words[i:i + size] for i in range(0, len(words), size)]
 
 
 _FIRST_BLOCK, _MAX_BLOCK = 16, 4096  # block sizes of `_Draws`, doubling per refill
@@ -471,14 +563,16 @@ def _check_initial(model, initial):
         raise InvalidInput(f"{model} initial must use opinions {sorted(alphabet)}")
 
 
-def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
+def run_model(model, initial, stop: StopRule, seed: int | Seeded, snapshot_times=(),
               attach_urn: bool = False) -> Trajectory:
     """Statistically exact trajectory of the chosen generator.
 
     `initial` is the initial state, or a draw `f(rng) -> state` such as
     `partial(random_config, params, topology)`, which the run calls on its
     own trajectory Generator before the first event (`Trajectory.initial`
-    holds what it drew). Deterministic given seed and such a draw.
+    holds what it drew). Deterministic given seed and such a draw. `seed`
+    is an integer >= 0, or a `Seeded`, whose words give the same Generators
+    as its seed (the trajectory records the seed).
     `snapshot_times` record the state just before each requested time;
     under a `t_max` none may lie beyond it. The model's kernel makes the
     events; the loop draws the waiting times and owns the stop rule. A run
@@ -493,7 +587,8 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
     to the CVM (see the module docstring).
     """
     check_run(model, stop, snapshot_times, attach_urn)
-    check_seed(seed)
+    plain = seed.seed if isinstance(seed, Seeded) else seed
+    check_seed(plain)
     rng, urn_rng = _rng_pair(seed, attach_urn)
     if callable(initial):
         initial = initial(rng)
@@ -537,5 +632,5 @@ def run_model(model, initial, stop: StopRule, seed: int, snapshot_times=(),
         boxes, b0_viol, pot_viol = path.urn[:3]
         urn = UrnState(boxes)
     return Trajectory(model, initial, path.events, snapshots, final, path.absorbed, end_time,
-                      seed, EdgeCensus._of(counts), urn_final=urn,
+                      plain, EdgeCensus._of(counts), urn_final=urn,
                       urn_b0_violations=b0_viol, urn_potential_violations=pot_viol)

@@ -1,7 +1,8 @@
 """Replicated, seeded experiment orchestration and artifact emission.
 
 Replicate r has one seed, `replicate_seeds(master_seed, n)[r]`, whose
-Generator draws the initial state and then the trajectory. Aggregation runs
+Generator draws the initial state and then the trajectory; it is built from
+the seed's child words, derived for all replicates at once. Aggregation runs
 in replicate-index order, so results are byte-identical regardless of
 worker count.
 """
@@ -19,8 +20,8 @@ from . import bounds as bounds_mod
 from .core import (InvalidInput, ModelParams, Topology, check_int, check_seed, is_int,
                    random_config, random_opinions)
 from .duality import arrow_log_from_trajectory, check_voter_duality
-from .engine import (AXELROD, MODELS, VOTER, StopRule, _rng_pair, check_run, check_times,
-                     replicate_seeds, run_model)
+from .engine import (AXELROD, MODELS, VOTER, Seeded, StopRule, _rng_pair, check_run,
+                     check_times, child_words, replicate_seeds, run_model)
 from .logio import atomic_write_text, event_log_text, final_stats_row
 from .stats import edge_census
 from .urn import UrnState, urn_rounds_run
@@ -149,13 +150,13 @@ def _draw_opinions(alphabet, topo, rng):
     return random_opinions(topo, alphabet, rng)
 
 
-def _simulate_replicate(config: ExperimentConfig, r: int, seed: int) -> dict:
+def _simulate_replicate(config: ExperimentConfig, r: int, seed: int | Seeded) -> dict:
     setup = config.setup
     traj = run_model(setup.model, setup.draw, setup.stop, seed, snapshot_times=setup.times,
                      attach_urn=config.attach_urn)
     row = final_stats_row(traj)
     row["replicate"] = r
-    row["seed"] = seed
+    row["seed"] = traj.seed
     row["snapshots"] = [
         (s.time, s.census.counts, s.census.total_agreement, s.domains.domain_count)
         for s in traj.snapshots
@@ -165,7 +166,7 @@ def _simulate_replicate(config: ExperimentConfig, r: int, seed: int) -> dict:
     return row
 
 
-def _rounds_replicate(config: ExperimentConfig, r: int, seed: int) -> dict:
+def _rounds_replicate(config: ExperimentConfig, r: int, seed: int | Seeded) -> dict:
     rng = _rng_pair(seed, False)[0]  # a run's Generator: the census, then the rounds
     census = edge_census(config.setup.draw(rng))
     rec = urn_rounds_run(UrnState(census.counts), ModelParams(config.F, config.q), rng)
@@ -178,7 +179,7 @@ def _rounds_replicate(config: ExperimentConfig, r: int, seed: int) -> dict:
     }
 
 
-def _duality_replicate(config: ExperimentConfig, r: int, seed: int) -> dict:
+def _duality_replicate(config: ExperimentConfig, r: int, seed: int | Seeded) -> dict:
     # The pathwise duality identity is a voter-model property: the initial
     # state is a random binary opinion profile (validate rejects a model, F or q).
     setup = config.setup
@@ -188,7 +189,8 @@ def _duality_replicate(config: ExperimentConfig, r: int, seed: int) -> dict:
             "n_vertices": len(report.per_vertex)}
 
 
-def _lemma5_replicate(config: ExperimentConfig, r: int, seed: int) -> tuple[bool, bool]:
+def _lemma5_replicate(config: ExperimentConfig, r: int,
+                      seed: int | Seeded) -> tuple[bool, bool]:
     """(hit, success) at time t on the path {0,...,N}: feature 0 of y differs
     from those of x and z, and those of x and z agree."""
     setup = config.setup
@@ -206,20 +208,24 @@ POOL_BREAK_EVEN_S = 0.06
 
 
 def _map_replicates(fn, config: ExperimentConfig):
-    """fn(config, r, seed) for every replicate r and its seed, in replicate order.
+    """fn(config, r, seed) for every replicate r and its `Seeded` seed, in
+    replicate order; the seeds carry their children's words, key 1's too
+    when the urn is attached.
 
-    Replicate 0 runs here and is timed. Replicates 1..n-1 split into
-    contiguous tasks, at most one per worker. When they make two tasks or
-    more and replicate 0's time, times their number, exceeds
-    POOL_BREAK_EVEN_S, a pool of one worker per task but the first runs the
-    others while this process runs the first.
+    The shared setup is built first; then replicate 0 runs here and is
+    timed. Replicates 1..n-1 split into contiguous tasks, at most one per
+    worker. When they make two tasks or more and replicate 0's time, times
+    their number, exceeds POOL_BREAK_EVEN_S, a pool of one worker per task
+    but the first runs the others while this process runs the first.
     """
     n = config.replicates
     seeds = replicate_seeds(config.master_seed, n)
+    seeds = list(map(Seeded, seeds, child_words(seeds, 1 + config.attach_urn)))
     chunk = max(1, -(-(n - 1) // min(config.workers, n, os.cpu_count() or 1)))
     tasks = -(-(n - 1) // chunk)
     if tasks <= 1:
         return [fn(config, r, seed) for r, seed in enumerate(seeds)]
+    config.setup  # built before the clock starts, so replicate 0 takes a steady time
     start = perf_counter()
     rows = [fn(config, 0, seeds[0])]
     if (perf_counter() - start) * (n - 1) <= POOL_BREAK_EVEN_S:

@@ -28,7 +28,7 @@ from axsim import (
     voter_projection,
 )
 from axsim.core import cvm_lift
-from axsim.engine import _culture_kernel, _rng_pair, replicate_seeds
+from axsim.engine import Seeded, _culture_kernel, _rng_pair, child_words, replicate_seeds
 from axsim.logio import replay
 
 
@@ -708,6 +708,49 @@ class TestCvmRun:
         stopped = run_model("cvm", init, StopRule(t_max=50.0, stop_on_absorption=True), 4)
         assert stopped.events == traj.events
         assert stopped.end_time == stopped.events[-1].time
+
+
+class TestChildWords:
+    """`child_words` against its oracle, numpy's own `SeedSequence`: the edge
+    seeds of 32 and 64 bits and a few thousand drawn ones."""
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1,
+             *np.random.default_rng(21).integers(0, 2**64, 3000, np.uint64).tolist()]
+
+    @pytest.mark.parametrize("keys", [1, 2])
+    def test_the_words_are_numpys(self, keys):
+        words = child_words(self.SEEDS, keys)
+        assert len(words) == len(self.SEEDS)
+        for seed, got in zip(self.SEEDS, words):
+            assert got == b"".join(
+                np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64).tobytes()
+                for k in range(keys))
+
+    def test_the_generators_are_numpys(self):
+        for seed, words in zip(self.SEEDS, child_words(self.SEEDS, 2)):
+            got, want = _rng_pair(Seeded(seed, words), True), _rng_pair(seed, True)
+            for rng, ref in zip(got, want):
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_a_missing_child_is_built_from_its_key(self):
+        """The urn's Generator of a seed that carries key 0's words only."""
+        seed = self.SEEDS[-1]
+        (words,) = child_words([seed], 1)
+        got, want = _rng_pair(Seeded(seed, words), True), _rng_pair(seed, True)
+        assert [g.bit_generator.state for g in got] == [g.bit_generator.state for g in want]
+
+    @pytest.mark.parametrize("model,urn", [("axelrod", False), ("axelrod", True),
+                                           ("cvm", False), ("voter", False)])
+    def test_a_seeded_run_is_the_seeds_run(self, model, urn):
+        """Twice with the same words, as a rerun does, and as from the seed alone."""
+        topo = Topology("cycle", 30)
+        draw = (partial(random_config, ModelParams(2, 4), topo) if model == "axelrod"
+                else partial(random_opinions, topo, (-1, 0, 1) if model == "cvm" else (0, 1)))
+        seed = self.SEEDS[7]
+        seeded = Seeded(seed, child_words([seed], 2)[0])
+        runs = [run_model(model, draw, StopRule(t_max=3.0), s, snapshot_times=(1.0,),
+                          attach_urn=urn) for s in (seeded, seeded, seed)]
+        assert len(runs[0].events) > 0 and runs[0].seed == seed and type(runs[0].seed) is int
+        assert repr(runs[0]) == repr(runs[1]) == repr(runs[2])
 
 
 class TestSeedingAndEvents:

@@ -11,7 +11,7 @@ import re
 import subprocess
 import sys
 import weakref
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 import pytest
@@ -324,6 +324,30 @@ class TestWorkers:
         assert size == -(-(n - 1) // workers)  # no chunk exceeds an even share
 
 
+    def test_the_setup_is_built_before_the_clock_starts(self, monkeypatch):
+        """Replicate 0's time, which decides on the pool, leaves out the
+        setup: a setup that takes a second, on the clock `_map_replicates`
+        reads, and replicates that take no time start no pool."""
+        _patch_pool(monkeypatch, cpus=2)
+        now = [0.0]
+        monkeypatch.setattr(experiments, "perf_counter", lambda: now[0])
+        build = ExperimentConfig.setup.func
+
+        def slow(config):
+            now[0] += 1.0
+            return build(config)
+
+        setup = cached_property(slow)
+        setup.__set_name__(ExperimentConfig, "setup")
+        monkeypatch.setattr(ExperimentConfig, "setup", setup)
+        config = ExperimentConfig(kind="urn-rounds", F=2, q=3, N=10, replicates=20, workers=2)
+        rows = experiments._map_replicates(
+            lambda config, r, seed: (config.setup.model, r, seed.seed), config)
+        assert now == [1.0] and _RecordingPool.sizes == _RecordingPool.tasks == []
+        seeds = experiments.replicate_seeds(0, 20)
+        assert rows == [("axelrod", r, seeds[r]) for r in range(20)]
+
+
 class TestLemma5Workers:
     def test_replicates_go_through_the_pool(self, monkeypatch, tmp_path):
         # 40 replicates at 2 workers: replicates 1..39 make two tasks of 20
@@ -471,10 +495,15 @@ class TestOneSeedPerReplicate:
 
 
 def test_importing_the_cli_leaves_the_pool_unloaded():
-    """`concurrent.futures` is imported only when a pool starts."""
+    """`concurrent.futures` is imported only when a pool starts, and
+    `numpy.random` only when a run builds a Generator: neither is loaded by
+    importing the CLI and validating a `simulate` config."""
     probe = ("import sys, axsim.cli\n"
-             "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n")
+             "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n"
+             "axsim.cli.ExperimentConfig(kind='simulate', N=40, t_max=3.0,\n"
+             "                           snapshot_times=(1.0, 2.0), replicates=9).validate()\n"
+             "print('numpy.random' in sys.modules)\n")
     src = os.path.dirname(os.path.dirname(experiments.__file__))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n") == ["[]", "False", ""]
