@@ -725,18 +725,13 @@ class TestChildWords:
                 np.random.SeedSequence(seed, spawn_key=(k,)).generate_state(4, np.uint64).tobytes()
                 for k in range(keys))
 
-    def test_the_generators_are_numpys(self):
-        for seed, words in zip(self.SEEDS, child_words(self.SEEDS, 2)):
+    @pytest.mark.parametrize("keys", [1, 2])
+    def test_the_generators_are_numpys(self, keys):
+        """Both children; with key 0's words only, the urn's is built from its key."""
+        for seed, words in zip(self.SEEDS, child_words(self.SEEDS, keys)):
             got, want = _rng_pair(Seeded(seed, words), True), _rng_pair(seed, True)
             for rng, ref in zip(got, want):
                 assert rng.bit_generator.state == ref.bit_generator.state
-
-    def test_a_missing_child_is_built_from_its_key(self):
-        """The urn's Generator of a seed that carries key 0's words only."""
-        seed = self.SEEDS[-1]
-        (words,) = child_words([seed], 1)
-        got, want = _rng_pair(Seeded(seed, words), True), _rng_pair(seed, True)
-        assert [g.bit_generator.state for g in got] == [g.bit_generator.state for g in want]
 
     @pytest.mark.parametrize("model,urn", [("axelrod", False), ("axelrod", True),
                                            ("cvm", False), ("voter", False)])

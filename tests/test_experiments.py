@@ -323,7 +323,6 @@ class TestWorkers:
         assert max(shares) - min(shares) <= size
         assert size == -(-(n - 1) // workers)  # no chunk exceeds an even share
 
-
     def test_the_setup_is_built_before_the_clock_starts(self, monkeypatch):
         """Replicate 0's time, which decides on the pool, leaves out the
         setup: a setup that takes a second, on the clock `_map_replicates`
