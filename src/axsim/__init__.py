@@ -75,10 +75,8 @@ from .logio import (
     save_event_log,
 )
 from .experiments import (
-    ConditionalEstimate,
     ExperimentConfig,
     ExperimentSummary,
-    estimate_lemma_0edge_probability,
     execute,
 )
 

@@ -10,7 +10,7 @@ import argparse
 import json
 import sys
 
-from .bounds import table1_generate
+from .bounds import Table1
 from .core import InvalidInput
 from .engine import MODELS
 from .experiments import KINDS, ExperimentConfig, execute
@@ -129,7 +129,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.command == "table1" and getattr(args, "format", "text") == "text":
-        print(table1_generate().render_text())
+        print(Table1(**summary.aggregates).render_text())
     else:
         print(json.dumps({"aggregates": summary.aggregates, "checks": summary.checks},
                          indent=2, sort_keys=True))

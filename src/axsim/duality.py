@@ -116,35 +116,36 @@ def _trace(times, sources, x: int, t: float) -> DualWalkResult:
         cur = sources[cur][i]
 
 
+def _checked_index(log: ArrowLog, labeled: bool, t: float, refusal: str) -> dict:
+    """The log's incoming index, once the log is labeled or not as the caller
+    needs (otherwise InvalidInput `refusal`) and 0 <= t <= its horizon."""
+    if log.labeled != labeled:
+        raise InvalidInput(refusal)
+    if not 0 <= t <= log.horizon:  # also refuses NaN
+        raise InvalidInput(f"t={t} outside [0, log horizon {log.horizon}]")
+    return log._incoming
+
+
 def trace_dual_walk(log: ArrowLog, x: int, t: float) -> DualWalkResult:
     """Position at time 0 of the dual walker started from (x, t)."""
-    if log.labeled:
-        raise InvalidInput("dual walk needs a voter (unlabeled) log")
-    if t > log.horizon:
-        raise InvalidInput(f"t={t} beyond log horizon {log.horizon}")
-    times, sources = log._incoming.get(None, _NO_ARROWS)
+    index = _checked_index(log, False, t, "dual walk needs a voter (unlabeled) log")
+    times, sources = index.get(None, _NO_ARROWS)
     return _trace(times, sources, x, t)
 
 
 def trace_lineage(log: ArrowLog, i: int, u: int, t: float) -> DualWalkResult:
     """Endpoint at time 0 of the feature-i lineage started from (u, t)."""
-    if not log.labeled:
-        raise InvalidInput("lineage tracing needs a labeled log")
-    if t > log.horizon:
-        raise InvalidInput(f"t={t} beyond log horizon {log.horizon}")
-    times, sources = log._incoming.get(i, _NO_ARROWS)
+    index = _checked_index(log, True, t, "lineage tracing needs a labeled log")
+    times, sources = index.get(i, _NO_ARROWS)
     return _trace(times, sources, u, t)
 
 
 def check_voter_duality(log: ArrowLog, initial, t: float) -> DualityReport:
     """Pathwise identity: forward state at t equals the initial state at the
     traced dual endpoint, for every vertex."""
-    if log.labeled:
-        raise InvalidInput("duality check needs a voter log")
-    if t > log.horizon:
-        raise InvalidInput(f"t={t} beyond log horizon {log.horizon}")
+    index = _checked_index(log, False, t, "duality check needs a voter log")
     ops = replay(initial, log.arrows, VOTER, upto=t).opinions
-    times, sources = log._incoming.get(None, _NO_ARROWS)
+    times, sources = index.get(None, _NO_ARROWS)
     per_vertex = []
     for x in range(initial.topology.n_vertices):
         end = _trace(times, sources, x, t).end_vertex

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property, partial
@@ -90,6 +91,11 @@ class ExperimentConfig:
                 raise InvalidInput("need 0 <= x < y < z <= N")
             if self.t_query is None:
                 raise InvalidInput("lemma5-estimate needs a time t")
+        if self.kind == "bounds" and self.theta is not None:
+            if not isinstance(self.theta, numbers.Real):
+                raise InvalidInput(f"theta must be a real number, got {self.theta!r}")
+            if (self.F, self.q) != (2, 2):  # the theta query reads neither
+                raise InvalidInput("bounds with theta takes no F or q")
         if self.kind == "duality-check" and self.t_query is None:
             raise InvalidInput("duality-check needs a time t")
 
@@ -362,52 +368,20 @@ def _duality_check(config: ExperimentConfig) -> tuple[dict, dict, dict]:
     return agg, checks, files
 
 
-@dataclass(frozen=True)
-class ConditionalEstimate:
-    estimate: float | None  # None when no replicate hit the conditioning event
-    std_error: float | None
-    hits: int
-    successes: int
-    replicates: int
-
-    @property
-    def defined(self) -> bool:
-        return self.hits > 0
-
-
-def _conditional_estimate(config: ExperimentConfig) -> ConditionalEstimate:
+def _lemma5(config: ExperimentConfig) -> tuple[dict, dict, dict]:
+    """Monte Carlo estimate of P(feature 0 of x equals feature 0 of z | feature 0
+    of y differs from both) at time t on the path {0,...,N}."""
     rows = _map_replicates(_lemma5_replicate, config)
     hits = sum(hit for hit, _ in rows)
     successes = sum(success for _, success in rows)
-    if hits == 0:
-        return ConditionalEstimate(None, None, 0, 0, config.replicates)
-    p = successes / hits
-    se = (p * (1 - p) / hits) ** 0.5
-    return ConditionalEstimate(p, se, hits, successes, config.replicates)
-
-
-def estimate_lemma_0edge_probability(params: ModelParams, N: int, x: int, y: int,
-                                     z: int, t: float, replicates: int,
-                                     seed: int) -> ConditionalEstimate:
-    """Monte Carlo estimate of P(feature-0 of x equals feature-0 of z | the
-    feature-0 of y differs from both) at time t on the path {0,...,N}."""
-    config = ExperimentConfig(kind="lemma5-estimate", F=params.F, q=params.q, N=N,
-                              xyz=(x, y, z), t_query=t, replicates=replicates,
-                              master_seed=seed)
-    config.validate()
-    return _conditional_estimate(config)
-
-
-def _lemma5(config: ExperimentConfig) -> tuple[dict, dict, dict]:
-    est = _conditional_estimate(config)
+    p = successes / hits if hits else None
+    se = (p * (1 - p) / hits) ** 0.5 if hits else None
     target = 1.0 / (config.q - 1)
-    agg = {"estimate": est.estimate, "std_error": est.std_error, "hits": est.hits,
-           "successes": est.successes, "replicates": est.replicates,
-           "target": target, "defined": est.defined}
+    agg = {"estimate": p, "std_error": se, "hits": hits, "successes": successes,
+           "replicates": config.replicates, "target": target, "defined": hits > 0}
     checks = {}
-    if est.defined and est.std_error is not None:
-        checks["within_3se_of_target"] = abs(est.estimate - target) <= max(
-            3 * est.std_error, 1e-12)
+    if hits:
+        checks["within_3se_of_target"] = abs(p - target) <= max(3 * se, 1e-12)
     return agg, checks, {"lemma5_estimate.json": json.dumps(agg, indent=2, sort_keys=True) + "\n"}
 
 

@@ -29,7 +29,7 @@ from .core import (
     OpinionConfig,
     Topology,
 )
-from .engine import AXELROD, MODELS, _check_initial
+from .engine import AXELROD, MODELS, _check_initial, check_times
 from .events import EventTable, UpdateEvent
 # `edge_census` and `count_domains` stay importable from here by name: the
 # benchmark's tracer wraps them as the census layer.
@@ -228,6 +228,7 @@ def load_event_log(path: str) -> LogBundle:
         raise InvalidInput(f"{path}: unknown model {model!r}")
     topo = Topology(_meta(meta, "topology", str, path), _meta(meta, "size", int, path))
     end_time = _meta(meta, "end_time", float, path)
+    check_times((end_time,), f"{path}: the '# end_time=' value")
     if model == AXELROD:
         params = ModelParams(_meta(meta, "F", int, path), _meta(meta, "q", int, path))
         state = _meta(meta, "initial", lambda v: _state(v, topo.n_vertices, params), path)
@@ -254,7 +255,8 @@ def _within(column, n: int, stop: int) -> bool:
 
 def replay(initial, events, model: str, upto: float | None = None):
     """Re-apply recorded events, up to the first one with time > upto;
-    returns the resulting state. The state must be one `model` runs on, and
+    returns the resulting state. `upto` None replays every event; NaN is
+    refused. The state must be one `model` runs on, and
     each applied event must name vertices, and on a culture state a
     feature, of that state; otherwise InvalidInput."""
     if not isinstance(model, str) or model not in MODELS:  # a dict key must hash
@@ -262,6 +264,8 @@ def replay(initial, events, model: str, upto: float | None = None):
     _check_initial(model, initial)
     ev = EventTable.of(events)
     n = len(ev)
+    if upto != upto:  # NaN, which no event time exceeds
+        raise InvalidInput("upto must be a time or None, got nan")
     if upto is not None:
         n = next((k for k, t in enumerate(ev.time) if t > upto), n)
     V = initial.topology.n_vertices

@@ -112,7 +112,7 @@ def flip_count(traj, x: int, window_boundaries) -> list[int]:
     its projected opinion.
     """
     bounds = list(window_boundaries)
-    if sorted(bounds) != bounds or len(bounds) < 2:
+    if len(bounds) < 2 or not all(a <= b for a, b in zip(bounds, bounds[1:])):  # refuses NaN
         raise InvalidInput("window boundaries must be sorted, length >= 2")
     counts = [0] * (len(bounds) - 1)
     opinions = traj.model != "axelrod"

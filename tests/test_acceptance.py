@@ -25,7 +25,6 @@ from axsim import (
     check_voter_duality,
     count_domains,
     edge_census,
-    estimate_lemma_0edge_probability,
     execute,
     random_config,
     replicate_seeds,
@@ -253,12 +252,13 @@ def test_criterion_07_voter_duality_exact():
 # ---------------------------------------------------------------------------
 
 def test_criterion_08_conditional_probability():
-    est = estimate_lemma_0edge_probability(ModelParams(2, 5), 40, 10, 20, 30,
-                                           3.0, 5 * 10 ** 4, 404)
-    main_ok = est.defined and abs(est.estimate - 0.25) <= 3 * est.std_error
-    control = estimate_lemma_0edge_probability(ModelParams(2, 2), 40, 10, 20, 30,
-                                               3.0, 2000, 405)
-    control_ok = control.defined and control.estimate == 1.0
+    kwargs = dict(kind="lemma5-estimate", N=40, xyz=(10, 20, 30), t_query=3.0)
+    est = execute(ExperimentConfig(F=2, q=5, replicates=5 * 10 ** 4, master_seed=404,
+                                   **kwargs)).aggregates
+    main_ok = est["defined"] and abs(est["estimate"] - 0.25) <= 3 * est["std_error"]
+    control = execute(ExperimentConfig(F=2, q=2, replicates=2000, master_seed=405,
+                                       **kwargs)).aggregates
+    control_ok = control["defined"] and control["estimate"] == 1.0
     ok = report(8, "conditional probability near 1/(q-1); binary control exact",
                 main_ok and control_ok)
     assert ok, (est, control)

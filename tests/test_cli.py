@@ -21,6 +21,20 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+# `axsim table1`'s stdout, pinned byte for byte.
+TABLE1_TEXT = """\
+F\\q       4       8       12       16      20      24      28      32      36
+F=2  2.6667  1.3714   1.2121   1.1487  1.1146  1.0932  1.0785  1.0679  1.0597
+F=3    neg.  1.8286   1.3861   1.2535  1.1890  1.1508  1.1255  1.1074  1.0940
+F=4       —  3.3629   1.6645   1.3938  1.2810  1.2188  1.1792  1.1519  1.1318
+F=5       —    neg.   2.1989   1.5943  1.3985  1.3007  1.2417  1.2022  1.1738
+F=6       —    neg.   3.7048   1.9091  1.5552  1.4017  1.3154  1.2599  1.2211
+F=7       —    neg.  45.6423   2.4851  1.7767  1.5304  1.4040  1.3268  1.2746
+F=8       —       —     neg.   3.9072  2.1170  1.7007  1.5132  1.4058  1.3360
+F=9       —       —     neg.  13.6375  2.7127  1.9385  1.6514  1.5005  1.4071
+"""
+
+
 class TestSubcommands:
     def test_bounds_query(self, capsys):
         code, out, _ = run_cli(capsys, "bounds", "--F", "2", "--q", "4")
@@ -36,6 +50,7 @@ class TestSubcommands:
         assert "neg." in out
         lines = [l for l in out.splitlines() if l.strip()]
         assert len(lines) == 9  # header + F=2..9
+        assert out == TABLE1_TEXT
 
     def test_table1_csv(self, capsys):
         code, out, _ = run_cli(capsys, "table1", "--format", "csv")
@@ -129,6 +144,15 @@ class TestValidation:
                                     "--N", "8", "--t-max", "1", "--out", str(out))
         assert code == 2
         assert f"{model} takes no F or q" in err and stdout == "" and not out.exists()
+
+    def test_bounds_theta_with_F_or_q_returns_2(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, "bounds", "--theta", "0.5", "--F", "3", "--q", "7",
+                                    "--out", str(out))
+        assert code == 2
+        assert "bounds with theta takes no F or q" in err and stdout == "" and not out.exists()
+        code, stdout, _ = run_cli(capsys, "bounds", "--theta", "0.5", "--F", "2", "--q", "2")
+        assert code == 0 and "psi" in json.loads(stdout)["aggregates"]
 
     def test_q_beyond_int64_returns_2(self, capsys, tmp_path):
         out = tmp_path / "out"

@@ -1,4 +1,6 @@
 """Backward tracing, pathwise duality, and the conditional-probability estimator."""
+import math
+import re
 from functools import partial
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from axsim import (
     Arrow,
     ArrowLog,
+    ExperimentConfig,
     InvalidInput,
     ModelParams,
     OpinionConfig,
@@ -14,7 +17,7 @@ from axsim import (
     Topology,
     arrow_log_from_trajectory,
     check_voter_duality,
-    estimate_lemma_0edge_probability,
+    execute,
     random_config,
     replicate_seeds,
     run_model,
@@ -76,6 +79,31 @@ class TestTraceDualWalk:
         log = ArrowLog((), 1.0, labeled=False)
         with pytest.raises(InvalidInput):
             trace_dual_walk(log, 0, 2.0)
+
+
+class TestTimeGuard:
+    """The tracers take a time t with 0 <= t <= the log's horizon, and no other."""
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, 5.5, math.inf])
+    def test_a_time_outside_the_log_is_refused(self, t):
+        init, traj = voter_log(16, 5.0, 0)
+        log = arrow_log_from_trajectory(traj)
+        outside = re.escape(f"t={t} outside [0, log horizon 5.0]")
+        with pytest.raises(InvalidInput, match=outside):
+            check_voter_duality(log, init, t)
+        with pytest.raises(InvalidInput, match=outside):
+            trace_dual_walk(log, 0, t)
+        with pytest.raises(InvalidInput, match=outside):
+            trace_lineage(ArrowLog((), 5.0, labeled=True), 0, 0, t)
+
+    def test_both_ends_of_the_log_are_taken(self):
+        init, traj = voter_log(16, 5.0, 0)
+        log = arrow_log_from_trajectory(traj)
+        assert log.horizon == 5.0
+        for t in (0.0, 5.0):
+            assert check_voter_duality(log, init, t).all_true
+        assert trace_dual_walk(log, 3, 0.0).path == ((3, (0.0, 0.0)),)
+        assert trace_lineage(ArrowLog((), 5.0, labeled=True), 0, 3, 5.0).end_vertex == 3
 
 
 class TestVoterDuality:
@@ -191,36 +219,39 @@ class TestIncomingIndexCache:
         assert log == same and hash(log) == hash(same)
 
 
+def lemma5(F, q, N, x, y, z, t, replicates, seed) -> dict:
+    """The aggregates of a lemma5-estimate experiment."""
+    return execute(ExperimentConfig(kind="lemma5-estimate", F=F, q=q, N=N, xyz=(x, y, z),
+                                    t_query=t, replicates=replicates,
+                                    master_seed=seed)).aggregates
+
+
 class TestConditionalEstimate:
     def test_input_validation(self):
-        p = ModelParams(2, 5)
         with pytest.raises(InvalidInput):
-            estimate_lemma_0edge_probability(p, 10, 5, 5, 7, 1.0, 10, 0)
+            lemma5(2, 5, 10, 5, 5, 7, 1.0, 10, 0)
         with pytest.raises(InvalidInput):
-            estimate_lemma_0edge_probability(p, 10, 1, 5, 11, 1.0, 10, 0)
+            lemma5(2, 5, 10, 1, 5, 11, 1.0, 10, 0)
         with pytest.raises(InvalidInput):
-            estimate_lemma_0edge_probability(p, 10, 1, 5, 7, 1.0, 0, 0)
+            lemma5(2, 5, 10, 1, 5, 7, 1.0, 0, 0)
 
     def test_binary_alphabet_forces_agreement(self):
         # With q=2 the conditioning event forces the outer opinions equal.
-        est = estimate_lemma_0edge_probability(ModelParams(2, 2), 20, 5, 10, 15,
-                                               1.0, 200, 3)
-        assert est.defined
-        assert est.estimate == 1.0
+        est = lemma5(2, 2, 20, 5, 10, 15, 1.0, 200, 3)
+        assert est["defined"]
+        assert est["estimate"] == 1.0
 
     def test_time_zero_matches_closed_form(self):
         # At t=0 the three cultures are independent uniforms:
         # P(x0 == z0 | y0 differs from both) = 1 / (q - 1).
         q, reps = 4, 8000
-        est = estimate_lemma_0edge_probability(ModelParams(2, q), 10, 2, 5, 8,
-                                               0.0, reps, 17)
-        assert est.defined
+        est = lemma5(2, q, 10, 2, 5, 8, 0.0, reps, 17)
+        assert est["defined"]
         target = 1.0 / (q - 1)
-        assert abs(est.estimate - target) <= 3 * est.std_error + 1e-12
+        assert abs(est["estimate"] - target) <= 3 * est["std_error"] + 1e-12
 
     def test_counts_are_consistent(self):
-        est = estimate_lemma_0edge_probability(ModelParams(2, 5), 12, 3, 6, 9,
-                                               0.5, 500, 11)
-        assert 0 <= est.successes <= est.hits <= est.replicates == 500
-        if est.defined:
-            assert est.estimate == pytest.approx(est.successes / est.hits)
+        est = lemma5(2, 5, 12, 3, 6, 9, 0.5, 500, 11)
+        assert 0 <= est["successes"] <= est["hits"] <= est["replicates"] == 500
+        if est["defined"]:
+            assert est["estimate"] == pytest.approx(est["successes"] / est["hits"])

@@ -131,6 +131,20 @@ class TestFieldsAKindIgnores:
         with pytest.raises(InvalidInput, match=f"^{model} takes no F or q$"):
             ExperimentConfig(**base, **Fq).validate()
 
+    @pytest.mark.parametrize("Fq", [dict(F=3), dict(q=7), dict(F=3, q=7)], ids=["F", "q", "F-q"])
+    def test_bounds_with_theta_takes_no_F_or_q(self, Fq):
+        # The theta query reads neither, yet summary.json would record them.
+        ExperimentConfig(kind="bounds", theta=0.5, F=2, q=2).validate()
+        with pytest.raises(InvalidInput, match="^bounds with theta takes no F or q$"):
+            ExperimentConfig(kind="bounds", theta=0.5, **Fq).validate()
+        ExperimentConfig(kind="bounds", **Fq).validate()
+
+    @pytest.mark.parametrize("theta", ["x", "0.5", 1j, [0.5]], ids=repr)
+    def test_bounds_theta_must_be_a_real_number(self, theta):
+        with pytest.raises(InvalidInput, match="theta must be a real number"):
+            execute(ExperimentConfig(kind="bounds", theta=theta))
+        execute(ExperimentConfig(kind="bounds", theta=np.float64(0.5)))
+
     def test_duality_check_with_a_model_F_and_q_does_not_run(self, tmp_path):
         with pytest.raises(InvalidInput):
             execute(ExperimentConfig(kind="duality-check", model="cvm", F=3, q=7,
@@ -362,10 +376,132 @@ class TestLemma5Workers:
         assert pooled == serial
         for name in serial.outputs:
             assert (tmp_path / "w2" / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
-        est = experiments.estimate_lemma_0edge_probability(
-            experiments.ModelParams(2, 5), 20, 5, 10, 15, 1.0, 40, 6)
-        assert serial.aggregates["hits"] == est.hits > 0
-        assert serial.aggregates["estimate"] == est.estimate
+        # Without an output directory the kind gives the same numbers.
+        est = execute(ExperimentConfig(**kwargs)).aggregates
+        assert serial.aggregates["hits"] == est["hits"] > 0
+        assert serial.aggregates["estimate"] == est["estimate"]
+
+
+# The artifacts of two lemma5-estimate runs, pinned byte for byte: one with
+# 21 hits, and one in which no replicate hits the conditioning event.
+LEMMA5_HIT = '''\
+{
+  "defined": true,
+  "estimate": 0.2857142857142857,
+  "hits": 21,
+  "replicates": 40,
+  "std_error": 0.0985807941917649,
+  "successes": 6,
+  "target": 0.25
+}
+'''
+LEMMA5_HIT_SUMMARY = '''\
+{
+  "aggregates": {
+    "defined": true,
+    "estimate": 0.2857142857142857,
+    "hits": 21,
+    "replicates": 40,
+    "std_error": 0.0985807941917649,
+    "successes": 6,
+    "target": 0.25
+  },
+  "checks": {
+    "within_3se_of_target": true
+  },
+  "config": {
+    "F": 2,
+    "N": 20,
+    "attach_urn": false,
+    "kind": "lemma5-estimate",
+    "master_seed": 6,
+    "max_events": null,
+    "model": "axelrod",
+    "q": 5,
+    "replicates": 40,
+    "save_events": false,
+    "snapshot_times": [],
+    "t_max": null,
+    "t_query": 1.0,
+    "theta": null,
+    "topology": "path",
+    "xyz": [
+      5,
+      10,
+      15
+    ]
+  },
+  "kind": "lemma5-estimate",
+  "outputs": [
+    "lemma5_estimate.json",
+    "summary.json"
+  ]
+}
+'''
+LEMMA5_NO_HIT = '''\
+{
+  "defined": false,
+  "estimate": null,
+  "hits": 0,
+  "replicates": 3,
+  "std_error": null,
+  "successes": 0,
+  "target": 0.25
+}
+'''
+LEMMA5_NO_HIT_SUMMARY = '''\
+{
+  "aggregates": {
+    "defined": false,
+    "estimate": null,
+    "hits": 0,
+    "replicates": 3,
+    "std_error": null,
+    "successes": 0,
+    "target": 0.25
+  },
+  "checks": {},
+  "config": {
+    "F": 2,
+    "N": 20,
+    "attach_urn": false,
+    "kind": "lemma5-estimate",
+    "master_seed": 13,
+    "max_events": null,
+    "model": "axelrod",
+    "q": 5,
+    "replicates": 3,
+    "save_events": false,
+    "snapshot_times": [],
+    "t_max": null,
+    "t_query": 1.0,
+    "theta": null,
+    "topology": "path",
+    "xyz": [
+      5,
+      10,
+      15
+    ]
+  },
+  "kind": "lemma5-estimate",
+  "outputs": [
+    "lemma5_estimate.json",
+    "summary.json"
+  ]
+}
+'''
+
+
+class TestLemma5Artifacts:
+    @pytest.mark.parametrize("replicates,seed,estimate,summary", [
+        (40, 6, LEMMA5_HIT, LEMMA5_HIT_SUMMARY),
+        (3, 13, LEMMA5_NO_HIT, LEMMA5_NO_HIT_SUMMARY)])
+    def test_pinned_bytes(self, replicates, seed, estimate, summary, tmp_path):
+        execute(ExperimentConfig(kind="lemma5-estimate", F=2, q=5, N=20, xyz=(5, 10, 15),
+                                 t_query=1.0, replicates=replicates, master_seed=seed,
+                                 output_dir=str(tmp_path)))
+        assert (tmp_path / "lemma5_estimate.json").read_text() == estimate
+        assert (tmp_path / "summary.json").read_text() == summary
 
 
 class TestRealPool:

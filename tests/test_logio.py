@@ -1,6 +1,7 @@
 """Event-log serialization, replay, and CSV artifacts."""
 import math
 import os
+import re
 import sys
 import tempfile
 from array import array
@@ -104,6 +105,15 @@ class TestReplay:
         partial = replay(cfg, traj.events, "axelrod", upto=mid)
         rest = [e for e in traj.events if e.time > mid]
         assert replay(partial, rest, "axelrod") == traj.final
+
+    def test_nan_upto_is_refused(self):
+        # NaN exceeds no event time, so it replayed every event.
+        cfg, traj = axelrod_traj()
+        with pytest.raises(InvalidInput, match="upto"):
+            replay(cfg, traj.events, "axelrod", upto=math.nan)
+        assert traj.events
+        assert replay(cfg, traj.events, "axelrod", upto=-1.0) == cfg
+        assert replay(cfg, traj.events, "axelrod", upto=math.inf) == traj.final
 
     def test_culture_replay_model_mismatch(self):
         cfg, traj = axelrod_traj()
@@ -434,6 +444,22 @@ class TestRowTimesMustNotDecrease:
         path, _ = write_log(tmp_path, edit)
         time = load_event_log(path).events.time
         assert time[0] == time[1]
+
+
+class TestEndTime:
+    @pytest.mark.parametrize("end_time,rows", [
+        (math.nan, []), (math.inf, []), (-1.0, []), (math.inf, ["0.5,0,1,0,1"]),
+        (math.nan, ["0.5,0,1,0,1"]), (-1.0, ["0.5,0,1,0,1"])],
+        ids=["nan", "inf", "negative", "inf-rows", "nan-rows", "negative-rows"])
+    def test_refused_at_its_line(self, tmp_path, end_time, rows):
+        path = log_with_rows(str(tmp_path), rows, end_time)
+        with pytest.raises(InvalidInput, match=re.escape(
+                f"{path}: the '# end_time=' value must be finite and >= 0, got {end_time}")):
+            load_event_log(path)
+
+    @pytest.mark.parametrize("rows", [[], ["0.5,0,1,0,1"]], ids=["no-rows", "rows"])
+    def test_a_finite_end_time_loads(self, tmp_path, rows):
+        assert load_event_log(log_with_rows(str(tmp_path), rows, 0.5)).end_time == 0.5
 
 
 def log_with_rows(directory: str, rows: list, end_time: float) -> str:

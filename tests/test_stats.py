@@ -187,6 +187,16 @@ class TestFlipCount:
         with pytest.raises(InvalidInput):
             flip_count(traj, 0, [2.0, 1.0])
 
+    @pytest.mark.parametrize("windows", [[0.0, float("nan"), 2.0], [float("nan"), 1.0],
+                                         [0.0, 1.0, float("nan")]])
+    def test_a_nan_boundary_is_refused(self, windows):
+        # sorted() leaves a NaN in place, so [0, nan, 2] passed as sorted.
+        topo = Topology("cycle", 8)
+        init = OpinionConfig(topo, (0, 1) * 4, (0, 1))
+        traj = run_model("voter", init, StopRule(t_max=1.0), 0)
+        with pytest.raises(InvalidInput):
+            flip_count(traj, 0, windows)
+
     def test_voter_keeps_flipping_in_doubling_windows(self):
         # Finite proxy of voter recurrence, desk-scaled: a fixed vertex flips
         # rarely per window, so pool flips across replicates and require every
