@@ -374,14 +374,15 @@ def _lemma5(config: ExperimentConfig) -> tuple[dict, dict, dict]:
     rows = _map_replicates(_lemma5_replicate, config)
     hits = sum(hit for hit, _ in rows)
     successes = sum(success for _, success in rows)
-    p = successes / hits if hits else None
-    se = (p * (1 - p) / hits) ** 0.5 if hits else None
     target = 1.0 / (config.q - 1)
-    agg = {"estimate": p, "std_error": se, "hits": hits, "successes": successes,
-           "replicates": config.replicates, "target": target, "defined": hits > 0}
+    p = se = None  # undefined when no replicate hit the conditioning event
     checks = {}
     if hits:
+        p = successes / hits
+        se = (p * (1 - p) / hits) ** 0.5
         checks["within_3se_of_target"] = abs(p - target) <= max(3 * se, 1e-12)
+    agg = {"estimate": p, "std_error": se, "hits": hits, "successes": successes,
+           "replicates": config.replicates, "target": target, "defined": hits > 0}
     return agg, checks, {"lemma5_estimate.json": json.dumps(agg, indent=2, sort_keys=True) + "\n"}
 
 
