@@ -107,7 +107,7 @@ class TestReplay:
         assert replay(partial, rest, "axelrod") == traj.final
 
     def test_nan_upto_is_refused(self):
-        # NaN exceeds no event time, so it replayed every event.
+        # No event time exceeds NaN, so it would replay every event.
         cfg, traj = axelrod_traj()
         with pytest.raises(InvalidInput, match="upto"):
             replay(cfg, traj.events, "axelrod", upto=math.nan)

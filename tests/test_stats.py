@@ -190,7 +190,7 @@ class TestFlipCount:
     @pytest.mark.parametrize("windows", [[0.0, float("nan"), 2.0], [float("nan"), 1.0],
                                          [0.0, 1.0, float("nan")]])
     def test_a_nan_boundary_is_refused(self, windows):
-        # sorted() leaves a NaN in place, so [0, nan, 2] passed as sorted.
+        # sorted() does not move a NaN, so only a pairwise check catches one.
         topo = Topology("cycle", 8)
         init = OpinionConfig(topo, (0, 1) * 4, (0, 1))
         traj = run_model("voter", init, StopRule(t_max=1.0), 0)
