@@ -27,8 +27,10 @@
  * Call `axsim_culture_run` until it returns AXSIM_DONE. It returns
  * AXSIM_FULL when the event columns are full; the caller grows them, updates
  * the column pointers and `cap`, and calls again. All progress lives in the
- * struct and its work area, which the first call allocates and the last one
- * frees; `axsim_culture_free` frees it after an abandoned run.
+ * struct and its work area, one block sized from F and E, which the first
+ * call allocates and the last one frees; `axsim_culture_free` frees it after
+ * an abandoned run. That allocation is the only step that can fail
+ * (AXSIM_NOMEM).
  */
 #include <math.h>
 #include <stdbool.h>
@@ -80,9 +82,10 @@ struct draws {
 };
 
 struct work {
-    int64_t *weight, *pos, *disagree;
-    int64_t **items, *len, *room;  /* class j's edges: items[j][0..len[j]) */
+    int64_t *weight, *pos, *disagree, *len;
+    int64_t *items;  /* class j's edges: items[(j-1)*E + i] for i < len[j] */
     struct draws u, e;
+    int64_t mem[];   /* what the pointers above point into */
 };
 
 static double draw(bitgen_t *bitgen, struct draws *d, int uniform)
@@ -100,29 +103,17 @@ static double draw(bitgen_t *bitgen, struct draws *d, int uniform)
 
 void axsim_culture_free(struct axsim_run *r)
 {
-    struct work *w = r->work;
-    if (w == NULL)
-        return;
-    if (w->items != NULL)
-        for (int64_t j = 0; j < r->F; j++)
-            free(w->items[j]);
-    free(w->items);
-    free(w->len);
-    free(w->room);
-    free(w->weight);
-    free(w->pos);
-    free(w->disagree);
-    free(w);
+    free(r->work);
     r->work = NULL;
 }
 
 /* Edge e from class old to class c (0: absent), as `_Buckets.move` in engine.py. */
-static int move(struct axsim_run *r, struct work *w, int64_t e, int64_t old, int64_t c)
+static void move(struct axsim_run *r, struct work *w, int64_t e, int64_t old, int64_t c)
 {
     if (c == old)
-        return 0;
+        return;
     if (old) {
-        int64_t *items = w->items[old];
+        int64_t *items = w->items + (old - 1) * r->n_edges;
         int64_t last = items[--w->len[old]];
         if (last != e) {
             w->pos[last] = w->pos[e];
@@ -130,50 +121,42 @@ static int move(struct axsim_run *r, struct work *w, int64_t e, int64_t old, int
         }
     }
     if (c) {
-        if (w->len[c] == w->room[c]) {
-            int64_t room = 2 * w->room[c];
-            int64_t *grown = realloc(w->items[c], (size_t)room * sizeof(int64_t));
-            if (grown == NULL)
-                return -1;
-            w->items[c] = grown;
-            w->room[c] = room;
-        }
         w->pos[e] = w->len[c];
-        w->items[c][w->len[c]++] = e;
+        w->items[(c - 1) * r->n_edges + w->len[c]++] = e;
     }
     r->total += c - old;
-    return 0;
 }
 
 /* Weight of edge e by d, as `_Buckets.bump` in engine.py. */
-static int bump(struct axsim_run *r, struct work *w, int64_t e, int64_t d)
+static void bump(struct axsim_run *r, struct work *w, int64_t e, int64_t d)
 {
     const int64_t old = w->weight[e];
     r->counts[old] -= 1;
     const int64_t wt = w->weight[e] = old + d;
     r->counts[wt] += 1;
-    return move(r, w, e, old < r->F ? old : 0, wt < r->F ? wt : 0);
+    move(r, w, e, old < r->F ? old : 0, wt < r->F ? wt : 0);
 }
 
 static int start(struct axsim_run *r)
 {
     const int64_t F = r->F, E = r->n_edges, V = r->cycle ? E : E + 1;
-    /* Not calloc: zeroing the 64 KB of draw buffers costs about as much as
-     * a short run's events. Every field the loop reads is set below, and each
-     * pointer before a failure can reach `axsim_culture_free`. */
-    struct work *w = malloc(sizeof *w);
+    /* One block: E weights, E positions, F features, F class lengths and
+     * F-1 class lists of E each, since an edge is in one class at a time.
+     * Not calloc: zeroing the 64 KB of draw buffers costs about as much as
+     * a short run's events, and a list's pages are touched only as it
+     * fills. Every field the loop reads is set below. */
+    struct work *w = malloc(sizeof *w + (size_t)((F + 1) * E + 2 * F) * sizeof(int64_t));
     if (w == NULL)
         return -1;
     r->work = w;
-    w->weight = malloc((size_t)E * sizeof(int64_t));  /* a path or cycle has E >= 1 */
-    w->pos = malloc((size_t)E * sizeof(int64_t));
-    w->disagree = malloc((size_t)F * sizeof(int64_t));
-    w->items = calloc((size_t)F, sizeof(int64_t *));
-    w->len = calloc((size_t)F, sizeof(int64_t));
-    w->room = calloc((size_t)F, sizeof(int64_t));
-    if (!w->weight || !w->pos || !w->disagree || !w->items || !w->len || !w->room)
-        return -1;
+    w->weight = w->mem;
+    w->pos = w->weight + E;
+    w->disagree = w->pos + E;
+    w->len = w->disagree + F;
+    w->items = w->len + F;
+    memset(w->len, 0, (size_t)F * sizeof(int64_t));
     memset(r->counts, 0, (size_t)(F + 1) * sizeof(int64_t));
+    r->total = 0;
     for (int64_t e = 0; e < E; e++) {
         const int64_t *sa = r->state + e * F, *sb = r->state + (e + 1) % V * F;
         int64_t wt = 0;
@@ -181,21 +164,7 @@ static int start(struct axsim_run *r)
             wt += sa[i] == sb[i];
         w->weight[e] = wt;
         r->counts[wt] += 1;
-    }
-    for (int64_t j = 1; j < F; j++) {
-        w->room[j] = r->counts[j] > 16 ? r->counts[j] : 16;
-        w->items[j] = malloc((size_t)w->room[j] * sizeof(int64_t));
-        if (w->items[j] == NULL)
-            return -1;
-    }
-    r->total = 0;
-    for (int64_t e = 0; e < E; e++) {
-        const int64_t c = w->weight[e] < F ? w->weight[e] : 0;
-        if (c) {
-            w->pos[e] = w->len[c];
-            w->items[c][w->len[c]++] = e;
-            r->total += c;
-        }
+        move(r, w, e, 0, wt < F ? wt : 0);
     }
     w->u.left = w->e.left = 0;
     w->u.next = w->e.next = FIRST_BLOCK;
@@ -257,10 +226,8 @@ static void flush(struct axsim_run *r)
 
 int64_t axsim_culture_run(struct axsim_run *r)
 {
-    if (r->work == NULL && start(r) != 0) {
-        axsim_culture_free(r);
+    if (r->work == NULL && start(r) != 0)
         return AXSIM_NOMEM;
-    }
     struct work *w = r->work;
     const int64_t F = r->F, E = r->n_edges, V = r->cycle ? E : E + 1;
     int64_t *state = r->state;
@@ -287,7 +254,7 @@ int64_t axsim_culture_run(struct axsim_run *r)
             x -= j * w->len[j];
             j += 1;
         }
-        const int64_t e = w->items[j][x / j];
+        const int64_t e = w->items[(j - 1) * E + x / j];
         int64_t u = e, v = e + 1 < V ? e + 1 : 0;
         if (!(draw(r->bitgen, &w->u, 1) < 0.5)) {
             u = v;
@@ -301,8 +268,7 @@ int64_t axsim_culture_run(struct axsim_run *r)
         const int64_t feat = w->disagree[(int64_t)(draw(r->bitgen, &w->u, 1) * (double)k)];
         const int64_t old = sv[feat], new = su[feat];
         int64_t delta = 1;
-        if (bump(r, w, e, 1) != 0)
-            goto nomem;
+        bump(r, w, e, 1);
         int64_t e2 = v == e ? e - 1 : e + 1, z = v == e ? v - 1 : v + 1;
         if (r->cycle) {
             e2 = (e2 + E) % E;
@@ -311,8 +277,8 @@ int64_t axsim_culture_run(struct axsim_run *r)
         if (0 <= e2 && e2 < E) {
             const int64_t zf = state[z * F + feat];
             const int64_t dd = (zf == new) - (zf == old);
-            if (dd && bump(r, w, e2, dd) != 0)
-                goto nomem;
+            if (dd)
+                bump(r, w, e2, dd);
             delta += dd;
         }
         sv[feat] = new;
@@ -328,7 +294,4 @@ int64_t axsim_culture_run(struct axsim_run *r)
     }
     axsim_culture_free(r);
     return AXSIM_DONE;
-nomem:
-    axsim_culture_free(r);
-    return AXSIM_NOMEM;
 }

@@ -31,8 +31,9 @@ def _parse_config_file(path: str) -> dict:
 def _config_argv(parser: argparse.ArgumentParser, command: str, path: str) -> list:
     """The config file's key=value lines as the equivalent flags of `command`.
 
-    A file that cannot be read, or a key that is not a flag of the
-    subcommand, is an error (exit code 2).
+    A switch takes 1, true or yes, or 0, false or no, in any case. A file
+    that cannot be read, a key that is not a flag of the subcommand, or a
+    switch with another value is an error (exit code 2).
     """
     (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     sub = subparsers.choices[command]
@@ -51,6 +52,8 @@ def _config_argv(parser: argparse.ArgumentParser, command: str, path: str) -> li
             argv.append(f"{flag}={val}")
         elif val.lower() in ("1", "true", "yes"):
             argv.append(flag)
+        elif val.lower() not in ("0", "false", "no"):
+            sub.error(f"config key {key!r} takes yes or no, got {val!r}")
     return argv
 
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import numbers
 import operator
-import struct
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -132,20 +131,9 @@ class Configuration:
     def __init__(self, topology: Topology, params: ModelParams, cultures):
         if len(cultures) != topology.n_vertices:
             raise InvalidInput("one culture per vertex required")
-        # Bulk test first: the cultures transpose into columns only where all
-        # have one length, V*F states pack only as int64s (`struct` refuses
-        # what is no integer), and their uint64 view stays below q only where
-        # every state lies in 0..q-1. Only a failing state pays for the
-        # per-culture loop, which finds the first fault and words its error.
-        try:
-            columns = struct.pack(f"{len(cultures) * params.F}q",
-                                  *chain.from_iterable(zip(*cultures, strict=True)))
-        except (TypeError, ValueError, struct.error):
-            columns = None
-        if columns is None or np.frombuffer(columns, np.uint64).max() >= params.q:
-            for c in cultures:
-                _check_culture(c, params)
-        state = array("q", np.frombuffer(columns, np.int64).reshape(params.F, -1).T.tobytes())
+        for c in cultures:
+            _check_culture(c, params)
+        state = array("q", chain.from_iterable(cultures))
         self.__dict__.update(topology=topology, params=params, state=state)
 
     @classmethod

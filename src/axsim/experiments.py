@@ -17,6 +17,8 @@ from functools import cached_property, partial
 from time import perf_counter
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import bounds as bounds_mod
 from .core import (InvalidInput, ModelParams, Topology, check_int, check_seed, is_int,
                    random_config, random_opinions)
@@ -49,6 +51,13 @@ class ExperimentConfig:
     xyz: tuple = ()  # conditioning vertices x < y < z
     t_query: float | None = None  # query time t
 
+    def __post_init__(self):
+        # Stored as Python numbers, which the json and csv writers can print.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            plain = tuple(map(_plain, value)) if isinstance(value, tuple) else _plain(value)
+            object.__setattr__(self, f.name, plain)
+
     def validate(self):
         if self.kind not in KINDS:
             raise InvalidInput(f"unknown experiment kind {self.kind!r}")
@@ -67,15 +76,17 @@ class ExperimentConfig:
         if self.kind == "lemma5-estimate" and self.topology != "path":
             raise InvalidInput("lemma5-estimate runs on a path only")
         # Fields a kind does not read would be recorded in summary.json as if it had.
-        for f in fields(self):
-            if f.name not in reads and getattr(self, f.name) != f.default:
-                name = "F or q" if f.name in ("F", "q") else f.name
+        defaults = {f.name: f.default for f in fields(self)}
+        for name, default in defaults.items():
+            if name not in reads and getattr(self, name) != default:
+                name = "F or q" if name in ("F", "q") else name
                 raise InvalidInput(f"{self.kind} takes no {name}")
+        moved_F_or_q = (self.F, self.q) != (defaults["F"], defaults["q"])
         if self.kind == "simulate":
             ModelParams(self.F, self.q)
             self.make_topology()
             check_run(self.model, self.stop_rule(), self.snapshot_times, self.attach_urn)
-            if self.model != AXELROD and (self.F, self.q) != (2, 2):
+            if self.model != AXELROD and moved_F_or_q:
                 raise InvalidInput(f"{self.model} takes no F or q")
             if self.max_events is not None and self.snapshot_times:
                 # A run cut by its event count may stop before any of them.
@@ -94,7 +105,7 @@ class ExperimentConfig:
         if self.kind == "bounds" and self.theta is not None:
             if not isinstance(self.theta, numbers.Real):
                 raise InvalidInput(f"theta must be a real number, got {self.theta!r}")
-            if (self.F, self.q) != (2, 2):  # the theta query reads neither
+            if moved_F_or_q:  # the theta query reads neither
                 raise InvalidInput("bounds with theta takes no F or q")
         if self.kind == "duality-check" and self.t_query is None:
             raise InvalidInput("duality-check needs a time t")
@@ -118,6 +129,15 @@ class ExperimentConfig:
                 else partial(_draw_opinions, MODELS[model], topo))
         stop = self.stop_rule() if self.t_query is None else StopRule(t_max=self.t_query)
         return Setup(model, draw, stop, tuple(sorted(self.snapshot_times)))
+
+
+def _plain(value):
+    """A numpy bool, integer or real as the Python bool, int or float; any
+    other value as it is."""
+    for numpy_type, python_type in ((np.bool_, bool), (np.integer, int), (np.floating, float)):
+        if isinstance(value, numpy_type):
+            return python_type(value)
+    return value
 
 
 class Setup(NamedTuple):

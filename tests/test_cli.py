@@ -219,7 +219,8 @@ class TestConfigFile:
         assert exc.value.code == 2
         assert "theta" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value,urn", [("no", False), ("yes", True)])
+    @pytest.mark.parametrize("value,urn", [("no", False), ("yes", True), ("TRUE", True),
+                                           ("0", False), ("false", False)])
     def test_boolean_and_list_keys(self, capsys, tmp_path, value, urn):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(f"attach_urn={value}\nF=2\nq=4\nN=10\nreplicates=2\n"
@@ -232,6 +233,18 @@ class TestConfigFile:
         assert config["snapshot_times"] == [0.5, 1.0]
         header = (tmp_path / "out" / "aggregate.csv").read_text().splitlines()[0]
         assert ("B_0" in header) is urn
+
+
+    @pytest.mark.parametrize("value", ["maybe", "", "2", "on"])
+    def test_switch_with_another_value_exits_2(self, capsys, tmp_path, value):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"attach_urn={value}\nN=10\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", str(cfg), "--t-max", "1.0",
+                  "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"config key 'attach_urn' takes yes or no, got {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestDefaults:

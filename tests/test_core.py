@@ -139,7 +139,7 @@ def _error(make):
 
 
 def _culture_loop(cultures, params):
-    """Reference: the per-culture check the bulk test falls back to."""
+    """Reference: the per-culture check, in vertex order."""
     for c in cultures:
         _check_culture(c, params)
 

@@ -183,6 +183,42 @@ class TestNonIntegers:
                          xyz=tuple(np.arange(2, 9, 3))).validate()
 
 
+class TestNumpyNumbers:
+    """numpy numbers are stored as Python numbers when the config is built,
+    so the artifacts are those of the same config with Python numbers."""
+
+    SIMULATE = dict(kind="simulate", N=10, t_max=1.0, snapshot_times=(0.5,), replicates=2)
+    LEMMA5 = dict(kind="lemma5-estimate", N=10, xyz=(2, 5, 8), t_query=0.5, replicates=3)
+
+    @pytest.mark.parametrize("base,numpy_fields", [
+        (SIMULATE, dict(N=np.int64(10))),
+        (SIMULATE, dict(t_max=np.float32(1.0))),
+        (SIMULATE, dict(master_seed=np.uint64(3))),
+        (SIMULATE, dict(replicates=np.int32(2))),
+        (SIMULATE, dict(attach_urn=np.True_)),
+        (SIMULATE, dict(snapshot_times=(np.float32(0.5),))),
+        (SIMULATE, dict(F=np.int8(3), q=np.uint16(4), workers=np.int64(1))),
+        (LEMMA5, dict(xyz=tuple(np.arange(2, 9, 3)), t_query=np.float64(0.5))),
+        (dict(kind="bounds"), dict(theta=np.float32(0.5))),
+    ], ids=lambda v: "-".join(v) if "kind" not in v else v["kind"])
+    def test_same_artifacts_as_python_numbers(self, tmp_path, base, numpy_fields):
+        python_fields = {k: _python(v) for k, v in numpy_fields.items()}
+        trees = []
+        for name, values in (("numpy", numpy_fields), ("python", python_fields)):
+            config = ExperimentConfig(**{**base, **values}, output_dir=str(tmp_path / name))
+            assert repr({k: getattr(config, k) for k in values}) == repr(python_fields)
+            execute(config)
+            trees.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir()})
+        assert trees[0] == trees[1]
+        if base["kind"] == "simulate":
+            assert {"summary.json", "aggregate.csv", "snapshots_mean.csv"} <= set(trees[0])
+
+
+def _python(value):
+    """The Python number, or tuple of numbers, that a numpy value stands for."""
+    return tuple(map(_python, value)) if isinstance(value, tuple) else value.item()
+
+
 class TestLemma5Topology:
     def test_only_a_path_is_accepted(self):
         # The estimate is defined on the path {0,...,N}; a cycle would be

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from axsim import (
+    Configuration,
     ExperimentConfig,
     ModelParams,
     OpinionConfig,
@@ -151,7 +152,7 @@ def test_int_t_max_gives_the_same_trajectory(lib):
 
 def test_long_runs_grow_the_columns_and_classes_alike(lib):
     """Thousands of events: the columns are refilled many times and the
-    weight classes outgrow the room they started with."""
+    weight classes fill and empty far from their initial sizes."""
     cfg = random_config(ModelParams(3, 3), Topology("path", 400), 7)
     # The urn's state must survive every refill too.
     kwargs = dict(snapshot_times=(1.0, 5.0, 20.0), attach_urn=True)
@@ -159,6 +160,29 @@ def test_long_runs_grow_the_columns_and_classes_alike(lib):
     want = run_on(None, "axelrod", cfg, StopRule(stop_on_absorption=True), 11, **kwargs)
     assert len(got.events) > 20 * _ckernel._FIRST_CAP
     assert repr(got) == repr(want)
+
+
+def gray_config(F: int, kind: str, size: int) -> Configuration:
+    """F binary features along the F-bit Gray code, which wraps every 2**F
+    vertices: neighbours differ in one feature, so every edge starts in
+    class F-1, the last weight-class list, and that list starts full."""
+    codes = [i % 2 ** F ^ i % 2 ** F >> 1 for i in range(size)]
+    cultures = [tuple(c >> (F - 1 - b) & 1 for b in range(F)) for c in codes]
+    return Configuration(Topology(kind, size), ModelParams(F, 2), cultures)
+
+
+# Sizes are multiples of 2**F, so the code wraps on a path and on a cycle.
+FULL_CLASS = [(2, "path", 8), (2, "cycle", 8), (3, "path", 16), (3, "cycle", 16)]
+
+
+@pytest.mark.parametrize("F,kind,size", FULL_CLASS, ids=lambda v: str(v))
+def test_runs_from_a_full_class_are_the_same_on_both_kernels(lib, F, kind, size):
+    cfg = gray_config(F, kind, size)
+    assert edge_census(cfg).counts[F - 1] == cfg.topology.n_edges
+    for seed, stop, urn in itertools.product(SEEDS, STOPS.values(), URNS):
+        kwargs = dict(snapshot_times=(0.0, 0.4), attach_urn=urn)
+        got = run_on(lib, "axelrod", cfg, stop, seed, **kwargs)
+        assert repr(got) == repr(run_on(None, "axelrod", cfg, stop, seed, **kwargs))
 
 
 # The `repr` of this run when the loops still ran the lift at twice its
@@ -254,8 +278,9 @@ SANITIZE = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=
 def grid_digest() -> str:
     """sha256 over the `repr` of a grid of culture and CVM runs on the kernel
     `run_model` picks: the both-kernel grid's lattices, cases and stop rules
-    from given and drawn initial states, a run whose weight classes outgrow
-    their first room, and the exact-law lattices."""
+    from given and drawn initial states, a long run with thousands of
+    events, runs that start with the first or the last weight-class list
+    full, and the exact-law lattices."""
     digest = hashlib.sha256()
 
     def add(*args, **kwargs):
@@ -271,6 +296,10 @@ def grid_digest() -> str:
                     add(model, start, stop, seed, snapshot_times=snaps, attach_urn=urn)
     add("axelrod", random_config(ModelParams(3, 3), Topology("path", 400), 7),
         StopRule(stop_on_absorption=True), 11, snapshot_times=(1.0, 5.0), attach_urn=True)
+    for (F, kind, size), seed, stop, urn in itertools.product(FULL_CLASS, SEEDS[:2],
+                                                             STOPS.values(), URNS):
+        add("axelrod", gray_config(F, kind, size), stop, seed, snapshot_times=(0.0, 0.4),
+            attach_urn=urn)
     for kind, seed in itertools.product(("path", "cycle"), range(40)):
         add(*drawn((3, 2), kind, 4), StopRule(t_max=3.0), seed, snapshot_times=(1.0,))
         add(*drawn("cvm", kind, 4), StopRule(t_max=3.0), seed, snapshot_times=(1.0,))
