@@ -175,7 +175,7 @@ def gray_config(F: int, kind: str, size: int) -> Configuration:
 FULL_CLASS = [(2, "path", 8), (2, "cycle", 8), (3, "path", 16), (3, "cycle", 16)]
 
 
-@pytest.mark.parametrize("F,kind,size", FULL_CLASS, ids=lambda v: str(v))
+@pytest.mark.parametrize("F,kind,size", FULL_CLASS, ids=str)
 def test_runs_from_a_full_class_are_the_same_on_both_kernels(lib, F, kind, size):
     cfg = gray_config(F, kind, size)
     assert edge_census(cfg).counts[F - 1] == cfg.topology.n_edges
