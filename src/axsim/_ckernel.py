@@ -1,11 +1,11 @@
-"""The compiled culture run loop: build, load and call `_kernel.c`.
+"""The compiled run loops and replay: build, load and call `_kernel.c`.
 
-`engine` imports this module on the first culture or CVM run of a process,
+`engine` imports this module on the first run or replay of a process,
 through `engine._kernel_lib`. `load` builds the C file with the system
 compiler into `__pycache__` next to it, unless that build exists already,
-and loads it with ctypes. `compiled_loop` runs one culture trajectory
-through it and hands back what `engine._python_loop` does for the same
-Generator, bit for bit.
+and loads it with ctypes. `compiled_loop` runs one culture or voter
+trajectory through it and hands back what `engine._python_loop` does for the
+same Generator, bit for bit; `replay` re-applies logged events.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from array import array
 
 import numpy as np
 
-from .core import Configuration
+from .core import Configuration, OpinionConfig
 from .engine import StopRule, _Path
 from .events import EventTable
 
@@ -33,7 +33,7 @@ class _Run(ctypes.Structure):
                 + _fields(ctypes.c_int64, "F n_edges cycle")
                 + _fields(ctypes.c_void_p, "state")
                 + _fields(ctypes.c_double, "t_max")
-                + _fields(ctypes.c_int64, "max_events")
+                + _fields(ctypes.c_int64, "max_events until_absorbed")
                 + _fields(ctypes.c_void_p, "snap_time") + _fields(ctypes.c_int64, "n_snap")
                 + _fields(ctypes.c_void_p, "snap_counts counts ev_time ev_target ev_source"
                                            " ev_feature ev_delta")
@@ -46,7 +46,7 @@ class _Run(ctypes.Structure):
 _KERNEL_C = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _CC = ("cc",)
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
-_DONE, _FULL = 0, 1  # return codes of axsim_culture_run; negative: out of memory
+_DONE, _FULL = 0, 1  # return codes of the run loops; negative: out of memory
 _FIRST_CAP = 256  # events the columns first make room for
 _FIRST_TIMES, _FIRST_INTS = (array(code, bytes(8 * _FIRST_CAP)) for code in "dq")
 
@@ -93,10 +93,14 @@ def load():
         lib = ctypes.CDLL(path)
     except OSError:
         return None
-    for name, restype in (("axsim_culture_run", ctypes.c_int64), ("axsim_culture_free", None)):
+    for name, restype in (("axsim_culture_run", ctypes.c_int64),
+                          ("axsim_voter_run", ctypes.c_int64), ("axsim_free", None)):
         fn = getattr(lib, name)
         fn.argtypes = [ctypes.POINTER(_Run)]
         fn.restype = restype
+    lib.axsim_replay.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                                 ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
+    lib.axsim_replay.restype = None
     return lib
 
 
@@ -113,12 +117,16 @@ def _bitgen(rng) -> int:
     return _capsule_pointer(rng.bit_generator.capsule, b"BitGenerator")
 
 
-def compiled_loop(lib, cfg: Configuration, stop: StopRule, rng, times: list, urn_rng) -> _Path:
-    """The culture loop in C, as `_python_loop` over `_culture_kernel(cfg,
-    urn_rng=urn_rng)`. It runs on a copy of `cfg.state`, which becomes the
+def compiled_loop(lib, cfg, stop: StopRule, rng, times: list, urn_rng) -> _Path:
+    """The loop in C, as `_python_loop` over `_culture_kernel(cfg,
+    urn_rng=urn_rng)` for a `Configuration` and over `_voter_kernel(cfg)` for
+    an `OpinionConfig`. It runs on a copy of the state, which becomes the
     final state."""
-    F = cfg.params.F
-    state = cfg.state[:]
+    voter = isinstance(cfg, OpinionConfig)
+    if voter:  # one feature: counts are (disagree, agree)
+        F, state, entry = 1, array("q", cfg.opinions), lib.axsim_voter_run
+    else:
+        F, state, entry = cfg.params.F, cfg.state[:], lib.axsim_culture_run
     topo = cfg.topology
     snap_time = array("d", times)
     snap_counts = array("q", bytes(8 * len(times) * (F + 1)))
@@ -128,13 +136,13 @@ def compiled_loop(lib, cfg: Configuration, stop: StopRule, rng, times: list, urn
     run = _Run(_bitgen(rng), F, topo.n_edges, topo.kind == "cycle", _address(state),
                math.inf if stop.t_max is None else stop.t_max,
                min(stop.max_events if stop.max_events is not None else 2 ** 62, 2 ** 62),
-               _address(snap_time), len(times), _address(snap_counts), _address(counts),
-               *map(_address, columns), _FIRST_CAP)
+               stop.stop_on_absorption, _address(snap_time), len(times),
+               _address(snap_counts), _address(counts), *map(_address, columns), _FIRST_CAP)
     if urn_rng is not None:
         urn_boxes = array("q", bytes(8 * (F + 1)))
         run.urn_bitgen, run.urn_boxes = _bitgen(urn_rng), _address(urn_boxes)
     try:
-        while (status := lib.axsim_culture_run(run)) == _FULL:
+        while (status := entry(run)) == _FULL:
             # The columns grow by a quarter, so a long run returns here often
             # enough for Ctrl-C to act, and their slack stays small.
             room = bytes(8 * (run.cap // 4 + _FIRST_CAP))
@@ -144,15 +152,26 @@ def compiled_loop(lib, cfg: Configuration, stop: StopRule, rng, times: list, urn
             run.ev_time, run.ev_target, run.ev_source, run.ev_feature, run.ev_delta = map(
                 _address, columns)
         if status != _DONE:
-            raise MemoryError("compiled culture loop ran out of memory")
+            raise MemoryError("compiled run loop ran out of memory")
     except BaseException:  # a finished or failed run has freed its work area itself
-        lib.axsim_culture_free(run)
+        lib.axsim_free(run)
         raise
     for col in columns:
         del col[run.n_events:]
     width = F + 1
     snapshots = [tuple(snap_counts[k * width:(k + 1) * width]) for k in range(run.n_snap_done)]
+    if voter:
+        final = OpinionConfig(topo, tuple(state), cfg.alphabet)
+        return _Path(events, run.t, tuple(counts), snapshots, counts[0] == 0, final, None)
     final = Configuration._of(topo, cfg.params, state)
     urn = None if urn_rng is None else (tuple(urn_boxes), run.urn_b0_viol, run.urn_pot_viol,
                                         run.urn_beta, run.urn_W)
     return _Path(events, run.t, tuple(counts), snapshots, run.total == 0, final, urn)
+
+
+def replay(lib, state: array, F: int, events: EventTable, n: int, features: bool):
+    """The first n events re-applied to `state` in place, as `logio.replay`'s
+    loop: feature `copied_feature` of each event's vertices, or the one
+    opinion where `features` is false. The caller has checked every index."""
+    lib.axsim_replay(_address(state), F, n, _address(events.target), _address(events.source),
+                     _address(events.copied_feature) if features else None)

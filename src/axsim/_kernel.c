@@ -1,35 +1,40 @@
 /*
- * The culture model's run loop, compiled: the same trajectory as the Python
- * kernel in engine.py (`_culture_kernel` driven by `_python_loop`) for the
- * same Generator, bit for bit. `_ckernel.py` builds, loads and calls it.
- * It runs the culture model only: `run_model` runs the CVM through it as
- * the F=q=2 lift on a doubled clock and maps the results back itself.
+ * The run loops, compiled: the same trajectories as the Python kernels in
+ * engine.py (`_culture_kernel` and `_voter_kernel` driven by `_python_loop`)
+ * for the same Generator, bit for bit, and the replay of a logged run.
+ * `_ckernel.py` builds, loads and calls them. `run_model` runs the CVM
+ * through the culture loop as the F=q=2 lift on a doubled clock and maps the
+ * results back itself.
  *
  * Identity rests on doing exactly what the Python code does:
  *  - draws: uniforms and Exp(1) variates in separate blocks taken from the end,
  *    refilled lazily by numpy's own fill functions (what `rng.random(n)` and
  *    `rng.standard_exponential(n)` call), block sizes doubling 16 -> 4096;
- *  - three uniforms per step (edge, orientation, feature), picked as int(u*k);
+ *  - culture: three uniforms per step (edge, orientation, feature), picked
+ *    as int(u*k);
  *  - the same lattice: edge e joins vertices e and e+1, taken mod V on a
  *    cycle (E = V edges; a path has E = V-1). The target v of an event on
  *    edge e has at most one other edge: e-1, with far end v-1, where v == e,
  *    and e+1, with far end v+1, otherwise; both wrap on a cycle, and on a
  *    path the edge exists only inside 0..E-1. The fired edge is bumped first;
  *  - the same swap-remove order in the weight-class lists, and rate S/F in
- *    IEEE double, so this file must be compiled with -ffp-contract=off.
+ *    IEEE double, so this file must be compiled with -ffp-contract=off;
+ *  - voter: rate V, then two uniforms per step, the vertex x = int(u*V) and
+ *    the source among x's neighbours in `Topology.neighbors` order, x-1
+ *    before x+1 (mod V on a cycle; a path end has one neighbour).
  *
- * With `urn_bitgen` set, the loop also steps the coupled urn after every
- * event, as the Python kernel's `couple` does: the urn's own generator picks
- * a nonempty inner box with numpy's bounded-integer fill (what
+ * With `urn_bitgen` set, the culture loop also steps the coupled urn after
+ * every event, as the Python kernel's `couple` does: the urn's own generator
+ * picks a nonempty inner box with numpy's bounded-integer fill (what
  * `rng.integers(k)` calls, Lemire's method, unmasked), so the urn's stream,
  * final boxes, potentials and violation counts are those of the Python kernel.
  *
- * Call `axsim_culture_run` until it returns AXSIM_DONE. It returns
- * AXSIM_FULL when the event columns are full; the caller grows them, updates
- * the column pointers and `cap`, and calls again. All progress lives in the
- * struct and its work area, one block sized from F and E, which the first
- * call allocates and the last one frees; `axsim_culture_free` frees it after
- * an abandoned run. That allocation is the only step that can fail
+ * Call `axsim_culture_run` or `axsim_voter_run` until it returns AXSIM_DONE.
+ * It returns AXSIM_FULL when the event columns are full; the caller grows
+ * them, updates the column pointers and `cap`, and calls again. All progress
+ * lives in the struct and its work area, one block sized from F and E, which
+ * the first call allocates and the last one frees; `axsim_free` frees it
+ * after an abandoned run. That allocation is the only step that can fail
  * (AXSIM_NOMEM).
  */
 #include <math.h>
@@ -57,10 +62,11 @@ struct axsim_run {
     int64_t *state;              /* V x F cultures, updated in place */
     double t_max;                /* INFINITY when unbounded */
     int64_t max_events;
+    int64_t until_absorbed;      /* voter: stop at consensus (the culture loop stops there at rate 0) */
     const double *snap_time;     /* sorted */
     int64_t n_snap;
     int64_t *snap_counts;        /* n_snap x (F+1): the census at each snapshot */
-    int64_t *counts;             /* F+1: w_0..w_F, live */
+    int64_t *counts;             /* F+1: w_0..w_F, live; voter: (disagree, agree) */
     double *ev_time;
     int64_t *ev_target, *ev_source, *ev_feature, *ev_delta;
     int64_t cap;                 /* room in each event column */
@@ -101,7 +107,7 @@ static double draw(bitgen_t *bitgen, struct draws *d, int uniform)
     return d->buf[--d->left];
 }
 
-void axsim_culture_free(struct axsim_run *r)
+void axsim_free(struct axsim_run *r)
 {
     free(r->work);
     r->work = NULL;
@@ -292,6 +298,73 @@ int64_t axsim_culture_run(struct axsim_run *r)
         if (r->urn_bitgen != NULL)
             couple(r, delta);
     }
-    axsim_culture_free(r);
+    axsim_free(r);
     return AXSIM_DONE;
+}
+
+/* The voter loop, as `_voter_kernel` in engine.py driven by `_python_loop`:
+ * F = 1, and `start` gives counts (disagree, agree); the loop reads only the
+ * draw blocks of the work area. Vertex x copies a uniform neighbour y at rate
+ * 1, so every arrival is an event, logged with feature -1 and delta 1 where
+ * x's opinion flipped, else 0. */
+int64_t axsim_voter_run(struct axsim_run *r)
+{
+    if (r->work == NULL && start(r) != 0)
+        return AXSIM_NOMEM;
+    struct work *w = r->work;
+    const int64_t V = r->cycle ? r->n_edges : r->n_edges + 1;
+    int64_t *op = r->state, *counts = r->counts;
+
+    for (;;) {
+        if (r->n_events == r->cap)
+            return AXSIM_FULL;
+        if (r->n_events >= r->max_events || (r->until_absorbed && counts[0] == 0))
+            break;
+        double t_next = r->t + draw(r->bitgen, &w->e, 0) / (double)V;
+        if (t_next > r->t_max) {
+            r->t = r->t_max;
+            break;
+        }
+        r->t = t_next;
+        flush(r);
+
+        const int64_t x = (int64_t)(draw(r->bitgen, &w->u, 1) * (double)V);
+        int64_t nbr[2], k = 0;
+        if (r->cycle || x > 0)
+            nbr[k++] = x > 0 ? x - 1 : V - 1;
+        if (r->cycle || x < V - 1)
+            nbr[k++] = x < V - 1 ? x + 1 : 0;
+        const int64_t y = nbr[(int64_t)(draw(r->bitgen, &w->u, 1) * (double)k)];
+        const int64_t flipped = op[x] != op[y];
+        if (flipped) {
+            for (int64_t i = 0; i < k; i++) {
+                const int64_t d = op[nbr[i]] == op[y] ? 1 : -1;
+                counts[1] += d;
+                counts[0] -= d;
+            }
+            op[x] = op[y];
+        }
+
+        const int64_t n = r->n_events++;
+        r->ev_time[n] = r->t;
+        r->ev_target[n] = x;
+        r->ev_source[n] = y;
+        r->ev_feature[n] = -1;
+        r->ev_delta[n] = flipped;
+    }
+    axsim_free(r);
+    return AXSIM_DONE;
+}
+
+/* Re-apply n logged events to a V x F state in place, as `logio.replay`:
+ * vertex target[k] copies feature i = feature[k] of source[k], or i = 0 where
+ * `feature` is NULL (opinions, F = 1). The caller has checked that every
+ * vertex and feature lies inside the state. */
+void axsim_replay(int64_t *state, int64_t F, int64_t n, const int64_t *target,
+                  const int64_t *source, const int64_t *feature)
+{
+    for (int64_t k = 0; k < n; k++) {
+        const int64_t i = feature != NULL ? feature[k] : 0;
+        state[target[k] * F + i] = state[source[k] * F + i];
+    }
 }

@@ -45,17 +45,20 @@ every replicate's child words (`generate_state(4, np.uint64)`) at once with
 `child_words` and builds each PCG64 from its words (`Seeded`), which skips
 the per-run `SeedSequence` and gives the same streams.
 
-The culture and CVM runs go through a compiled copy of the loop and the
-culture kernel (`_ckernel`, `_kernel.c`), which makes the same draws in the
-same order and so the same trajectory, bit for bit. It is built with the
-system C compiler on the first culture run of a process and loaded with
-ctypes. Where it cannot be built, the Python kernel runs; it is also the
-oracle the compiled loop is tested against, and its twin line for line:
-both update a copy of the flat `Configuration.state`, feature i of vertex v
-at v*F + i, and `_Buckets.bump` and `move` are `bump()` and `move()` there.
-Both culture kernels step the attached urn (in Python by `urn.urn_move`)
-after each event, with the same draws from the urn's substream, and count
-its violations of B_0 <= w_0 and beta >= eps as they go.
+Every run goes through a compiled copy of the loop and its kernel
+(`_ckernel`, `_kernel.c`): the culture kernel for the culture model and the
+CVM's lift, the voter kernel, with F = 1 and census (disagree, agree), for
+the voter model. Each makes the same draws in the same order and so the
+same trajectory, bit for bit. The library is built with the system C
+compiler on the first run or replay of a process and loaded with ctypes.
+Where it cannot be built, the Python kernels run; they are also the oracles
+the compiled loops are tested against, and their twins line for line: the
+culture kernels update a copy of the flat `Configuration.state`, feature i
+of vertex v at v*F + i, and `_Buckets.bump` and `move` are `bump()` and
+`move()` there. Both culture kernels step the attached urn (in Python by
+`urn.urn_move`) after each event, with the same draws from the urn's
+substream, and count its violations of B_0 <= w_0 and beta >= eps as they
+go.
 """
 from __future__ import annotations
 
@@ -251,49 +254,57 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _M32 = 0xFFFFFFFF
 
 
+def _hash_constants(start: int, mult: int, n: int):
+    """The first n values of a hash-constant sequence, as an (n, 1) uint32 column."""
+    out = [start]
+    for _ in range(n - 1):
+        out.append(out[-1] * mult & _M32)
+    return np.array(out, np.uint32)[:, None]
+
+
+# `mix_entropy` hashes 16 values and each spawn key 4 more; `generate_state`
+# hashes 8 words per child. Hash call c xors with constant c and multiplies
+# by constant c + 1 of its sequence.
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 21)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 9)
+
+
 def child_words(seeds: list[int], keys: int) -> list[bytes]:
     """Item r: for k = 0..keys-1, the 4 words of
     `SeedSequence(seeds[r], spawn_key=(k,)).generate_state(4, np.uint64)` as
     native-order bytes.
 
-    The seeds' hashes are computed at once, one uint32 array operation per
-    step of numpy's `mix_entropy` and `generate_state`. A child of a seed
-    below 2**64 has the entropy [lo, hi, 0, 0, k], the seed's 32-bit halves
-    padded to the pool's 4 words and then the spawn key, and the hash
-    constants advance alike for every seed.
+    The seeds' hashes are computed at once: the rows of a uint32 array are
+    the pool words of every seed, and each step of numpy's `mix_entropy` and
+    `generate_state` whose hashes do not depend on one another is one array
+    operation. A child of a seed below 2**64 has the entropy [lo, hi, 0, 0,
+    k], the seed's 32-bit halves padded to the pool's 4 words and then the
+    spawn key, and the hash constants advance alike for every seed.
     """
     s = np.array(seeds, np.uint64)
-    zero = np.zeros(1, np.uint32)
-    h = _INIT_A
 
-    def hashmix(v):
-        nonlocal h
-        v = v ^ h
-        h = h * _MULT_A & _M32
-        v = v * h
+    def hashmix(v, consts):
+        """v hashed by one call per row of consts[:-1]: xor with its constant,
+        times the next one."""
+        v = v ^ consts[:-1]
+        v = v * consts[1:]
         return v ^ (v >> 16)
 
     def mix(x, y):
         v = x * _MIX_L - y * _MIX_R
         return v ^ (v >> 16)
 
-    pool = [hashmix(e) for e in ((s & _M32).astype(np.uint32), (s >> 32).astype(np.uint32),
-                                 zero, zero)]
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                pool[j] = mix(pool[j], hashmix(pool[i]))
+    entropy = np.zeros((4, len(s)), np.uint32)
+    entropy[0], entropy[1] = s & _M32, s >> 32
+    pool = hashmix(entropy, _HASH_A[:5])
+    for i in range(4):  # word i into the other three, each by its own hash call
+        others = [j for j in range(4) if j != i]
+        c = 4 + 3 * i
+        pool[others] = mix(pool[others], hashmix(pool[i], _HASH_A[c:c + 4]))
     out = np.empty((len(s), keys, 8), np.uint32)
-    pooled = h
     for k in range(keys):
-        h = pooled
-        child = [mix(p, hashmix(zero + k)) for p in pool]
-        g = _INIT_B
-        for i in range(8):
-            v = child[i % 4] ^ g
-            g = g * _MULT_B & _M32
-            v = v * g
-            out[:, k, i] = v ^ (v >> 16)
+        child = mix(pool, hashmix(np.uint32(k), _HASH_A[16:]))
+        out[:, k] = hashmix(child[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B).T
     # numpy joins little-endian pairs of 32-bit words into each 64-bit word.
     words = out.astype("<u4").view("<u8").astype(np.uint64).tobytes()
     size = 32 * keys
@@ -461,7 +472,8 @@ def _culture_kernel(initial: Configuration, uniform, appenders, urn_rng=None) ->
 
 
 def _voter_kernel(initial, uniform, appenders) -> _Kernel:
-    """Each vertex mimics a uniform neighbor at rate 1; every arrival is an event."""
+    """Each vertex mimics a uniform neighbor at rate 1; every arrival is an
+    event. The twin of `axsim_voter_run` in `_kernel.c`."""
     ops = list(initial.opinions)
     topo = initial.topology
     V, E = topo.n_vertices, topo.n_edges
@@ -504,8 +516,8 @@ class _Path(NamedTuple):
 
 def _python_loop(kernel_of, stop: StopRule, rng, times: list) -> _Path:
     """The loop over a Python kernel, `kernel_of(uniform, appenders)`: the
-    voter model's only loop, and the compiled loop's oracle and fallback.
-    `times` are the snapshot times, sorted. A culture kernel steps an
+    compiled loops' oracle, and their fallback where the library cannot be
+    built. `times` are the snapshot times, sorted. A culture kernel steps an
     attached urn itself; the loop hands back what the kernel's `urn` reports."""
     draws = _Draws(rng)
     events = EventTable()
@@ -543,9 +555,10 @@ _ckernel = None  # the `_ckernel` module, once `_kernel_lib` has imported it
 
 @cache
 def _kernel_lib():
-    """The compiled culture loop (`_ckernel`), built and loaded on the first
-    call in a process; None where it cannot be, and then the Python kernel
-    runs. `_ckernel` is imported here, so importing axsim does not pay for it."""
+    """The compiled loops and replay (`_ckernel`), built and loaded on the
+    first call in a process; None where they cannot be, and then the Python
+    kernels and replay loop run. `_ckernel` is imported here, so importing
+    axsim does not pay for it."""
     global _ckernel
     from . import _ckernel
     return _ckernel.load()
@@ -594,20 +607,18 @@ def run_model(model, initial, stop: StopRule, seed: int | Seeded, snapshot_times
         initial = initial(rng)
     _check_initial(model, initial)
     times = sorted(snapshot_times)
-    if model == VOTER:
-        path = _python_loop(partial(_voter_kernel, initial), stop, rng, times)
+    cfg, loop_stop, loop_times = initial, stop, times
+    if model == CVM:  # where 2 * t_max overflows, the lift stops at absorption (rate 0)
+        cfg, loop_times = cvm_lift(initial), [2 * s for s in times]
+        t_max = 2 * stop.t_max if stop.t_max is not None else math.inf
+        loop_stop = StopRule(t_max if t_max < math.inf else None, stop.max_events, True)
+    lib = _kernel_lib()
+    if lib is not None:
+        path = _ckernel.compiled_loop(lib, cfg, loop_stop, rng, loop_times, urn_rng)
     else:
-        cfg, loop_stop, loop_times = initial, stop, times
-        if model == CVM:  # where 2 * t_max overflows, the lift stops at absorption (rate 0)
-            cfg, loop_times = cvm_lift(initial), [2 * s for s in times]
-            t_max = 2 * stop.t_max if stop.t_max is not None else math.inf
-            loop_stop = StopRule(t_max if t_max < math.inf else None, stop.max_events, True)
-        lib = _kernel_lib()
-        if lib is not None:
-            path = _ckernel.compiled_loop(lib, cfg, loop_stop, rng, loop_times, urn_rng)
-        else:
-            path = _python_loop(partial(_culture_kernel, cfg, urn_rng=urn_rng),
-                                loop_stop, rng, loop_times)
+        kernel = (partial(_voter_kernel, cfg) if model == VOTER
+                  else partial(_culture_kernel, cfg, urn_rng=urn_rng))
+        path = _python_loop(kernel, loop_stop, rng, loop_times)
 
     final, counts, taken, end_time = path.final, path.counts, path.snapshots, path.t
     if model == CVM:  # opinion events and census, (w_0 + w_1, w_2) of the lift's

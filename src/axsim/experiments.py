@@ -52,9 +52,13 @@ class ExperimentConfig:
     t_query: float | None = None  # query time t
 
     def __post_init__(self):
-        # Stored as Python numbers, which the json and csv writers can print.
+        # Stored as Python numbers, which the json and csv writers can print;
+        # a list or 1-D array for a tuple field as a tuple of them.
         for f in fields(self):
             value = getattr(self, f.name)
+            if isinstance(f.default, tuple) and (
+                    isinstance(value, list) or isinstance(value, np.ndarray) and value.ndim == 1):
+                value = tuple(value)
             plain = tuple(map(_plain, value)) if isinstance(value, tuple) else _plain(value)
             object.__setattr__(self, f.name, plain)
 

@@ -22,6 +22,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
+from . import engine
 from .core import (
     Configuration,
     InvalidInput,
@@ -82,8 +83,9 @@ def event_log_text(traj) -> str:
         _HEADER,
     ]
     ev = EventTable.of(traj.events)
-    rows = map("{!r},{},{},{},{}".format, ev.time.tolist(), ev.source.tolist(),
-               ev.target.tolist(), ev.copied_feature.tolist(), ev.delta_w.tolist())
+    rows = map("%r,%d,%d,%d,%d".__mod__, zip(ev.time.tolist(), ev.source.tolist(),
+                                            ev.target.tolist(), ev.copied_feature.tolist(),
+                                            ev.delta_w.tolist()))
     return "\n".join(chain(lines, rows)) + "\n"
 
 
@@ -258,7 +260,8 @@ def replay(initial, events, model: str, upto: float | None = None):
     returns the resulting state. `upto` None replays every event; NaN is
     refused. The state must be one `model` runs on, and
     each applied event must name vertices, and on a culture state a
-    feature, of that state; otherwise InvalidInput."""
+    feature, of that state; otherwise InvalidInput. The events are applied
+    by the compiled loop's `axsim_replay` where it builds, else in Python."""
     if not isinstance(model, str) or model not in MODELS:  # a dict key must hash
         raise InvalidInput(f"unknown model {model!r}")
     _check_initial(model, initial)
@@ -271,18 +274,24 @@ def replay(initial, events, model: str, upto: float | None = None):
     V = initial.topology.n_vertices
     if not (_within(ev.target, n, V) and _within(ev.source, n, V)):
         raise InvalidInput(f"replayed event names a vertex outside 0..{V - 1}")
-    if model == AXELROD:
+    culture = model == AXELROD
+    if culture:
         F = initial.params.F
         if not _within(ev.copied_feature, n, F):
             raise InvalidInput(f"replayed event names a feature outside 0..{F - 1}")
-        state = initial.state.tolist()
-        for v, u, i in islice(zip(ev.target, ev.source, ev.copied_feature), n):
+        state = initial.state[:]
+    else:  # one opinion per vertex: F = 1 and feature 0
+        F, state = 1, array("q", initial.opinions)
+    lib = engine._kernel_lib()
+    if lib is not None:
+        engine._ckernel.replay(lib, state, F, ev, n, culture)
+    else:
+        features = ev.copied_feature if culture else repeat(0)
+        for v, u, i in islice(zip(ev.target, ev.source, features), n):
             state[v * F + i] = state[u * F + i]
-        return Configuration._of(initial.topology, initial.params, array("q", state))
-    ops = list(initial.opinions)
-    for v, u in islice(zip(ev.target, ev.source), n):
-        ops[v] = ops[u]
-    return OpinionConfig(initial.topology, tuple(ops), initial.alphabet)
+    if culture:
+        return Configuration._of(initial.topology, initial.params, state)
+    return OpinionConfig(initial.topology, tuple(state), initial.alphabet)
 
 
 def final_stats_row(traj) -> dict:

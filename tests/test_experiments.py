@@ -213,6 +213,27 @@ class TestNumpyNumbers:
         if base["kind"] == "simulate":
             assert {"summary.json", "aggregate.csv", "snapshots_mean.csv"} <= set(trees[0])
 
+    @pytest.mark.parametrize("base,name,value", [
+        (SIMULATE, "snapshot_times", np.array([0.5])),
+        (SIMULATE, "snapshot_times", np.array([0.5], np.float32)),
+        (SIMULATE, "snapshot_times", [0.5]),
+        (LEMMA5, "xyz", np.arange(2, 9, 3)),
+        (LEMMA5, "xyz", [np.int64(2), 5, 8]),
+    ], ids=["simulate-array", "simulate-float32-array", "simulate-list", "lemma5-array",
+            "lemma5-list"])
+    def test_a_list_or_array_for_a_tuple_field(self, tmp_path, base, name, value):
+        """Stored as the tuple of Python numbers it holds, so it writes the
+        files of its tuple twin; an array once ran and then failed in
+        `json.dumps`."""
+        trees = []
+        for given in (value, base[name]):
+            out = tmp_path / str(len(trees))
+            config = ExperimentConfig(**{**base, name: given}, output_dir=str(out))
+            assert repr(getattr(config, name)) == repr(base[name])
+            execute(config)
+            trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert trees[0] == trees[1] and "summary.json" in trees[0]
+
 
 def _python(value):
     """The Python number, or tuple of numbers, that a numpy value stands for."""

@@ -1,12 +1,16 @@
-"""The compiled culture loop against the Python kernel, and how it is built.
+"""The compiled loops against the Python kernels, and how they are built.
 
-`run_model` runs the culture model and the CVM through the compiled loop
-wherever it builds. The Python kernel is its oracle: both must give the same
-trajectory, bit for bit, for every seed, stop rule, snapshot set and urn.
+`run_model` runs the culture model, the CVM and the voter model through the
+compiled loops wherever they build, and `replay` re-applies logged events
+there. The Python kernels and replay loop are their oracles: both must give
+the same trajectory, bit for bit, for every seed, stop rule, snapshot set and
+urn, and the same replayed state.
 """
 import ctypes
+import dataclasses
 import hashlib
 import itertools
+import math
 import os
 import re
 import shutil
@@ -21,14 +25,17 @@ import pytest
 from axsim import (
     Configuration,
     ExperimentConfig,
+    InvalidInput,
     ModelParams,
     OpinionConfig,
     StopRule,
     Topology,
+    UpdateEvent,
     edge_census,
     execute,
     random_config,
     random_opinions,
+    replay,
     run_model,
 )
 from axsim import _ckernel, engine
@@ -59,8 +66,15 @@ def run_on(lib, *args, **kwargs):
         mp.setattr(engine, "_kernel_lib", lambda: lib)
         mp.setattr(_ckernel, "compiled_loop", spy)
         traj = run_model(*args, **kwargs)
-    assert used == ([True] if lib is not None and args[0] != "voter" else [])
+    assert used == ([True] if lib is not None else [])
     return traj
+
+
+def fingerprint(traj) -> tuple:
+    """The trajectory's `repr` with its events as their columns' bytes, which
+    fix the events' `repr` and compare much faster on runs of many events."""
+    return (repr(dataclasses.replace(traj, events=None)),
+            [col.tobytes() for col in traj.events.columns()])
 
 
 CASES = [(1, 2), (2, 2), (2, 4), (3, 12), (7, 12), "cvm"]
@@ -138,6 +152,35 @@ def test_drawn_initial_runs_are_the_same_on_both_kernels(lib, case, kind, size):
                 assert repr(got) == repr(run_on(None, model, draw, stop, seed, **kwargs))
                 assert repr(got) == repr(run_on(lib, model, draw, stop, seed, **kwargs))
                 assert got.initial == draw(engine._rng_pair(seed, False)[0])
+
+
+# A path end has one neighbour; on the smallest cycle both neighbours wrap.
+VOTER_LATTICES = [("path", 2), ("path", 9), ("cycle", 3), ("cycle", 9)]
+
+
+def voter_initial(kind: str, size: int, seed: int) -> OpinionConfig:
+    ops = np.random.default_rng(seed).integers(0, 2, size=size).tolist()
+    return OpinionConfig(Topology(kind, size), tuple(ops), (0, 1))
+
+
+@pytest.mark.parametrize("kind,size", VOTER_LATTICES, ids=str)
+def test_same_voter_trajectory_on_both_kernels(lib, kind, size):
+    """Given and drawn initial opinions, every stop rule, with and without
+    snapshots. A voter run never freezes: under the long t_max it logs tens
+    of thousands of arrivals, and the event columns grow many times."""
+    draw = partial(random_opinions, Topology(kind, size), (0, 1))
+    for seed, stop in itertools.product(SEEDS[:3], STOPS.values()):
+        for init in (voter_initial(kind, size, seed), draw):
+            plain = run_on(lib, "voter", init, stop, seed)
+            times = plain.events.time
+            at_event = (times[len(times) // 2],) if times else ()
+            limit = stop.t_max if stop.t_max is not None else 3.0
+            for snaps in ((), (0.0, 0.4, limit) + at_event):
+                got = run_on(lib, "voter", init, stop, seed, snapshot_times=snaps)
+                want = run_on(None, "voter", init, stop, seed, snapshot_times=snaps)
+                assert fingerprint(got) == fingerprint(want), (kind, size, seed, stop, snaps)
+            if stop.t_max == T_LONG:
+                assert len(plain.events) > 20 * _ckernel._FIRST_CAP
 
 
 def test_int_t_max_gives_the_same_trajectory(lib):
@@ -276,15 +319,21 @@ SANITIZE = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=
 
 
 def grid_digest() -> str:
-    """sha256 over the `repr` of a grid of culture and CVM runs on the kernel
-    `run_model` picks: the both-kernel grid's lattices, cases and stop rules
-    from given and drawn initial states, a long run with thousands of
+    """sha256 over the `fingerprint` of a grid of runs on the loop
+    `run_model` picks, and over the `repr` of each run's `replay` in full and
+    cut at its middle event: the both-kernel grid's lattices, cases and stop
+    rules from given and drawn initial states, a long run with thousands of
     events, runs that start with the first or the last weight-class list
-    full, and the exact-law lattices."""
+    full, the exact-law lattices, and voter runs on the voter grid's
+    lattices under every stop rule, with and without snapshots."""
     digest = hashlib.sha256()
 
     def add(*args, **kwargs):
-        digest.update(repr(run_model(*args, **kwargs)).encode())
+        traj = run_model(*args, **kwargs)
+        digest.update(repr(fingerprint(traj)).encode())
+        times = traj.events.time
+        for upto in (None, times[len(times) // 2]) if times else (None,):
+            digest.update(repr(replay(traj.initial, traj.events, traj.model, upto)).encode())
 
     lattices = (("path", VERTICES), ("cycle", VERTICES), ("path", 2), ("cycle", 3))
     for case, (kind, size), seed in itertools.product(CASES, lattices, SEEDS[:2]):
@@ -303,6 +352,10 @@ def grid_digest() -> str:
     for kind, seed in itertools.product(("path", "cycle"), range(40)):
         add(*drawn((3, 2), kind, 4), StopRule(t_max=3.0), seed, snapshot_times=(1.0,))
         add(*drawn("cvm", kind, 4), StopRule(t_max=3.0), seed, snapshot_times=(1.0,))
+    for (kind, size), seed, stop in itertools.product(VOTER_LATTICES, SEEDS[:2], STOPS.values()):
+        limit = stop.t_max if stop.t_max is not None else 3.0
+        for snaps in ((), (0.0, 0.4, limit)):
+            add("voter", voter_initial(kind, size, seed), stop, seed, snapshot_times=snaps)
     return digest.hexdigest()
 
 
@@ -320,7 +373,8 @@ def _sanitizer_runtimes() -> list:
 
 
 def test_grid_is_clean_under_address_and_undefined_behaviour_sanitizers(lib):
-    """The compiled loop writes through raw pointers into arrays Python owns.
+    """The compiled loops and replay write through raw pointers into arrays
+    Python owns.
     Built with ASan and UBSan and run with their runtimes preloaded and
     Python's allocator off (so each array is a heap block ASan can bound),
     the grid must report nothing and give the plain build's digest."""
@@ -350,9 +404,74 @@ def test_grid_is_clean_under_address_and_undefined_behaviour_sanitizers(lib):
 
 
 def test_voter_runs_stay_in_python(lib):
+    """Named when voter runs had no compiled loop; it now compares the
+    compiled voter loop, which `run_on` checks the run went through, with
+    its oracle, the Python voter kernel."""
     init = OpinionConfig(Topology("cycle", 9), (0, 1) * 4 + (0,), (0, 1))
     assert repr(run_on(lib, "voter", init, StopRule(t_max=3.0), 2)) == repr(
         run_on(None, "voter", init, StopRule(t_max=3.0), 2))
+
+
+def replay_on(lib, *args, **kwargs):
+    """`replay` with the loader returning `lib`, as `run_on` runs a model;
+    with a library the events must go through the compiled replay."""
+    compiled = _ckernel.replay
+    used = []
+
+    def spy(*a, **k):
+        used.append(True)
+        return compiled(*a, **k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "_kernel_lib", lambda: lib)
+        mp.setattr(_ckernel, "replay", spy)
+        try:
+            return replay(*args, **kwargs)
+        finally:
+            assert not used or lib is not None
+
+
+@pytest.mark.parametrize("case", [(3, 12), "cvm", "voter"], ids=str)
+def test_replay_is_the_same_on_both_loops(lib, case):
+    """In full and cut before, at and after events, on logs of every kind."""
+    cut = 0
+    for kind, seed in itertools.product(("path", "cycle"), SEEDS):
+        if case == "voter":
+            model, init = "voter", voter_initial(kind, VERTICES, seed)
+        else:
+            model, init = initial(case, kind, seed)
+        traj = run_model(model, init, StopRule(t_max=10.0), seed)
+        times = traj.events.time
+        mid = times[len(times) // 2] if times else 1.0
+        for upto in (None, -1.0, 0.0, mid, math.nextafter(mid, 0), traj.end_time, math.inf):
+            got = replay_on(lib, init, traj.events, model, upto)
+            assert repr(got) == repr(replay_on(None, init, traj.events, model, upto))
+            cut += upto == mid and got != traj.final
+        assert replay_on(lib, init, traj.events, model) == traj.final
+    assert cut >= len(SEEDS)  # most cuts stop short of the final state
+
+
+def test_replay_refusals_are_the_same_on_both_loops(lib):
+    cfg = random_config(ModelParams(2, 3), Topology("path", 4), 1)
+    ops = OpinionConfig(Topology("cycle", 5), (0, 1, 0, 1, 1), (0, 1))
+    ok = UpdateEvent(0.05, 1, 0, 1, 1)
+    cases = [
+        (cfg, [ok, UpdateEvent(0.1, 0, 1, 2, 1)], "axelrod", None),
+        (cfg, [ok, UpdateEvent(0.1, 0, 1, -1, 1)], "axelrod", None),
+        (cfg, [ok, UpdateEvent(0.1, 4, 1, 0, 1)], "axelrod", None),
+        (cfg, [ok], "axelrod", math.nan),
+        (cfg, [ok], "voter", None),
+        (ops, [UpdateEvent(0.1, 5, 4, -1, 1)], "voter", None),
+        (ops, [UpdateEvent(0.1, 0, -1, -1, 1)], "cvm", None),
+        (ops, [UpdateEvent(0.1, 0, -1, -1, 1)], "voter", None),
+    ]
+    for args in cases:
+        messages = []
+        for loop in (lib, None):
+            with pytest.raises(InvalidInput) as err:
+                replay_on(loop, *args)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1], args
 
 
 def test_import_neither_builds_nor_loads_the_library():
@@ -459,7 +578,9 @@ def tree(root):
     dict(model="axelrod", F=2, q=3, N=25, attach_urn=True, replicates=3),
     dict(model="cvm", topology="cycle", N=24, t_max=4.0, snapshot_times=(1.0,),
          save_events=True, replicates=3),
-], ids=["axelrod-urn-events", "axelrod-absorbed", "cvm-events"])
+    dict(model="voter", topology="cycle", N=20, t_max=3.0, snapshot_times=(1.0,),
+         save_events=True, replicates=3),
+], ids=["axelrod-urn-events", "axelrod-absorbed", "cvm-events", "voter-events"])
 def test_artifacts_do_not_depend_on_the_kernel(lib, tmp_path, monkeypatch, kwargs):
     trees = []
     for name, loader in (("compiled", lambda: lib), ("python", lambda: None)):

@@ -147,6 +147,49 @@ class TestReplay:
         assert replay(init, [UpdateEvent(0.1, 0, 1, -1, 1)], "voter").opinions == (1, 1, 1, 0)
 
 
+# The full logs of three small runs, as the writer's parent wrote them: a
+# culture run to absorption, a CVM run and a voter run, both to a t_max.
+PINNED_LOGS = {
+    "axelrod": (
+        "axelrod", random_config(ModelParams(3, 4), Topology("path", 6), 3),
+        StopRule(stop_on_absorption=True), 5,
+        "# model=axelrod\n# topology=path\n# size=6\n# F=3\n# q=4\n# seed=5\n"
+        "# end_time=6.791767248960495\n# absorbed=1\n"
+        "# initial=3,0,0;0,0,3;3,2,0;0,1,1;2,1,1;0,2,2\n"
+        "time,source,target,feature,delta_w\n"
+        "0.6547300218114566,4,3,0,1\n0.855788721498181,1,0,0,1\n"
+        "1.1369730285539674,0,1,2,2\n4.883104829917521,1,2,0,1\n"
+        "6.791767248960495,1,2,1,1\n"),
+    "cvm": (
+        "cvm", OpinionConfig(Topology("cycle", 6), (0, 1, -1, -1, 0, 1), (-1, 0, 1)),
+        StopRule(t_max=3.0), 3,
+        "# model=cvm\n# topology=cycle\n# size=6\n# seed=3\n# end_time=3.0\n"
+        "# absorbed=0\n# initial=0;1;-1;-1;0;1\ntime,source,target,feature,delta_w\n"
+        "0.06881387705100406,0,1,-1,1\n0.11130291552769647,2,1,-1,1\n"
+        "0.1390782533553739,4,3,-1,1\n0.8610086365115951,4,5,-1,1\n"
+        "1.2293972437351082,2,3,-1,1\n2.1401140622041512,0,1,-1,1\n"
+        "2.567741269155384,4,3,-1,1\n"),
+    "voter": (
+        "voter", OpinionConfig(Topology("path", 5), (0, 1, 1, 0, 1)), StopRule(t_max=1.0), 6,
+        "# model=voter\n# topology=path\n# size=5\n# seed=6\n# end_time=1.0\n"
+        "# absorbed=0\n# initial=0;1;1;0;1\ntime,source,target,feature,delta_w\n"
+        "0.11833898085565273,1,2,-1,0\n0.1246178581245623,3,2,-1,1\n"
+        "0.4957247206237576,1,0,-1,1\n0.6115893589642334,0,1,-1,0\n"
+        "0.7298954852564069,0,1,-1,0\n0.7426728826875105,2,1,-1,1\n"
+        "0.8134320057956755,0,1,-1,1\n0.9929114653817903,3,4,-1,1\n"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_LOGS)
+def test_log_bytes_are_pinned(tmp_path, name):
+    model, initial, stop, seed, text = PINNED_LOGS[name]
+    traj = run_model(model, initial, stop, seed)
+    assert event_log_text(traj) == text
+    path = tmp_path / "log.csv"
+    save_event_log(traj, str(path))
+    assert path.read_bytes() == text.encode()
+
+
 class TestCsvArtifacts:
     def test_event_log_header_and_meta(self):
         _, traj = axelrod_traj()
