@@ -147,8 +147,9 @@ class TestReplay:
         assert replay(init, [UpdateEvent(0.1, 0, 1, -1, 1)], "voter").opinions == (1, 1, 1, 0)
 
 
-# The full logs of three small runs, as the writer's parent wrote them: a
-# culture run to absorption, a CVM run and a voter run, both to a t_max.
+# The full logs of three small runs, as the earlier `str.format` writer
+# wrote them: a culture run to absorption, a CVM run and a voter run, both
+# to a t_max.
 PINNED_LOGS = {
     "axelrod": (
         "axelrod", random_config(ModelParams(3, 4), Topology("path", 6), 3),
