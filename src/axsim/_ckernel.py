@@ -1,11 +1,11 @@
-"""The compiled run loops and replay: build, load and call `_kernel.c`.
+"""The compiled run loop and replay: build, load and call `_kernel.c`.
 
 `engine` imports this module on the first run or replay of a process,
 through `engine._kernel_lib`. `load` builds the C file with the system
 compiler into `__pycache__` next to it, unless that build exists already,
 and loads it with ctypes. `compiled_loop` runs one culture or voter
-trajectory through it and hands back what `engine._python_loop` does for the
-same Generator, bit for bit; `replay` re-applies logged events.
+trajectory through its one loop, `axsim_run`, as `engine._python_loop` does
+for the same Generator, bit for bit; `replay` re-applies logged events.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ def _fields(ctype, names: str) -> list:
 class _Run(ctypes.Structure):
     """`struct axsim_run` of `_kernel.c`, field for field."""
     _fields_ = (_fields(ctypes.c_void_p, "bitgen")
-                + _fields(ctypes.c_int64, "F n_edges cycle")
+                + _fields(ctypes.c_int64, "F n_edges cycle voter")
                 + _fields(ctypes.c_void_p, "state")
                 + _fields(ctypes.c_double, "t_max")
                 + _fields(ctypes.c_int64, "max_events until_absorbed")
@@ -46,7 +46,7 @@ class _Run(ctypes.Structure):
 _KERNEL_C = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernel.c")
 _CC = ("cc",)
 _CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
-_DONE, _FULL = 0, 1  # return codes of the run loops; negative: out of memory
+_DONE, _FULL = 0, 1  # return codes of the run loop; negative: out of memory
 _FIRST_CAP = 256  # events the columns first make room for
 _FIRST_TIMES, _FIRST_INTS = (array(code, bytes(8 * _FIRST_CAP)) for code in "dq")
 
@@ -93,11 +93,8 @@ def load():
         lib = ctypes.CDLL(path)
     except OSError:
         return None
-    for name, restype in (("axsim_culture_run", ctypes.c_int64),
-                          ("axsim_voter_run", ctypes.c_int64), ("axsim_free", None)):
-        fn = getattr(lib, name)
-        fn.argtypes = [ctypes.POINTER(_Run)]
-        fn.restype = restype
+    lib.axsim_run.argtypes = lib.axsim_free.argtypes = [ctypes.POINTER(_Run)]
+    lib.axsim_run.restype, lib.axsim_free.restype = ctypes.c_int64, None
     lib.axsim_replay.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
                                  ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
     lib.axsim_replay.restype = None
@@ -124,16 +121,16 @@ def compiled_loop(lib, cfg, stop: StopRule, rng, times: list, urn_rng) -> _Path:
     final state."""
     voter = isinstance(cfg, OpinionConfig)
     if voter:  # one feature: counts are (disagree, agree)
-        F, state, entry = 1, array("q", cfg.opinions), lib.axsim_voter_run
+        F, state = 1, array("q", cfg.opinions)
     else:
-        F, state, entry = cfg.params.F, cfg.state[:], lib.axsim_culture_run
+        F, state = cfg.params.F, cfg.state[:]
     topo = cfg.topology
     snap_time = array("d", times)
     snap_counts = array("q", bytes(8 * len(times) * (F + 1)))
     counts = array("q", bytes(8 * (F + 1)))
     columns = (_FIRST_TIMES[:], _FIRST_INTS[:], _FIRST_INTS[:], _FIRST_INTS[:], _FIRST_INTS[:])
     events = EventTable._of(columns)
-    run = _Run(_bitgen(rng), F, topo.n_edges, topo.kind == "cycle", _address(state),
+    run = _Run(_bitgen(rng), F, topo.n_edges, topo.kind == "cycle", voter, _address(state),
                math.inf if stop.t_max is None else stop.t_max,
                min(stop.max_events if stop.max_events is not None else 2 ** 62, 2 ** 62),
                stop.stop_on_absorption, _address(snap_time), len(times),
@@ -142,7 +139,7 @@ def compiled_loop(lib, cfg, stop: StopRule, rng, times: list, urn_rng) -> _Path:
         urn_boxes = array("q", bytes(8 * (F + 1)))
         run.urn_bitgen, run.urn_boxes = _bitgen(urn_rng), _address(urn_boxes)
     try:
-        while (status := entry(run)) == _FULL:
+        while (status := lib.axsim_run(run)) == _FULL:
             # The columns grow by a quarter, so a long run returns here often
             # enough for Ctrl-C to act, and their slack stays small.
             room = bytes(8 * (run.cap // 4 + _FIRST_CAP))
@@ -161,12 +158,12 @@ def compiled_loop(lib, cfg, stop: StopRule, rng, times: list, urn_rng) -> _Path:
     width = F + 1
     snapshots = [tuple(snap_counts[k * width:(k + 1) * width]) for k in range(run.n_snap_done)]
     if voter:
-        final = OpinionConfig(topo, tuple(state), cfg.alphabet)
-        return _Path(events, run.t, tuple(counts), snapshots, counts[0] == 0, final, None)
-    final = Configuration._of(topo, cfg.params, state)
+        final, absorbed = OpinionConfig(topo, tuple(state), cfg.alphabet), counts[0] == 0
+    else:
+        final, absorbed = Configuration._of(topo, cfg.params, state), run.total == 0
     urn = None if urn_rng is None else (tuple(urn_boxes), run.urn_b0_viol, run.urn_pot_viol,
                                         run.urn_beta, run.urn_W)
-    return _Path(events, run.t, tuple(counts), snapshots, run.total == 0, final, urn)
+    return _Path(events, run.t, tuple(counts), snapshots, absorbed, final, urn)
 
 
 def replay(lib, state: array, F: int, events: EventTable, n: int, features: bool):

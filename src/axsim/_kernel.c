@@ -1,10 +1,10 @@
 /*
- * The run loops, compiled: the same trajectories as the Python kernels in
+ * The run loop, compiled: the same trajectories as the Python kernels in
  * engine.py (`_culture_kernel` and `_voter_kernel` driven by `_python_loop`)
  * for the same Generator, bit for bit, and the replay of a logged run.
- * `_ckernel.py` builds, loads and calls them. `run_model` runs the CVM
- * through the culture loop as the F=q=2 lift on a doubled clock and maps the
- * results back itself.
+ * `_ckernel.py` builds, loads and calls them. One loop, `axsim_run`, runs
+ * every model: `voter` picks `culture_step` or `voter_step`. `run_model` runs
+ * the CVM as its F=q=2 lift on a doubled clock and maps the results back.
  *
  * Identity rests on doing exactly what the Python code does:
  *  - draws: uniforms and Exp(1) variates in separate blocks taken from the end,
@@ -23,19 +23,18 @@
  *    the source among x's neighbours in `Topology.neighbors` order, x-1
  *    before x+1 (mod V on a cycle; a path end has one neighbour).
  *
- * With `urn_bitgen` set, the culture loop also steps the coupled urn after
+ * With `urn_bitgen` set, the culture step also steps the coupled urn after
  * every event, as the Python kernel's `couple` does: the urn's own generator
  * picks a nonempty inner box with numpy's bounded-integer fill (what
  * `rng.integers(k)` calls, Lemire's method, unmasked), so the urn's stream,
  * final boxes, potentials and violation counts are those of the Python kernel.
  *
- * Call `axsim_culture_run` or `axsim_voter_run` until it returns AXSIM_DONE.
- * It returns AXSIM_FULL when the event columns are full; the caller grows
- * them, updates the column pointers and `cap`, and calls again. All progress
- * lives in the struct and its work area, one block sized from F and E, which
- * the first call allocates and the last one frees; `axsim_free` frees it
- * after an abandoned run. That allocation is the only step that can fail
- * (AXSIM_NOMEM).
+ * Call `axsim_run` until it returns AXSIM_DONE. It returns AXSIM_FULL when
+ * the event columns are full; the caller grows them, updates the column
+ * pointers and `cap`, and calls again. All progress lives in the struct and
+ * its work area, one block sized from F and E, which the first call
+ * allocates and the last one frees; `axsim_free` frees it after an abandoned
+ * run. That allocation is the only step that can fail (AXSIM_NOMEM).
  */
 #include <math.h>
 #include <stdbool.h>
@@ -59,10 +58,11 @@ struct axsim_run {
     bitgen_t *bitgen;
     int64_t F, n_edges;
     int64_t cycle;               /* 1 on a cycle (V = n_edges), 0 on a path (V = n_edges+1) */
+    int64_t voter;               /* 1: the voter model (F = 1), 0: the culture model */
     int64_t *state;              /* V x F cultures, updated in place */
     double t_max;                /* INFINITY when unbounded */
     int64_t max_events;
-    int64_t until_absorbed;      /* voter: stop at consensus (the culture loop stops there at rate 0) */
+    int64_t until_absorbed;      /* stop once absorbed (a culture run stops there at rate 0) */
     const double *snap_time;     /* sorted */
     int64_t n_snap;
     int64_t *snap_counts;        /* n_snap x (F+1): the census at each snapshot */
@@ -219,138 +219,122 @@ static void couple(struct axsim_run *r, int64_t delta)
     r->urn_pot_viol += B[0] > 0 && r->urn_beta < F * (r->n_edges - w0) - r->urn_W;
 }
 
-/* Record the census at every pending snapshot time <= t (left limits); the
- * caller takes those after the last event from the final counts. */
-static void flush(struct axsim_run *r)
+/* One culture event, as `_culture_kernel`'s `step` in engine.py: class j
+ * with probability j*n_j/S, then uniform within the class. */
+static void culture_step(struct axsim_run *r, struct work *w)
 {
-    while (r->n_snap_done < r->n_snap && r->snap_time[r->n_snap_done] <= r->t) {
-        memcpy(r->snap_counts + r->n_snap_done * (r->F + 1), r->counts,
-               (size_t)(r->F + 1) * sizeof(int64_t));
-        r->n_snap_done += 1;
+    const int64_t F = r->F, E = r->n_edges, V = r->cycle ? E : E + 1, S = r->total;
+    int64_t *state = r->state;
+    int64_t x = (int64_t)(draw(r->bitgen, &w->u, 1) * (double)S);
+    int64_t j = 1;
+    while (x >= j * w->len[j]) {
+        x -= j * w->len[j];
+        j += 1;
     }
+    const int64_t e = w->items[(j - 1) * E + x / j];
+    int64_t u = e, v = e + 1 < V ? e + 1 : 0;
+    if (!(draw(r->bitgen, &w->u, 1) < 0.5)) {
+        u = v;
+        v = e;
+    }
+    int64_t *su = state + u * F, *sv = state + v * F;
+    int64_t k = 0;
+    for (int64_t i = 0; i < F; i++)
+        if (su[i] != sv[i])
+            w->disagree[k++] = i;
+    const int64_t feat = w->disagree[(int64_t)(draw(r->bitgen, &w->u, 1) * (double)k)];
+    const int64_t old = sv[feat], new = su[feat];
+    int64_t delta = 1;
+    bump(r, w, e, 1);
+    int64_t e2 = v == e ? e - 1 : e + 1, z = v == e ? v - 1 : v + 1;
+    if (r->cycle) {
+        e2 = (e2 + E) % E;
+        z = (z + V) % V;
+    }
+    if (0 <= e2 && e2 < E) {
+        const int64_t zf = state[z * F + feat];
+        const int64_t dd = (zf == new) - (zf == old);
+        if (dd)
+            bump(r, w, e2, dd);
+        delta += dd;
+    }
+    sv[feat] = new;
+
+    const int64_t n = r->n_events++;
+    r->ev_time[n] = r->t;
+    r->ev_target[n] = v;
+    r->ev_source[n] = u;
+    r->ev_feature[n] = feat;
+    r->ev_delta[n] = delta;
+    if (r->urn_bitgen != NULL)
+        couple(r, delta);
 }
 
-int64_t axsim_culture_run(struct axsim_run *r)
+/* One voter event, as `_voter_kernel`'s `step` in engine.py: F = 1, and
+ * `start` gives counts (disagree, agree); the step reads only the draw
+ * blocks of the work area. Vertex x copies a uniform neighbour y, logged
+ * with feature -1 and delta 1 where x's opinion flipped, else 0. */
+static void voter_step(struct axsim_run *r, struct work *w)
+{
+    const int64_t V = r->cycle ? r->n_edges : r->n_edges + 1;
+    int64_t *op = r->state, *counts = r->counts;
+    const int64_t x = (int64_t)(draw(r->bitgen, &w->u, 1) * (double)V);
+    int64_t nbr[2], k = 0;
+    if (r->cycle || x > 0)
+        nbr[k++] = x > 0 ? x - 1 : V - 1;
+    if (r->cycle || x < V - 1)
+        nbr[k++] = x < V - 1 ? x + 1 : 0;
+    const int64_t y = nbr[(int64_t)(draw(r->bitgen, &w->u, 1) * (double)k)];
+    const int64_t flipped = op[x] != op[y];
+    if (flipped) {
+        for (int64_t i = 0; i < k; i++) {
+            const int64_t d = op[nbr[i]] == op[y] ? 1 : -1;
+            counts[1] += d;
+            counts[0] -= d;
+        }
+        op[x] = op[y];
+    }
+
+    const int64_t n = r->n_events++;
+    r->ev_time[n] = r->t;
+    r->ev_target[n] = x;
+    r->ev_source[n] = y;
+    r->ev_feature[n] = -1;
+    r->ev_delta[n] = flipped;
+}
+
+/* The run loop, as `_python_loop` in engine.py. */
+int64_t axsim_run(struct axsim_run *r)
 {
     if (r->work == NULL && start(r) != 0)
         return AXSIM_NOMEM;
     struct work *w = r->work;
-    const int64_t F = r->F, E = r->n_edges, V = r->cycle ? E : E + 1;
-    int64_t *state = r->state;
+    const int64_t F = r->F, V = r->cycle ? r->n_edges : r->n_edges + 1;
 
     for (;;) {
         if (r->n_events == r->cap)
             return AXSIM_FULL;
-        const int64_t S = r->total;
-        if (S == 0 || r->n_events >= r->max_events)
+        const double rate = r->voter ? (double)V : (double)r->total / (double)F;
+        const bool absorbed = r->voter ? r->counts[0] == 0 : r->total == 0;
+        if (rate == 0 || r->n_events >= r->max_events || (r->until_absorbed && absorbed))
             break;
-        const double rate = (double)S / (double)F;
         double t_next = r->t + draw(r->bitgen, &w->e, 0) / rate;
         if (t_next > r->t_max) {
             r->t = r->t_max;
             break;
         }
         r->t = t_next;
-        flush(r);
-
-        /* Class j with probability j*n_j/S, then uniform within the class. */
-        int64_t x = (int64_t)(draw(r->bitgen, &w->u, 1) * (double)S);
-        int64_t j = 1;
-        while (x >= j * w->len[j]) {
-            x -= j * w->len[j];
-            j += 1;
+        /* The census at every pending snapshot time <= t (left limits); the
+         * caller takes those after the last event from the final counts. */
+        while (r->n_snap_done < r->n_snap && r->snap_time[r->n_snap_done] <= r->t) {
+            memcpy(r->snap_counts + r->n_snap_done * (F + 1), r->counts,
+                   (size_t)(F + 1) * sizeof(int64_t));
+            r->n_snap_done += 1;
         }
-        const int64_t e = w->items[(j - 1) * E + x / j];
-        int64_t u = e, v = e + 1 < V ? e + 1 : 0;
-        if (!(draw(r->bitgen, &w->u, 1) < 0.5)) {
-            u = v;
-            v = e;
-        }
-        int64_t *su = state + u * F, *sv = state + v * F;
-        int64_t k = 0;
-        for (int64_t i = 0; i < F; i++)
-            if (su[i] != sv[i])
-                w->disagree[k++] = i;
-        const int64_t feat = w->disagree[(int64_t)(draw(r->bitgen, &w->u, 1) * (double)k)];
-        const int64_t old = sv[feat], new = su[feat];
-        int64_t delta = 1;
-        bump(r, w, e, 1);
-        int64_t e2 = v == e ? e - 1 : e + 1, z = v == e ? v - 1 : v + 1;
-        if (r->cycle) {
-            e2 = (e2 + E) % E;
-            z = (z + V) % V;
-        }
-        if (0 <= e2 && e2 < E) {
-            const int64_t zf = state[z * F + feat];
-            const int64_t dd = (zf == new) - (zf == old);
-            if (dd)
-                bump(r, w, e2, dd);
-            delta += dd;
-        }
-        sv[feat] = new;
-
-        const int64_t n = r->n_events++;
-        r->ev_time[n] = r->t;
-        r->ev_target[n] = v;
-        r->ev_source[n] = u;
-        r->ev_feature[n] = feat;
-        r->ev_delta[n] = delta;
-        if (r->urn_bitgen != NULL)
-            couple(r, delta);
-    }
-    axsim_free(r);
-    return AXSIM_DONE;
-}
-
-/* The voter loop, as `_voter_kernel` in engine.py driven by `_python_loop`:
- * F = 1, and `start` gives counts (disagree, agree); the loop reads only the
- * draw blocks of the work area. Vertex x copies a uniform neighbour y at rate
- * 1, so every arrival is an event, logged with feature -1 and delta 1 where
- * x's opinion flipped, else 0. */
-int64_t axsim_voter_run(struct axsim_run *r)
-{
-    if (r->work == NULL && start(r) != 0)
-        return AXSIM_NOMEM;
-    struct work *w = r->work;
-    const int64_t V = r->cycle ? r->n_edges : r->n_edges + 1;
-    int64_t *op = r->state, *counts = r->counts;
-
-    for (;;) {
-        if (r->n_events == r->cap)
-            return AXSIM_FULL;
-        if (r->n_events >= r->max_events || (r->until_absorbed && counts[0] == 0))
-            break;
-        double t_next = r->t + draw(r->bitgen, &w->e, 0) / (double)V;
-        if (t_next > r->t_max) {
-            r->t = r->t_max;
-            break;
-        }
-        r->t = t_next;
-        flush(r);
-
-        const int64_t x = (int64_t)(draw(r->bitgen, &w->u, 1) * (double)V);
-        int64_t nbr[2], k = 0;
-        if (r->cycle || x > 0)
-            nbr[k++] = x > 0 ? x - 1 : V - 1;
-        if (r->cycle || x < V - 1)
-            nbr[k++] = x < V - 1 ? x + 1 : 0;
-        const int64_t y = nbr[(int64_t)(draw(r->bitgen, &w->u, 1) * (double)k)];
-        const int64_t flipped = op[x] != op[y];
-        if (flipped) {
-            for (int64_t i = 0; i < k; i++) {
-                const int64_t d = op[nbr[i]] == op[y] ? 1 : -1;
-                counts[1] += d;
-                counts[0] -= d;
-            }
-            op[x] = op[y];
-        }
-
-        const int64_t n = r->n_events++;
-        r->ev_time[n] = r->t;
-        r->ev_target[n] = x;
-        r->ev_source[n] = y;
-        r->ev_feature[n] = -1;
-        r->ev_delta[n] = flipped;
+        if (r->voter)
+            voter_step(r, w);
+        else
+            culture_step(r, w);
     }
     axsim_free(r);
     return AXSIM_DONE;

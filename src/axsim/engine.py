@@ -45,20 +45,20 @@ every replicate's child words (`generate_state(4, np.uint64)`) at once with
 `child_words` and builds each PCG64 from its words (`Seeded`), which skips
 the per-run `SeedSequence` and gives the same streams.
 
-Every run goes through a compiled copy of the loop and its kernel
-(`_ckernel`, `_kernel.c`): the culture kernel for the culture model and the
-CVM's lift, the voter kernel, with F = 1 and census (disagree, agree), for
-the voter model. Each makes the same draws in the same order and so the
-same trajectory, bit for bit. The library is built with the system C
-compiler on the first run or replay of a process and loaded with ctypes.
-Where it cannot be built, the Python kernels run; they are also the oracles
-the compiled loops are tested against, and their twins line for line: the
-culture kernels update a copy of the flat `Configuration.state`, feature i
-of vertex v at v*F + i, and `_Buckets.bump` and `move` are `bump()` and
-`move()` there. Both culture kernels step the attached urn (in Python by
-`urn.urn_move`) after each event, with the same draws from the urn's
-substream, and count its violations of B_0 <= w_0 and beta >= eps as they
-go.
+Every run goes through a compiled copy of the loop and its kernels
+(`_ckernel`, `_kernel.c`): one loop, `axsim_run`, with the culture step for
+the culture model and the CVM's lift and the voter step, with F = 1 and
+census (disagree, agree), for the voter model. Each makes the same draws in
+the same order and so the same trajectory, bit for bit. The library is
+built with the system C compiler on the first run or replay of a process
+and loaded with ctypes. Where it cannot be built, the Python kernels run;
+they are also the oracles the compiled loop is tested against, and its
+twins line for line: the culture kernels update a copy of the flat
+`Configuration.state`, feature i of vertex v at v*F + i, and
+`_Buckets.bump` and `move` are `bump()` and `move()` there. Both culture
+kernels step the attached urn (in Python by `urn.urn_move`) after each
+event, with the same draws from the urn's substream, and count its
+violations of B_0 <= w_0 and beta >= eps as they go.
 """
 from __future__ import annotations
 
@@ -473,7 +473,7 @@ def _culture_kernel(initial: Configuration, uniform, appenders, urn_rng=None) ->
 
 def _voter_kernel(initial, uniform, appenders) -> _Kernel:
     """Each vertex mimics a uniform neighbor at rate 1; every arrival is an
-    event. The twin of `axsim_voter_run` in `_kernel.c`."""
+    event. The twin of `voter_step` in `_kernel.c`."""
     ops = list(initial.opinions)
     topo = initial.topology
     V, E = topo.n_vertices, topo.n_edges
@@ -516,7 +516,7 @@ class _Path(NamedTuple):
 
 def _python_loop(kernel_of, stop: StopRule, rng, times: list) -> _Path:
     """The loop over a Python kernel, `kernel_of(uniform, appenders)`: the
-    compiled loops' oracle, and their fallback where the library cannot be
+    compiled loop's oracle, and its fallback where the library cannot be
     built. `times` are the snapshot times, sorted. A culture kernel steps an
     attached urn itself; the loop hands back what the kernel's `urn` reports."""
     draws = _Draws(rng)
@@ -555,7 +555,7 @@ _ckernel = None  # the `_ckernel` module, once `_kernel_lib` has imported it
 
 @cache
 def _kernel_lib():
-    """The compiled loops and replay (`_ckernel`), built and loaded on the
+    """The compiled loop and replay (`_ckernel`), built and loaded on the
     first call in a process; None where they cannot be, and then the Python
     kernels and replay loop run. `_ckernel` is imported here, so importing
     axsim does not pay for it."""

@@ -14,6 +14,7 @@ parsed row by row with those, which names the first faulty line.
 from __future__ import annotations
 
 import io
+import math
 import os
 import warnings
 from array import array
@@ -257,20 +258,31 @@ def _within(column, n: int, stop: int) -> bool:
 
 def replay(initial, events, model: str, upto: float | None = None):
     """Re-apply recorded events, up to the first one with time > upto;
-    returns the resulting state. `upto` None replays every event; NaN is
-    refused. The state must be one `model` runs on, and
-    each applied event must name vertices, and on a culture state a
-    feature, of that state; otherwise InvalidInput. The events are applied
-    by the compiled loop's `axsim_replay` where it builds, else in Python."""
+    returns the resulting state. `upto` None replays every event; NaN, and
+    an upto that is no real number, are refused. The state must be one
+    `model` runs on, and each applied event must name vertices, and on a
+    culture state a feature, of that state; otherwise InvalidInput. The
+    events are applied by the compiled loop's `axsim_replay` where it
+    builds, else in Python."""
     if not isinstance(model, str) or model not in MODELS:  # a dict key must hash
         raise InvalidInput(f"unknown model {model!r}")
     _check_initial(model, initial)
     ev = EventTable.of(events)
     n = len(ev)
-    if upto != upto:  # NaN, which no event time exceeds
-        raise InvalidInput("upto must be a time or None, got nan")
     if upto is not None:
-        n = next((k for k, t in enumerate(ev.time) if t > upto), n)
+        try:
+            try:
+                cut = float(upto)
+            except OverflowError:  # an int beyond the largest float
+                cut = math.inf if upto > 0 else -math.inf
+            if cut > upto:  # rounded up: a time exceeds upto just when it exceeds the float below
+                cut = math.nextafter(cut, -math.inf)
+        except (TypeError, ValueError):  # no number, or a string that float() reads
+            cut = math.nan
+        if math.isnan(cut):
+            raise InvalidInput(f"upto must be a time or None, got {upto!r}")
+        later = np.frombuffer(ev.time, np.float64) > cut  # rows in file order, sorted or not
+        n = int(later.argmax()) if later.any() else n
     V = initial.topology.n_vertices
     if not (_within(ev.target, n, V) and _within(ev.source, n, V)):
         raise InvalidInput(f"replayed event names a vertex outside 0..{V - 1}")

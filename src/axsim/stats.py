@@ -1,6 +1,7 @@
 """Observables: edge census, domain counts, flip counts."""
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -109,8 +110,11 @@ def flip_count(traj, x: int, window_boundaries) -> list[int]:
 
     Voter/cvm trajectories flag actual changes per event; for the
     two-feature two-state culture model every accepted update of x flips
-    its projected opinion.
+    its projected opinion. x must be a vertex of the run's lattice.
     """
+    V = traj.initial.topology.n_vertices
+    if not (isinstance(x, numbers.Integral) and 0 <= x < V):
+        raise InvalidInput(f"vertex must be an integer in 0..{V - 1}, got {x!r}")
     bounds = list(window_boundaries)
     if len(bounds) < 2 or not all(a <= b for a, b in zip(bounds, bounds[1:])):  # refuses NaN
         raise InvalidInput("window boundaries must be sorted, length >= 2")

@@ -39,6 +39,7 @@ from axsim import (
     run_model,
 )
 from axsim import _ckernel, engine
+from test_events import per_event_replay
 
 
 @pytest.fixture(scope="module")
@@ -464,6 +465,11 @@ def test_replay_refusals_are_the_same_on_both_loops(lib):
         (ops, [UpdateEvent(0.1, 5, 4, -1, 1)], "voter", None),
         (ops, [UpdateEvent(0.1, 0, -1, -1, 1)], "cvm", None),
         (ops, [UpdateEvent(0.1, 0, -1, -1, 1)], "voter", None),
+        (cfg, [ok], "axelrod", "a"),
+        (cfg, [ok], "axelrod", b"x"),
+        (cfg, [ok], "axelrod", "0.1"),
+        (cfg, [], "axelrod", "a"),
+        (ops, [], "voter", 1j),
     ]
     for args in cases:
         messages = []
@@ -472,6 +478,22 @@ def test_replay_refusals_are_the_same_on_both_loops(lib):
                 replay_on(loop, *args)
             messages.append(str(err.value))
         assert messages[0] == messages[1], args
+
+
+def test_replay_cuts_at_the_first_later_row_on_both_loops(lib):
+    """The first row with time > upto ends the replay, on rows out of time
+    order too, and upto is compared exactly: ints between two floats near
+    2**60, where floats lie 256 apart, and ints beyond the largest float."""
+    init = OpinionConfig(Topology("path", 5), (0, 1, 0, 1, 1), (0, 1))
+    big = float(2 ** 60)
+    rows = [UpdateEvent(1.0, 0, 1, -1, 1), UpdateEvent(3.0, 2, 1, -1, 1),
+            UpdateEvent(2.0, 3, 2, -1, 1), UpdateEvent(big, 4, 3, -1, 1),
+            UpdateEvent(math.inf, 1, 2, -1, 1)]
+    for upto in (2.5, 0, 3, 2 ** 60 - 1, 2 ** 60, 2 ** 60 + 1, 10 ** 400, -10 ** 400,
+                 math.inf, -math.inf):
+        want = per_event_replay(init, rows, upto)
+        for loop in (lib, None):
+            assert list(replay_on(loop, init, rows, "voter", upto).opinions) == want, upto
 
 
 def test_import_neither_builds_nor_loads_the_library():

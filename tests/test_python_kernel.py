@@ -1,12 +1,12 @@
-"""The tests that run the culture model or the CVM, again on the Python kernel.
+"""The tests that run a model's laws, again on the Python kernels.
 
 In their own modules they run on the kernel `run_model` picks: the compiled
-loop wherever it builds. Here the loader reports no build, so the same tests
-hold the Python kernel, the compiled loop's oracle and fallback, to the same
-laws. Collected under this module, the tests keep their ids in their own.
-Left out: tests that touch no kernel, voter-only tests (the voter model
-always runs in Python) and the event-table tests that already pin the
-Python kernel.
+loop wherever it builds, for the culture model, the CVM and the voter model
+alike. Here the loader reports no build, so the same tests hold the Python
+kernels, the compiled loop's oracles and fallback, to the same laws.
+Collected under this module, the tests keep their ids in their own. Left
+out: tests that touch no kernel and the event-table tests that already pin
+the Python kernel.
 """
 import pytest
 
@@ -16,6 +16,7 @@ from test_acceptance import (  # noqa: F401
     test_criterion_03_domains_equal_w0_plus_1,
     test_criterion_04_urn_coupling_pathwise,
     test_criterion_06_delta_w_law,
+    test_criterion_07_voter_duality_exact,
     test_criterion_09_lineage_ordering,
     test_criterion_10_clustering_proxy,
     theorem2_runs,
@@ -26,8 +27,10 @@ from test_engine import (  # noqa: F401
     TestExactCvmOracle,
     TestExactKernelOracle,
     TestExactLawAtTime,
+    TestExactVoterLawAtTime,
     TestRunModel,
     TestSeedingAndEvents,
+    TestVoterRun,
 )
 from test_events import TestHandBuiltArrowLogs  # noqa: F401
 from test_urn import TestCoupledInvariants  # noqa: F401

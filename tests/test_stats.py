@@ -197,6 +197,13 @@ class TestFlipCount:
         with pytest.raises(InvalidInput):
             flip_count(traj, 0, windows)
 
+    @pytest.mark.parametrize("x", [10 ** 6, 5, -1, 1.5, "a"])
+    def test_a_vertex_outside_the_lattice_is_refused(self, x):
+        init = OpinionConfig(Topology("path", 5), (0, 1, 0, 1, 1), (0, 1))
+        traj = run_model("voter", init, StopRule(t_max=1.0), 0)
+        with pytest.raises(InvalidInput, match="vertex"):
+            flip_count(traj, x, [0, 1, 3])
+
     def test_voter_keeps_flipping_in_doubling_windows(self):
         # Finite proxy of voter recurrence, desk-scaled: a fixed vertex flips
         # rarely per window, so pool flips across replicates and require every
