@@ -4,8 +4,9 @@
 through `engine._kernel_lib`. `load` builds the C file with the system
 compiler into `__pycache__` next to it, unless that build exists already,
 and loads it with ctypes. `compiled_loop` runs one culture or voter
-trajectory through its one loop, `axsim_run`, as `engine._python_loop` does
-for the same Generator, bit for bit; `replay` re-applies logged events.
+trajectory through the one loop, `axsim_run`; it takes the arguments of its
+twin `engine._python_loop` and hands back the same `_Path` for the same
+Generator, bit for bit. `replay` re-applies logged events.
 """
 from __future__ import annotations
 
@@ -115,10 +116,9 @@ def _bitgen(rng) -> int:
 
 
 def compiled_loop(lib, cfg, stop: StopRule, rng, times: list, urn_rng) -> _Path:
-    """The loop in C, as `_python_loop` over `_culture_kernel(cfg,
-    urn_rng=urn_rng)` for a `Configuration` and over `_voter_kernel(cfg)` for
-    an `OpinionConfig`. It runs on a copy of the state, which becomes the
-    final state."""
+    """`_python_loop(cfg, stop, rng, times, urn_rng)` in C: the culture step
+    for a `Configuration`, the voter step for an `OpinionConfig`. It runs on
+    a copy of the state, which becomes the final state."""
     voter = isinstance(cfg, OpinionConfig)
     if voter:  # one feature: counts are (disagree, agree)
         F, state = 1, array("q", cfg.opinions)

@@ -1,10 +1,10 @@
 /*
- * The run loop, compiled: the same trajectories as the Python kernels in
- * engine.py (`_culture_kernel` and `_voter_kernel` driven by `_python_loop`)
- * for the same Generator, bit for bit, and the replay of a logged run.
- * `_ckernel.py` builds, loads and calls them. One loop, `axsim_run`, runs
- * every model: `voter` picks `culture_step` or `voter_step`. `run_model` runs
- * the CVM as its F=q=2 lift on a doubled clock and maps the results back.
+ * The run loop, compiled: `axsim_run` is the twin of `_python_loop` in
+ * engine.py, step for step, and makes the same trajectories for the same
+ * Generator, bit for bit; `axsim_replay` re-applies a logged run.
+ * `_ckernel.py` builds, loads and calls them. The one loop runs every model:
+ * `voter` picks `culture_step` or `voter_step`, as the state's type does in
+ * Python. `run_model` runs the CVM as its F=q=2 lift on a doubled clock.
  *
  * Identity rests on doing exactly what the Python code does:
  *  - draws: uniforms and Exp(1) variates in separate blocks taken from the end,
@@ -24,10 +24,10 @@
  *    before x+1 (mod V on a cycle; a path end has one neighbour).
  *
  * With `urn_bitgen` set, the culture step also steps the coupled urn after
- * every event, as the Python kernel's `couple` does: the urn's own generator
+ * every event, as `couple` in engine.py does: the urn's own generator
  * picks a nonempty inner box with numpy's bounded-integer fill (what
  * `rng.integers(k)` calls, Lemire's method, unmasked), so the urn's stream,
- * final boxes, potentials and violation counts are those of the Python kernel.
+ * final boxes, potentials and violation counts are those of the Python loop.
  *
  * Call `axsim_run` until it returns AXSIM_DONE. It returns AXSIM_FULL when
  * the event columns are full; the caller grows them, updates the column
@@ -219,8 +219,8 @@ static void couple(struct axsim_run *r, int64_t delta)
     r->urn_pot_viol += B[0] > 0 && r->urn_beta < F * (r->n_edges - w0) - r->urn_W;
 }
 
-/* One culture event, as `_culture_kernel`'s `step` in engine.py: class j
- * with probability j*n_j/S, then uniform within the class. */
+/* One culture event, as `culture_step` in engine.py: class j with
+ * probability j*n_j/S, then uniform within the class. */
 static void culture_step(struct axsim_run *r, struct work *w)
 {
     const int64_t F = r->F, E = r->n_edges, V = r->cycle ? E : E + 1, S = r->total;
@@ -270,7 +270,7 @@ static void culture_step(struct axsim_run *r, struct work *w)
         couple(r, delta);
 }
 
-/* One voter event, as `_voter_kernel`'s `step` in engine.py: F = 1, and
+/* One voter event, as `voter_step` in engine.py: F = 1, and
  * `start` gives counts (disagree, agree); the step reads only the draw
  * blocks of the work area. Vertex x copies a uniform neighbour y, logged
  * with feature -1 and delta 1 where x's opinion flipped, else 0. */

@@ -6,24 +6,24 @@ target copies a uniformly chosen disagreeing feature of the source. This is
 the law of the graphical construction in `propose_and_apply`, where each
 oriented edge proposes at rate 1/2 and a proposal is kept iff its uniform
 feature draw lands in the agreement set; a thinned proposal changes nothing,
-so leaving it out keeps the law. The culture kernel never proposes what it
+so leaving it out keeps the law. The culture step never proposes what it
 would reject (the n-fold way of Bortz, Kalos and Lebowitz, 1975). It keeps
 the edges of weight 1..F-1 in one swap-remove list per weight class and
 tracks S = sum_j j*n_j, so the total rate is S/F and a run is absorbed
 exactly when S == 0. One step picks class j with probability j*n_j/S, then a
 uniform edge in that class, a uniform orientation and a uniform disagreeing
-feature; every step is an accepted event. The CVM runs as this kernel on
+feature; every step is an accepted event. The CVM runs as this step on
 its F=q=2 lift (`cvm_lift`), where an active edge fires at rate 1/2, on a
 doubled clock: `run_model` doubles the times it hands the loop and halves
 those it gets back, which is exact in binary floating point, so each active
 edge fires at rate 1. `run_model` alone knows the lift: it also logs the
 lift's events as opinion events and projects the lift's census counts and
-final state back to opinions. The voter kernel picks a
-uniform vertex and a uniform neighbor at total rate V. One event loop
-(`_python_loop`) draws the waiting times, owns the stop rule and takes the
-raw census counts at the snapshot times it passes; each step appends its
-event through the run's `EventTable` appenders. `run_model` builds the
-snapshots from those counts.
+final state back to opinions. The voter step picks a uniform vertex and a
+uniform neighbor at total rate V, on one feature, with the census
+(disagree, agree). One event loop (`_python_loop`) draws the waiting times,
+owns the stop rule and takes the raw census counts at the snapshot times it
+passes; each step appends its event to the run's `EventTable`. `run_model`
+builds the snapshots from those counts.
 
 Randomness is drawn in blocks. Each run makes one `_Draws` source on its
 trajectory Generator, which refills Python lists from `rng.random(n)` and
@@ -45,20 +45,20 @@ every replicate's child words (`generate_state(4, np.uint64)`) at once with
 `child_words` and builds each PCG64 from its words (`Seeded`), which skips
 the per-run `SeedSequence` and gives the same streams.
 
-Every run goes through a compiled copy of the loop and its kernels
-(`_ckernel`, `_kernel.c`): one loop, `axsim_run`, with the culture step for
-the culture model and the CVM's lift and the voter step, with F = 1 and
-census (disagree, agree), for the voter model. Each makes the same draws in
-the same order and so the same trajectory, bit for bit. The library is
-built with the system C compiler on the first run or replay of a process
-and loaded with ctypes. Where it cannot be built, the Python kernels run;
-they are also the oracles the compiled loop is tested against, and its
-twins line for line: the culture kernels update a copy of the flat
+Every run goes through a compiled copy of the loop (`_ckernel`,
+`_kernel.c`): `axsim_run`, with the culture step for the culture model and
+the CVM's lift and the voter step for the voter model. It makes the same
+draws in the same order and so the same trajectory, bit for bit. The
+library is built with the system C compiler on the first run or replay of a
+process and loaded with ctypes. Where it cannot be built, `_python_loop`
+runs; it is also the oracle the compiled loop is tested against, and its
+twin line for line, with the same arguments and the same `_Path`: it picks
+its step from the state's type, updates a copy of the flat
 `Configuration.state`, feature i of vertex v at v*F + i, and
-`_Buckets.bump` and `move` are `bump()` and `move()` there. Both culture
-kernels step the attached urn (in Python by `urn.urn_move`) after each
-event, with the same draws from the urn's substream, and count its
-violations of B_0 <= w_0 and beta >= eps as they go.
+`_Buckets.bump` and `move` are `bump()` and `move()` there. Both loops step
+the attached urn (in Python by `urn.urn_move`) after each culture event,
+with the same draws from the urn's substream, and count its violations of
+B_0 <= w_0 and beta >= eps as they go.
 """
 from __future__ import annotations
 
@@ -67,8 +67,8 @@ import numbers
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cache, partial
-from typing import Callable, NamedTuple, Sequence
+from functools import cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,7 +104,7 @@ class StopRule:
             raise InvalidInput("stop rule needs at least one bound")
         if self.t_max is not None:
             check_times((self.t_max,), "t_max")
-            # Stored as a float, so both kernels report the same end time.
+            # Stored as a float, so both loops report the same end time.
             object.__setattr__(self, "t_max", float(self.t_max))
         if self.max_events is not None and not (
                 isinstance(self.max_events, numbers.Integral) and self.max_events >= 0):
@@ -122,8 +122,9 @@ def check_times(times, what: str):
             raise InvalidInput(f"{what} must be finite and >= 0, got {t}")
 
 
-def check_run(model, stop: StopRule, snapshot_times, attach_urn: bool):
-    """Raise InvalidInput unless `run_model` takes these arguments."""
+def check_run(model, stop: StopRule, snapshot_times, attach_urn: bool, n_vertices: int):
+    """Raise InvalidInput unless `run_model` takes these arguments on a
+    lattice of `n_vertices` vertices."""
     if not isinstance(model, str) or model not in MODELS:  # a dict key must hash
         raise InvalidInput(f"unknown model {model!r}")
     check_times(snapshot_times, "snapshot times")
@@ -131,6 +132,14 @@ def check_run(model, stop: StopRule, snapshot_times, attach_urn: bool):
         raise InvalidInput(f"snapshot times beyond t_max={stop.t_max}")
     if attach_urn and model != AXELROD:
         raise InvalidInput("urn coupling is defined for the culture model only")
+    # A voter run logs every arrival, at rate V, and goes on after consensus:
+    # more than 2**31 expected events would fill 80 GiB of event columns.
+    if model == VOTER and stop.max_events is None and not stop.stop_on_absorption:
+        expected = n_vertices * stop.t_max  # inf where the product overflows
+        if expected > 2 ** 31:
+            raise InvalidInput(f"a voter run of {n_vertices} vertices to t_max={stop.t_max} "
+                               f"logs about {expected:.3g} events; bound it with max_events or a "
+                               "smaller t_max")
 
 
 @dataclass(frozen=True)
@@ -387,36 +396,49 @@ class _Buckets:
         return self.lists[j][x // j]
 
 
-class _Kernel(NamedTuple):
-    """One model's dynamics, as closures over its private state."""
-    rate: Callable[[], float]  # total event rate; 0 means nothing can change
-    step: Callable[[float], None]  # appends one event at time t
-    census: Callable[[], Sequence[int]]  # edge counts w_0..w_F (opinions: disagree, agree)
-    absorbed: Callable[[], bool]
-    final: Callable[[], object]
-    urn: Callable[[], tuple] | None = None  # the coupled urn's `_Path.urn`, if one is attached
+class _Path(NamedTuple):
+    """What a run loop hands back to `run_model`: raw census counts, the
+    lift's on a CVM run, and the coupled urn when one is attached."""
+    events: EventTable
+    t: float  # the time the loop stopped at
+    counts: Sequence[int]  # at the end
+    snapshots: list  # the counts at each snapshot time the loop passed, in time order
+    absorbed: bool
+    final: object
+    # (B_0..B_F, b_0 > w_0 count, beta < eps count with b_0 > 0, final beta, final W)
+    urn: tuple | None
 
 
-def _culture_kernel(initial: Configuration, uniform, appenders, urn_rng=None) -> _Kernel:
-    """An edge of weight j fires at rate j/F; classes 1..F-1 hold the active edges.
+def _python_loop(cfg, stop: StopRule, rng, times: list, urn_rng) -> _Path:
+    """The run loop in Python, `axsim_run` in `_kernel.c` step for step, with
+    `compiled_loop`'s arguments after `lib`: the compiled loop's oracle, and
+    its fallback where the library cannot be built. `times` are the snapshot
+    times, sorted. A `Configuration` runs the culture step, an `OpinionConfig`
+    the voter step with F = 1, whose counts are (disagree, agree).
 
     Edge e joins vertices e and e+1, taken mod V on a cycle. The target v of
-    an event on edge e has at most one other edge: e-1, with far end v-1,
-    where v == e, and e+1, with far end v+1, otherwise; both wrap on a cycle,
-    and on a path the edge exists only inside 0..E-1.
-
-    With `urn_rng`, the kernel also steps the coupled urn on that Generator
-    after every event (`couple`).
+    a culture event on edge e has at most one other edge: e-1, with far end
+    v-1, where v == e, and e+1, with far end v+1, otherwise; both wrap on a
+    cycle, and on a path the edge exists only inside 0..E-1. With `urn_rng`,
+    the culture step also steps the coupled urn on that Generator after
+    every event (`couple`).
     """
-    F = initial.params.F
-    state = initial.state.tolist()  # feature i of vertex v is state[v*F + i]
-    topo = initial.topology
+    voter = isinstance(cfg, OpinionConfig)
+    if voter:
+        F, state = 1, list(cfg.opinions)
+    else:
+        F, state = cfg.params.F, cfg.state.tolist()  # feature i of vertex v at v*F + i
+    topo = cfg.topology
     V, E, cycle = topo.n_vertices, topo.n_edges, topo.kind == "cycle"
-    buckets = _Buckets(edge_weights(initial).tolist(), F)
+    buckets = _Buckets(edge_weights(cfg).tolist(), F)
     pick, bump, counts = buckets.pick, buckets.bump, buckets.counts
-    add_time, add_target, add_source, add_feature, add_delta = appenders
+    draws = _Draws(rng)
+    uniform, exponential = draws.uniform, draws.exponential
+    events = EventTable()
+    add_time, add_target, add_source, add_feature, add_delta = events.appenders()
 
-    def step(t):
+    def culture_step(t):
+        """One culture event, as `culture_step` in `_kernel.c`."""
         e = pick(uniform())
         a, b = e, (e + 1) % V
         u, v = (a, b) if uniform() < 0.5 else (b, a)
@@ -441,10 +463,31 @@ def _culture_kernel(initial: Configuration, uniform, appenders, urn_rng=None) ->
         add_source(u)
         add_feature(feat)
         add_delta(delta)
-        if couple is not None:
+        if urn_rng is not None:
             couple(delta)
 
-    couple = urn = None
+    nbrs = [topo.neighbors(x) for x in range(V)] if voter else None
+
+    def voter_step(t):
+        """One voter event, as `voter_step` in `_kernel.c`: vertex x copies a
+        uniform neighbour y, logged with feature -1 and delta 1 where x's
+        opinion flipped, else 0."""
+        x = int(uniform() * V)
+        nx = nbrs[x]
+        y = nx[int(uniform() * len(nx))]
+        flipped = int(state[x] != state[y])
+        if flipped:
+            for z in nx:
+                d = 1 if state[z] == state[y] else -1
+                counts[1] += d
+                counts[0] -= d
+            state[x] = state[y]
+        add_time(t)
+        add_target(x)
+        add_source(y)
+        add_feature(-1)
+        add_delta(flipped)
+
     if urn_rng is not None:  # as `urn_init`: B_j = w_j
         boxes = list(counts)
         W = sum(j * counts[j] for j in range(1, F + 1))
@@ -463,67 +506,7 @@ def _culture_kernel(initial: Configuration, uniform, appenders, urn_rng=None) ->
             b0_viol += boxes[0] > w0
             pot_viol += boxes[0] > 0 and beta < F * (E - w0) - W
 
-        def urn():
-            return tuple(boxes), b0_viol, pot_viol, beta, W
-
-    return _Kernel(lambda: buckets.total / F, step, lambda: counts,
-                   lambda: buckets.total == 0,
-                   lambda: Configuration._of(topo, initial.params, array("q", state)), urn)
-
-
-def _voter_kernel(initial, uniform, appenders) -> _Kernel:
-    """Each vertex mimics a uniform neighbor at rate 1; every arrival is an
-    event. The twin of `voter_step` in `_kernel.c`."""
-    ops = list(initial.opinions)
-    topo = initial.topology
-    V, E = topo.n_vertices, topo.n_edges
-    agree = int(edge_weights(initial).sum())
-    nbrs = [topo.neighbors(x) for x in range(V)]
-    add_time, add_target, add_source, add_feature, add_delta = appenders
-
-    def step(t):
-        nonlocal agree
-        x = int(uniform() * V)
-        nx = nbrs[x]
-        y = nx[int(uniform() * len(nx))]
-        flipped = int(ops[x] != ops[y])
-        if flipped:
-            for z in nx:
-                agree += 1 if ops[z] == ops[y] else -1
-            ops[x] = ops[y]
-        add_time(t)
-        add_target(x)
-        add_source(y)
-        add_feature(-1)
-        add_delta(flipped)
-
-    return _Kernel(lambda: V, step, lambda: (E - agree, agree), lambda: agree == E,
-                   lambda: OpinionConfig(topo, tuple(ops), initial.alphabet))
-
-
-class _Path(NamedTuple):
-    """What a run loop hands back to `run_model`: raw kernel census counts,
-    the lift's on a CVM run, and the coupled urn when one is attached."""
-    events: EventTable
-    t: float  # the time the loop stopped at
-    counts: Sequence[int]  # at the end
-    snapshots: list  # the counts at each snapshot time the loop passed, in time order
-    absorbed: bool
-    final: object
-    # (B_0..B_F, b_0 > w_0 count, beta < eps count with b_0 > 0, final beta, final W)
-    urn: tuple | None
-
-
-def _python_loop(kernel_of, stop: StopRule, rng, times: list) -> _Path:
-    """The loop over a Python kernel, `kernel_of(uniform, appenders)`: the
-    compiled loop's oracle, and its fallback where the library cannot be
-    built. `times` are the snapshot times, sorted. A culture kernel steps an
-    attached urn itself; the loop hands back what the kernel's `urn` reports."""
-    draws = _Draws(rng)
-    events = EventTable()
-    kernel = kernel_of(draws.uniform, events.appenders())
-    rate, step, census, absorbed = kernel.rate, kernel.step, kernel.census, kernel.absorbed
-    exponential = draws.exponential
+    step = voter_step if voter else culture_step
     snapshots = []
     pending = times + [math.inf]
     next_snap = pending[0]
@@ -534,20 +517,25 @@ def _python_loop(kernel_of, stop: StopRule, rng, times: list) -> _Path:
     until_absorbed = stop.stop_on_absorption
 
     while True:
-        r = rate()
-        if r == 0 or len(recorded) >= max_events or (until_absorbed and absorbed()):
+        rate = V if voter else buckets.total / F
+        if rate == 0 or len(recorded) >= max_events or (
+                until_absorbed and (counts[0] == 0 if voter else buckets.total == 0)):
             break
-        t_next = t + exponential() / r
+        t_next = t + exponential() / rate
         if t_next > t_max:
             t = t_max
             break
         t = t_next
         while t >= next_snap:  # left limit: the counts before the event at t
-            snapshots.append(tuple(census()))
+            snapshots.append(tuple(counts))
             next_snap = pending[len(snapshots)]
         step(t)
-    return _Path(events, t, tuple(census()), snapshots, absorbed(), kernel.final(),
-                 kernel.urn and kernel.urn())
+    if voter:
+        final, absorbed = OpinionConfig(topo, tuple(state), cfg.alphabet), counts[0] == 0
+    else:
+        final, absorbed = Configuration._of(topo, cfg.params, array("q", state)), buckets.total == 0
+    urn = None if urn_rng is None else (tuple(boxes), b0_viol, pot_viol, beta, W)
+    return _Path(events, t, tuple(counts), snapshots, absorbed, final, urn)
 
 
 _ckernel = None  # the `_ckernel` module, once `_kernel_lib` has imported it
@@ -557,7 +545,7 @@ _ckernel = None  # the `_ckernel` module, once `_kernel_lib` has imported it
 def _kernel_lib():
     """The compiled loop and replay (`_ckernel`), built and loaded on the
     first call in a process; None where they cannot be, and then the Python
-    kernels and replay loop run. `_ckernel` is imported here, so importing
+    run and replay loops run. `_ckernel` is imported here, so importing
     axsim does not pay for it."""
     global _ckernel
     from . import _ckernel
@@ -587,7 +575,7 @@ def run_model(model, initial, stop: StopRule, seed: int | Seeded, snapshot_times
     is an integer >= 0, or a `Seeded`, whose words give the same Generators
     as its seed (the trajectory records the seed).
     `snapshot_times` record the state just before each requested time;
-    under a `t_max` none may lie beyond it. The model's kernel makes the
+    under a `t_max` none may lie beyond it. The model's step makes the
     events; the loop draws the waiting times and owns the stop rule. A run
     stops once the rate is 0, and on absorption only under
     `stop_on_absorption` (the voter model keeps logging arrivals after
@@ -599,12 +587,14 @@ def run_model(model, initial, stop: StopRule, seed: int | Seeded, snapshot_times
     loop, and maps the lift's events, census, snapshots and final state back
     to the CVM (see the module docstring).
     """
-    check_run(model, stop, snapshot_times, attach_urn)
     plain = seed.seed if isinstance(seed, Seeded) else seed
     check_seed(plain)
     rng, urn_rng = _rng_pair(seed, attach_urn)
     if callable(initial):
         initial = initial(rng)
+    # The vertex count is known only now; `_check_initial` refuses a state of no known type.
+    V = initial.topology.n_vertices if isinstance(initial, (Configuration, OpinionConfig)) else 0
+    check_run(model, stop, snapshot_times, attach_urn, V)
     _check_initial(model, initial)
     times = sorted(snapshot_times)
     cfg, loop_stop, loop_times = initial, stop, times
@@ -613,12 +603,10 @@ def run_model(model, initial, stop: StopRule, seed: int | Seeded, snapshot_times
         t_max = 2 * stop.t_max if stop.t_max is not None else math.inf
         loop_stop = StopRule(t_max if t_max < math.inf else None, stop.max_events, True)
     lib = _kernel_lib()
-    if lib is not None:
-        path = _ckernel.compiled_loop(lib, cfg, loop_stop, rng, loop_times, urn_rng)
+    if lib is None:
+        path = _python_loop(cfg, loop_stop, rng, loop_times, urn_rng)
     else:
-        kernel = (partial(_voter_kernel, cfg) if model == VOTER
-                  else partial(_culture_kernel, cfg, urn_rng=urn_rng))
-        path = _python_loop(kernel, loop_stop, rng, loop_times)
+        path = _ckernel.compiled_loop(lib, cfg, loop_stop, rng, loop_times, urn_rng)
 
     final, counts, taken, end_time = path.final, path.counts, path.snapshots, path.t
     if model == CVM:  # opinion events and census, (w_0 + w_1, w_2) of the lift's

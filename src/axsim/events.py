@@ -60,7 +60,7 @@ class EventTable:
         return (self.time, self.target, self.source, self.copied_feature, self.delta_w)
 
     def appenders(self) -> tuple:
-        """The columns' bound `append`s, in column order: a kernel calls them
+        """The columns' bound `append`s, in column order: a run loop calls them
         per event without the cost of a method call of its own."""
         return (self.time.append, self.target.append, self.source.append,
                 self.copied_feature.append, self.delta_w.append)

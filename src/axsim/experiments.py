@@ -88,8 +88,9 @@ class ExperimentConfig:
         moved_F_or_q = (self.F, self.q) != (defaults["F"], defaults["q"])
         if self.kind == "simulate":
             ModelParams(self.F, self.q)
-            self.make_topology()
-            check_run(self.model, self.stop_rule(), self.snapshot_times, self.attach_urn)
+            topo = self.make_topology()
+            check_run(self.model, self.stop_rule(), self.snapshot_times, self.attach_urn,
+                      topo.n_vertices)
             if self.model != AXELROD and moved_F_or_q:
                 raise InvalidInput(f"{self.model} takes no F or q")
             if self.max_events is not None and self.snapshot_times:
@@ -244,21 +245,20 @@ def _map_replicates(fn, config: ExperimentConfig):
 
     The shared setup is built first; then replicate 0 runs here and is
     timed. Replicates 1..n-1 split into contiguous tasks, at most one per
-    worker. When they make two tasks or more and replicate 0's time, times
-    their number, exceeds POOL_BREAK_EVEN_S, a pool of one worker per task
-    but the first runs the others while this process runs the first.
+    worker. They run here too, after replicate 0, unless they make two tasks
+    or more and replicate 0's time, times their number, exceeds
+    POOL_BREAK_EVEN_S; then a pool of one worker per task but the first runs
+    the others while this process runs the first.
     """
     n = config.replicates
     seeds = replicate_seeds(config.master_seed, n)
     seeds = list(map(Seeded, seeds, child_words(seeds, 1 + config.attach_urn)))
     chunk = max(1, -(-(n - 1) // min(config.workers, n, os.cpu_count() or 1)))
     tasks = -(-(n - 1) // chunk)
-    if tasks <= 1:
-        return [fn(config, r, seed) for r, seed in enumerate(seeds)]
     config.setup  # built before the clock starts, so replicate 0 takes a steady time
     start = perf_counter()
     rows = [fn(config, 0, seeds[0])]
-    if (perf_counter() - start) * (n - 1) <= POOL_BREAK_EVEN_S:
+    if tasks <= 1 or (perf_counter() - start) * (n - 1) <= POOL_BREAK_EVEN_S:
         return rows + [fn(config, r, seeds[r]) for r in range(1, n)]
     from concurrent.futures import ProcessPoolExecutor  # imported only when a pool starts
     mine = chunk + 1  # replicate 0 and the first task

@@ -171,6 +171,16 @@ class TestValidation:
         assert code == 2
         assert "t_max" in err and not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("simulate", "--model", "voter", "--N", "10", "--t-max", "1e9"),
+        ("duality-check", "--topology", "cycle", "--N", "16", "--t", "1e9")])
+    def test_voter_run_that_never_stops_returns_2(self, capsys, tmp_path, argv):
+        # About 1e10 arrivals: 400 GB of event columns.
+        out = tmp_path / "out"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2
+        assert "max_events" in err and stdout == "" and not out.exists()
+
     def test_snapshots_with_max_events_return_2(self, capsys, tmp_path):
         out = tmp_path / "out"
         code, _, err = run_cli(capsys, "simulate", "--N", "10", "--max-events", "3",

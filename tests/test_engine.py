@@ -8,7 +8,6 @@ import pytest
 
 from axsim import (
     Configuration,
-    EventTable,
     ExperimentConfig,
     GraphicalDraw,
     InvalidInput,
@@ -28,8 +27,9 @@ from axsim import (
     voter_projection,
 )
 from axsim.core import cvm_lift
-from axsim.engine import Seeded, _culture_kernel, _rng_pair, child_words, replicate_seeds
+from axsim.engine import Seeded, _Buckets, _rng_pair, child_words, replicate_seeds
 from axsim.logio import replay
+from axsim.stats import edge_weights
 
 
 def make_cfg(kind, cultures, F, q):
@@ -206,8 +206,7 @@ class TestExactCvmOracle:
         assert {ops[a] * ops[b] for a, b in init.topology.edges()} == {-1, 0, 1}
         n_active = len(active)
         # On the lift an active edge has weight 1 of F=2, so rate 1/2 ...
-        lift = _culture_kernel(cvm_lift(init), None, EventTable().appenders())
-        assert lift.rate() == n_active / 2
+        assert _Buckets(edge_weights(cvm_lift(init)).tolist(), 2).total / 2 == n_active / 2
         # Every active edge fires at rate 1, in a uniform orientation.
         law = {(x, y, -1, 1): 1 / (2 * n_active) for a, b in active for x, y in ((a, b), (b, a))}
         n = self.RUNS
@@ -569,6 +568,9 @@ class TestOneRunCheck:
         "snapshot beyond t_max": dict(t_max=1.0, snapshot_times=(0.5, 2.0)),
         "urn on voter": dict(model="voter", t_max=1.0, attach_urn=True),
         "urn on cvm": dict(model="cvm", t_max=1.0, attach_urn=True),
+        # 7 vertices: about 7e9 arrivals, and an infinite product at 1e308.
+        "voter run that never stops": dict(model="voter", t_max=1e9),
+        "voter run to 1e308": dict(model="voter", t_max=1e308),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -582,6 +584,20 @@ class TestOneRunCheck:
             config.model, initial, config.stop_rule(), 0, snapshot_times=config.snapshot_times,
             attach_urn=config.attach_urn))
         assert _error(config.validate) == from_run
+
+    def test_voter_runs_expected_to_log_more_than_2_31_events_are_refused(self):
+        """The refusal names max_events; at 2**31 expected events, or with
+        max_events or consensus to stop it, a voter run is taken."""
+        def voter(**kwargs):  # a cycle of 8 vertices
+            return ExperimentConfig(kind="simulate", model="voter", topology="cycle", N=8,
+                                    **kwargs)
+        voter(t_max=2.0 ** 28).validate()
+        assert "max_events" in _error(voter(t_max=math.nextafter(2.0 ** 28, 3e8)).validate)
+        voter(t_max=1e308, max_events=10).validate()
+        init = OpinionConfig(Topology("cycle", 8), (0, 1) * 4, (0, 1))
+        for stop in (StopRule(t_max=1e308, max_events=10),
+                     StopRule(t_max=1e308, stop_on_absorption=True)):
+            assert run_model("voter", init, stop, 3).end_time < 1e308
 
 
 def _z(xs, ys) -> float:

@@ -25,9 +25,9 @@ from axsim import engine
 
 
 def run_with_rows(monkeypatch, model, urn, seed):
-    """A run, and its events as the kernel passed them on, one UpdateEvent each.
+    """A run, and its events as the loop passed them on, one UpdateEvent each.
 
-    The run is on the Python kernel, the one that passes events on through
+    The run is on the Python loop, the one that passes events on through
     the table's appenders; the compiled loop writes the columns itself and is
     held to the same table by `test_kernels.py`.
     """

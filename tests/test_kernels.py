@@ -1,11 +1,12 @@
-"""The compiled loops against the Python kernels, and how they are built.
+"""The compiled loops against the Python ones, and how they are built.
 
 `run_model` runs the culture model, the CVM and the voter model through the
 compiled loops wherever they build, and `replay` re-applies logged events
-there. The Python kernels and replay loop are their oracles: both must give
+there. The Python run and replay loops are their oracles: both must give
 the same trajectory, bit for bit, for every seed, stop rule, snapshot set and
 urn, and the same replayed state.
 """
+import ast
 import ctypes
 import dataclasses
 import hashlib
@@ -51,7 +52,7 @@ def lib():
 
 
 def run_on(lib, *args, **kwargs):
-    """`run_model` with the loader returning `lib`; None selects the Python kernel.
+    """`run_model` with the loader returning `lib`; None selects the Python loop.
 
     With a library, the run must also have gone through the compiled loop
     and not fallen back."""
@@ -185,7 +186,7 @@ def test_same_voter_trajectory_on_both_kernels(lib, kind, size):
 
 
 def test_int_t_max_gives_the_same_trajectory(lib):
-    """An int `t_max` is stored as the float bound, so both kernels end at 1.0."""
+    """An int `t_max` is stored as the float bound, so both loops end at 1.0."""
     for kind, size, seed in (("path", 60, 0), ("path", 2, 3), ("cycle", 3, 1)):
         cfg = random_config(ModelParams(3, 12), Topology(kind, size), seed)
         runs = [run_on(loop, "axelrod", cfg, StopRule(t_max=t), seed, snapshot_times=(0.5,))
@@ -263,6 +264,7 @@ def test_urn_potential_and_agreement_match_the_final_state(request, loop):
     carries neither, so a drifting beta that only over-estimates (and so
     never adds a violation) shows only here."""
     lib = request.getfixturevalue("lib") if loop == "compiled" else None
+    run = engine._python_loop if lib is None else partial(_ckernel.compiled_loop, lib)
     checked = 0
     for case in [c for c in CASES if c != "cvm"]:
         F = case[0]
@@ -271,16 +273,57 @@ def test_urn_potential_and_agreement_match_the_final_state(request, loop):
                 _, cfg = initial(case, kind, seed)
                 for stop in STOPS.values():
                     rng, urn_rng = engine._rng_pair(seed, True)
-                    if lib is None:
-                        kernel = partial(engine._culture_kernel, cfg, urn_rng=urn_rng)
-                        path = engine._python_loop(kernel, stop, rng, [])
-                    else:
-                        path = _ckernel.compiled_loop(lib, cfg, stop, rng, [], urn_rng)
+                    path = run(cfg, stop, rng, [], urn_rng)
                     boxes, _, _, beta, W = path.urn
                     assert beta == sum((F - j) * boxes[j] for j in range(1, F + 1))
                     assert W == edge_census(path.final).total_agreement
                     checked += any(d == 2 for d in path.events.delta_w)
     assert checked > 100  # most runs moved the urn
+
+
+LOOP_GRID = ([(case, kind, size) for case in CASES
+              for kind, size in (("path", VERTICES), ("cycle", VERTICES), ("path", 2), ("cycle", 3))]
+             + [("voter", kind, size) for kind, size in VOTER_LATTICES])
+
+
+@pytest.mark.parametrize("case,kind,size", LOOP_GRID, ids=str)
+def test_both_loops_hand_back_the_same_path(lib, case, kind, size):
+    """`_python_loop` and `compiled_loop` take the same arguments and hand back
+    equal `_Path`s, field for field, on the culture model, the CVM's lift and
+    the voter model, with and without snapshots and the urn. This holds what
+    `run_model` drops or rewrites too: the raw stop time of a run that
+    absorbed under a t_max, the snapshots before padding, and the urn's beta
+    and W."""
+    loops = (partial(_ckernel.compiled_loop, lib), engine._python_loop)
+    early = 0
+    for seed, stop in itertools.product(SEEDS[:1] if case == "voter" else SEEDS[:4],
+                                        STOPS.values()):
+        if case == "voter":
+            cfg = voter_initial(kind, size, seed)
+        else:
+            cfg = initial(case, kind, seed, size)[1]
+        if case == "cvm":  # the lift, with the stop rule `run_model` hands the loops
+            cfg = engine.cvm_lift(cfg)
+            stop = StopRule(stop.t_max and 2 * stop.t_max, stop.max_events, True)
+        plain = loops[0](cfg, stop, engine._rng_pair(seed, False)[0], [], None)
+        times = plain.events.time
+        limit = stop.t_max if stop.t_max is not None else 3.0
+        at_event = [times[len(times) // 2]] if times else []
+        for snaps in ([], sorted([0.0, 0.4, limit] + at_event)):
+            for urn in URNS if isinstance(cfg, Configuration) else URNS[:1]:
+                paths = []
+                for loop in loops:
+                    rng, urn_rng = engine._rng_pair(seed, urn)
+                    paths.append(loop(cfg, stop, rng, snaps, urn_rng))
+                got, want = paths
+                where = (case, kind, size, seed, stop, snaps, urn)
+                assert [c.tobytes() for c in got.events.columns()] == [
+                    c.tobytes() for c in want.events.columns()], where
+                for name in engine._Path._fields[1:]:
+                    assert repr(getattr(got, name)) == repr(getattr(want, name)), (name, where)
+                assert (got.urn is not None) == urn
+                early += got.absorbed and stop.t_max is not None and got.t < stop.t_max
+    assert early or case == "voter"  # a voter run never absorbs
 
 
 def _c_struct_fields(source: str, name: str) -> list:
@@ -313,6 +356,41 @@ def test_run_struct_matches_its_ctypes_mirror():
     assert len(fields) > 20
     used = set(re.findall(r"\br->(\w+)", source))
     assert [name for name, _ in fields if name not in used] == []
+
+
+def _defined_names(module) -> set:
+    """The classes and functions `module` defines at any depth, by name, and
+    each class's own functions as `Class.name` too."""
+    with open(module.__file__) as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(f"{node.name}.{item.name}" for item in node.body
+                         if isinstance(item, ast.FunctionDef))
+    return names
+
+
+def test_twins_cited_in_engine_exist():
+    """Every `name` the comments of `_kernel.c` cite as in engine.py, as in
+    "`a` and `b` in engine.py" or "in engine.py (`a`, `b`)", is a class or
+    function engine.py defines, and every `engine.name` that `_ckernel.py`
+    cites is an attribute of `engine`: a renamed twin fails here by name."""
+    with open(_ckernel._KERNEL_C) as fh:
+        source = fh.read()
+    comments = " ".join(re.sub(r"\s+", " ", re.sub(r"\n\s*\*", " ", c))
+                        for c in re.findall(r"/\*(.*?)\*/", source, re.S))
+    cited = re.findall(r"((?:`[\w.]+`(?:'s|,| and| or| of)? )+)in engine\.py", comments)
+    cited += re.findall(r"in engine\.py \(([^)]*)\)", comments)
+    names = {name for group in cited for name in re.findall(r"`([\w.]+)`", group)}
+    assert {"_python_loop", "culture_step", "voter_step", "couple", "_Buckets.bump"} <= names
+    assert sorted(names - _defined_names(engine)) == []
+    with open(_ckernel.__file__) as fh:
+        attributes = set(re.findall(r"`engine\.(\w+)`", fh.read()))
+    assert "_python_loop" in attributes
+    assert [name for name in sorted(attributes) if not hasattr(engine, name)] == []
 
 
 SANITIZE = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=all",

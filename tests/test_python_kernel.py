@@ -1,12 +1,12 @@
-"""The tests that run a model's laws, again on the Python kernels.
+"""The tests that run a model's laws, again on the Python loop.
 
-In their own modules they run on the kernel `run_model` picks: the compiled
+In their own modules they run on the loop `run_model` picks: the compiled
 loop wherever it builds, for the culture model, the CVM and the voter model
 alike. Here the loader reports no build, so the same tests hold the Python
-kernels, the compiled loop's oracles and fallback, to the same laws.
+loop, the compiled loop's oracle and fallback, to the same laws.
 Collected under this module, the tests keep their ids in their own. Left
-out: tests that touch no kernel and the event-table tests that already pin
-the Python kernel.
+out: tests that touch no run loop and the event-table tests that already pin
+the Python loop.
 """
 import pytest
 

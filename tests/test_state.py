@@ -1,5 +1,5 @@
 """The columnar culture state: `Configuration.state` is one row-major int64
-array from the draw, through both kernels, to the event log and back.
+array from the draw, through both loops, to the event log and back.
 
 `Configuration` must behave as the frozen dataclass of per-vertex tuples it
 replaced (equality, hash, repr, pickling, no assignment), whichever way a

@@ -68,7 +68,7 @@ class TestCoupledStep:
 
 class TestUrnMove:
     """The one statement of the coupled urn's move, which `urn_coupled_step`
-    and the Python kernel's `couple` both call."""
+    and the Python loop's `couple` both call."""
 
     @pytest.mark.parametrize("F", [1, 2, 3, 4])
     def test_returns_the_change_in_beta(self, F):
