@@ -19,7 +19,7 @@ from array import array
 
 import numpy as np
 
-from .core import Configuration, OpinionConfig
+from .core import OpinionConfig
 from .engine import StopRule, _Path
 from .events import EventTable
 
@@ -118,13 +118,11 @@ def _bitgen(rng) -> int:
 def compiled_loop(lib, cfg, stop: StopRule, rng, times: list, urn_rng) -> _Path:
     """`_python_loop(cfg, stop, rng, times, urn_rng)` in C: the culture step
     for a `Configuration`, the voter step for an `OpinionConfig`. It runs on
-    a copy of the state, which becomes the final state."""
+    a copy of `cfg.state`, F values a vertex, which `cfg._with` makes the
+    final state."""
     voter = isinstance(cfg, OpinionConfig)
-    if voter:  # one feature: counts are (disagree, agree)
-        F, state = 1, array("q", cfg.opinions)
-    else:
-        F, state = cfg.params.F, cfg.state[:]
-    topo = cfg.topology
+    topo, state = cfg.topology, cfg.state[:]
+    F = len(state) // topo.n_vertices  # 1 on opinions: counts are (disagree, agree)
     snap_time = array("d", times)
     snap_counts = array("q", bytes(8 * len(times) * (F + 1)))
     counts = array("q", bytes(8 * (F + 1)))
@@ -157,13 +155,10 @@ def compiled_loop(lib, cfg, stop: StopRule, rng, times: list, urn_rng) -> _Path:
         del col[run.n_events:]
     width = F + 1
     snapshots = [tuple(snap_counts[k * width:(k + 1) * width]) for k in range(run.n_snap_done)]
-    if voter:
-        final, absorbed = OpinionConfig(topo, tuple(state), cfg.alphabet), counts[0] == 0
-    else:
-        final, absorbed = Configuration._of(topo, cfg.params, state), run.total == 0
+    absorbed = counts[0] == 0 if voter else run.total == 0
     urn = None if urn_rng is None else (tuple(urn_boxes), run.urn_b0_viol, run.urn_pot_viol,
                                         run.urn_beta, run.urn_W)
-    return _Path(events, run.t, tuple(counts), snapshots, absorbed, final, urn)
+    return _Path(events, run.t, tuple(counts), snapshots, absorbed, cfg._with(state), urn)
 
 
 def replay(lib, state: array, F: int, events: EventTable, n: int, features: bool):

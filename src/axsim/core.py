@@ -144,6 +144,10 @@ class Configuration:
         cfg.__dict__.update(topology=topology, params=params, state=state)
         return cfg
 
+    def _with(self, state: array) -> Configuration:
+        """The same lattice and params holding `state`, as `_of` takes it."""
+        return self._of(self.topology, self.params, state)
+
     @cached_property
     def cultures(self) -> tuple:
         """One Culture, a tuple of Python ints, per vertex."""
@@ -161,28 +165,57 @@ VOTER_ALPHABET = (0, 1)
 CVM_ALPHABET = (-1, 0, 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class OpinionConfig:
-    """An opinion per vertex. Integers of other types (numpy ints, bools) are
-    stored as Python ints; anything that is no integer is refused."""
+    """An opinion per vertex in `state`, a `Configuration.state` with F = 1, and
+    a value as `Configuration` is. The constructor checks each opinion, `_of`
+    nothing. `opinions`, a tuple of Python ints, is built on first use and cached."""
     topology: Topology
-    opinions: tuple
+    state: array  # the opinion of vertex v is state[v]
     alphabet: tuple = VOTER_ALPHABET
 
-    def __post_init__(self):
-        if len(self.opinions) != self.topology.n_vertices:
+    def __init__(self, topology: Topology, opinions, alphabet: tuple = VOTER_ALPHABET):
+        if len(opinions) != topology.n_vertices:
             raise InvalidInput("one opinion per vertex required")
-        allowed = set(self.alphabet)
+        allowed = set(alphabet)
         # Bulk test first; a float equal to an opinion (0.0 == 0) fails only
         # the type test. The loop finds the first fault and words its error.
-        if {int}.issuperset(map(type, self.opinions)) and allowed.issuperset(self.opinions):
-            return
-        for o in self.opinions:
+        plain = {int}.issuperset(map(type, opinions)) and allowed.issuperset(opinions)
+        for o in () if plain else opinions:
             if not isinstance(o, numbers.Integral):
                 raise InvalidInput(f"opinion {o!r} is not an integer")
             if o not in allowed:
-                raise InvalidInput(f"opinion {o} outside alphabet {self.alphabet}")
-        object.__setattr__(self, "opinions", tuple(map(int, self.opinions)))
+                raise InvalidInput(f"opinion {o} outside alphabet {alphabet}")
+        try:  # from an iterator, since `array` would read a bytes object as raw int64s
+            state = array("q", iter(opinions))
+        except OverflowError:  # only an alphabet beyond int64 lets one through
+            raise InvalidInput(f"opinions must fit int64s, got alphabet {alphabet}") from None
+        self.__dict__.update(topology=topology, state=state, alphabet=alphabet)
+        if plain and type(opinions) is tuple:  # already the `opinions` view: kept as given
+            self.__dict__["opinions"] = opinions
+
+    @classmethod
+    def _of(cls, topology: Topology, state: array, alphabet: tuple) -> OpinionConfig:
+        """The opinions `state`, which the program made. Nothing is checked or copied."""
+        cfg = cls.__new__(cls)
+        cfg.__dict__.update(topology=topology, state=state, alphabet=alphabet)
+        return cfg
+
+    def _with(self, state: array) -> OpinionConfig:
+        """The same lattice and alphabet holding `state`, as `_of` takes it."""
+        return self._of(self.topology, state, self.alphabet)
+
+    @cached_property
+    def opinions(self) -> tuple:
+        """The opinions as a tuple of Python ints."""
+        return tuple(self.state)
+
+    def __hash__(self):
+        return hash((self.topology, self.state.tobytes(), self.alphabet))
+
+    def __repr__(self):
+        return (f"OpinionConfig(topology={self.topology!r}, opinions={self.opinions!r}, "
+                f"alphabet={self.alphabet!r})")
 
 
 def voter_projection(cfg: Configuration) -> OpinionConfig:
@@ -194,8 +227,8 @@ def voter_projection(cfg: Configuration) -> OpinionConfig:
     if cfg.params.F != 2 or cfg.params.q != 2:
         raise UnsupportedProjection("voter projection requires F = q = 2")
     s = cfg.state
-    return OpinionConfig(cfg.topology, tuple(map(abs, map(operator.sub, s[::2], s[1::2]))),
-                         VOTER_ALPHABET)
+    opinions = array("q", map(abs, map(operator.sub, s[::2], s[1::2])))
+    return OpinionConfig._of(cfg.topology, opinions, VOTER_ALPHABET)
 
 
 _CVM_MAP = {(0, 0): 0, (1, 1): 0, (0, 1): 1, (1, 0): -1}
@@ -211,8 +244,8 @@ def cvm_projection(cfg: Configuration) -> OpinionConfig:
     if cfg.params.F != 2 or cfg.params.q != 2:
         raise UnsupportedProjection("cvm projection requires F = q = 2")
     s = cfg.state
-    return OpinionConfig(cfg.topology, tuple(map(_CVM_MAP.__getitem__, zip(s[::2], s[1::2]))),
-                         CVM_ALPHABET)
+    opinions = array("q", map(_CVM_MAP.__getitem__, zip(s[::2], s[1::2])))
+    return OpinionConfig._of(cfg.topology, opinions, CVM_ALPHABET)
 
 
 def cvm_lift(cfg: OpinionConfig) -> Configuration:
@@ -221,7 +254,7 @@ def cvm_lift(cfg: OpinionConfig) -> Configuration:
     Every centrist lifts to (0,0), so a (1,1) culture never arises: the only
     edge that could make one, (0,1)-(1,0), shares no feature and never fires.
     """
-    state = array("q", chain.from_iterable(map(_CVM_LIFT.__getitem__, cfg.opinions)))
+    state = array("q", chain.from_iterable(map(_CVM_LIFT.__getitem__, cfg.state)))
     return Configuration._of(cfg.topology, ModelParams(2, 2), state)
 
 
@@ -248,10 +281,15 @@ def random_config(params: ModelParams, topology: Topology, seed) -> Configuratio
 
 
 def random_opinions(topology: Topology, alphabet: tuple, seed) -> OpinionConfig:
-    """Every opinion i.i.d. uniform on `alphabet`, consecutive integers such
-    as `VOTER_ALPHABET` or `CVM_ALPHABET`, drawn from `seed` as in `random_config`."""
-    draw = as_generator(seed).integers(alphabet[0], alphabet[-1] + 1, topology.n_vertices)
-    return OpinionConfig(topology, tuple(draw.tolist()), alphabet)
+    """Every opinion i.i.d. uniform on `alphabet`, a non-empty run of ascending
+    consecutive int64 integers such as `VOTER_ALPHABET` or `CVM_ALPHABET`
+    (InvalidInput otherwise), drawn from `seed` as in `random_config`."""
+    if not (len(alphabet) and all(map(is_int, alphabet)) and -2 ** 63 <= alphabet[0]
+            and tuple(alphabet) == tuple(range(alphabet[0], alphabet[0] + len(alphabet)))
+            and alphabet[-1] < 2 ** 63):
+        raise InvalidInput(f"alphabet must be ascending consecutive int64s, got {alphabet!r}")
+    draw = as_generator(seed).integers(alphabet[0], alphabet[-1] + 1, topology.n_vertices, np.int64)
+    return OpinionConfig._of(topology, array("q", draw.tobytes()), alphabet)
 
 
 def edge_overlap_count(cfg: Configuration, u: int, v: int) -> int:

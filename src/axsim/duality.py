@@ -144,10 +144,10 @@ def check_voter_duality(log: ArrowLog, initial, t: float) -> DualityReport:
     """Pathwise identity: forward state at t equals the initial state at the
     traced dual endpoint, for every vertex."""
     index = _checked_index(log, False, t, "duality check needs a voter log")
-    ops = replay(initial, log.arrows, VOTER, upto=t).opinions
+    ops = replay(initial, log.arrows, VOTER, upto=t).state
     times, sources = index.get(None, _NO_ARROWS)
     per_vertex = []
     for x in range(initial.topology.n_vertices):
         end = _trace(times, sources, x, t).end_vertex
-        per_vertex.append(ops[x] == initial.opinions[end])
+        per_vertex.append(ops[x] == initial.state[end])
     return DualityReport(tuple(per_vertex), sum(1 for ok in per_vertex if not ok))

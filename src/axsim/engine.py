@@ -53,12 +53,14 @@ library is built with the system C compiler on the first run or replay of a
 process and loaded with ctypes. Where it cannot be built, `_python_loop`
 runs; it is also the oracle the compiled loop is tested against, and its
 twin line for line, with the same arguments and the same `_Path`: it picks
-its step from the state's type, updates a copy of the flat
-`Configuration.state`, feature i of vertex v at v*F + i, and
-`_Buckets.bump` and `move` are `bump()` and `move()` there. Both loops step
-the attached urn (in Python by `urn.urn_move`) after each culture event,
-with the same draws from the urn's substream, and count its violations of
-B_0 <= w_0 and beta >= eps as they go.
+its step from the state's type, updates a copy of the flat `state` that
+`Configuration` and `OpinionConfig` both hold, feature i of vertex v at
+v*F + i with F the row width (1 for opinions), and hands it back in the
+initial's type (`_with`); `_Buckets.bump` and `move` are `bump()` and
+`move()` there. Both loops step the attached urn (in Python by
+`urn.urn_move`) after each culture event, with the same draws from the
+urn's substream, and count its violations of B_0 <= w_0 and beta >= eps as
+they go.
 """
 from __future__ import annotations
 
@@ -424,12 +426,10 @@ def _python_loop(cfg, stop: StopRule, rng, times: list, urn_rng) -> _Path:
     every event (`couple`).
     """
     voter = isinstance(cfg, OpinionConfig)
-    if voter:
-        F, state = 1, list(cfg.opinions)
-    else:
-        F, state = cfg.params.F, cfg.state.tolist()  # feature i of vertex v at v*F + i
     topo = cfg.topology
     V, E, cycle = topo.n_vertices, topo.n_edges, topo.kind == "cycle"
+    state = cfg.state.tolist()  # feature i of vertex v at v*F + i
+    F = len(state) // V
     buckets = _Buckets(edge_weights(cfg).tolist(), F)
     pick, bump, counts = buckets.pick, buckets.bump, buckets.counts
     draws = _Draws(rng)
@@ -530,12 +530,9 @@ def _python_loop(cfg, stop: StopRule, rng, times: list, urn_rng) -> _Path:
             snapshots.append(tuple(counts))
             next_snap = pending[len(snapshots)]
         step(t)
-    if voter:
-        final, absorbed = OpinionConfig(topo, tuple(state), cfg.alphabet), counts[0] == 0
-    else:
-        final, absorbed = Configuration._of(topo, cfg.params, array("q", state)), buckets.total == 0
+    absorbed = counts[0] == 0 if voter else buckets.total == 0
     urn = None if urn_rng is None else (tuple(boxes), b0_viol, pot_viol, beta, W)
-    return _Path(events, t, tuple(counts), snapshots, absorbed, final, urn)
+    return _Path(events, t, tuple(counts), snapshots, absorbed, cfg._with(array("q", state)), urn)
 
 
 _ckernel = None  # the `_ckernel` module, once `_kernel_lib` has imported it
@@ -560,7 +557,7 @@ def _check_initial(model, initial):
         return
     if not isinstance(initial, OpinionConfig):
         raise InvalidInput(f"{model} takes an OpinionConfig")
-    if set(initial.alphabet) != set(alphabet):
+    if tuple(initial.alphabet) != alphabet:
         raise InvalidInput(f"{model} initial must use opinions {sorted(alphabet)}")
 
 
@@ -616,7 +613,7 @@ def run_model(model, initial, stop: StopRule, seed: int | Seeded, snapshot_times
         end_time /= 2
         E = initial.topology.n_edges
         counts, *taken = [(E - c[2], c[2]) for c in (counts, *taken)]
-        final = OpinionConfig(initial.topology, cvm_projection(final).opinions, initial.alphabet)
+        final = cvm_projection(final)
     if path.absorbed and model != VOTER and stop.t_max is not None and not stop.stop_on_absorption:
         end_time = stop.t_max  # the rate is 0: the state holds until t_max
     # The times after the last event see the final state; once absorbed, all of them do.

@@ -58,13 +58,11 @@ def atomic_write_text(path: str, text: str):
 
 
 def _initial_line(initial) -> str:
-    if isinstance(initial, Configuration):
-        # Each distinct state is formatted once; a culture is F values.
-        state = initial.state
-        text = {v: str(v) for v in set(state)}
-        values = map(text.__getitem__, state)
-        return ";".join(map(",".join, zip(*[values] * initial.params.F)))
-    return ";".join(map(str, initial.opinions))
+    # Each distinct value is formatted once; a vertex's row is its F values (one opinion).
+    state = initial.state
+    text = {v: str(v) for v in set(state)}
+    values = map(text.__getitem__, state)
+    return ";".join(map(",".join, zip(*[values] * (len(state) // initial.topology.n_vertices))))
 
 
 def event_log_text(traj) -> str:
@@ -238,7 +236,7 @@ def load_event_log(path: str) -> LogBundle:
         initial = Configuration._of(topo, params, state)
         features = range(params.F)
     else:
-        opinions = _meta(meta, "initial", lambda v: tuple(map(int, v.split(";"))), path)
+        opinions = _meta(meta, "initial", lambda v: list(map(int, v.split(";"))), path)
         initial = OpinionConfig(topo, opinions, MODELS[model])
         features = range(-1, 0)
     end = text.find("\n", pos)
@@ -262,8 +260,9 @@ def replay(initial, events, model: str, upto: float | None = None):
     an upto that is no real number, are refused. The state must be one
     `model` runs on, and each applied event must name vertices, and on a
     culture state a feature, of that state; otherwise InvalidInput. The
-    events are applied by the compiled loop's `axsim_replay` where it
-    builds, else in Python."""
+    events are applied to a copy of `initial.state`, F values a vertex (1
+    on opinions), by the compiled loop's `axsim_replay` where it builds,
+    else in Python, and `initial._with` makes it the result."""
     if not isinstance(model, str) or model not in MODELS:  # a dict key must hash
         raise InvalidInput(f"unknown model {model!r}")
     _check_initial(model, initial)
@@ -286,14 +285,10 @@ def replay(initial, events, model: str, upto: float | None = None):
     V = initial.topology.n_vertices
     if not (_within(ev.target, n, V) and _within(ev.source, n, V)):
         raise InvalidInput(f"replayed event names a vertex outside 0..{V - 1}")
-    culture = model == AXELROD
-    if culture:
-        F = initial.params.F
-        if not _within(ev.copied_feature, n, F):
-            raise InvalidInput(f"replayed event names a feature outside 0..{F - 1}")
-        state = initial.state[:]
-    else:  # one opinion per vertex: F = 1 and feature 0
-        F, state = 1, array("q", initial.opinions)
+    culture, state = model == AXELROD, initial.state[:]
+    F = len(state) // V  # 1 on opinions, whose one feature is 0
+    if culture and not _within(ev.copied_feature, n, F):
+        raise InvalidInput(f"replayed event names a feature outside 0..{F - 1}")
     lib = engine._kernel_lib()
     if lib is not None:
         engine._ckernel.replay(lib, state, F, ev, n, culture)
@@ -301,9 +296,7 @@ def replay(initial, events, model: str, upto: float | None = None):
         features = ev.copied_feature if culture else repeat(0)
         for v, u, i in islice(zip(ev.target, ev.source, features), n):
             state[v * F + i] = state[u * F + i]
-    if culture:
-        return Configuration._of(initial.topology, initial.params, state)
-    return OpinionConfig(initial.topology, tuple(state), initial.alphabet)
+    return initial._with(state)
 
 
 def final_stats_row(traj) -> dict:

@@ -64,21 +64,17 @@ def census_from_counts(counts) -> EdgeCensus:
 def edge_weights(cfg) -> np.ndarray:
     """Edge e's weight, the features its ends e and e+1 (mod V) share, at index
     e. An opinion counts as a culture of one feature: agree 1, disagree 0."""
-    if isinstance(cfg, Configuration):
-        F, values = cfg.params.F, np.frombuffer(cfg.state, np.int64)
-    elif isinstance(cfg, OpinionConfig):
-        F, values = 1, np.array(cfg.opinions, np.int64)
-    else:
+    if not isinstance(cfg, (Configuration, OpinionConfig)):
         raise InvalidInput(f"cannot census {type(cfg).__name__}")
     # Row v against row v+1, the last row against the first: the edges
     # (v, v+1) of a path, and of a cycle with its closing edge.
-    rows = values.reshape(-1, F)
+    rows = np.frombuffer(cfg.state, np.int64).reshape(cfg.topology.n_vertices, -1)
     return (rows == np.roll(rows, -1, axis=0))[:cfg.topology.n_edges].sum(axis=1)
 
 
 def edge_census(cfg) -> EdgeCensus:
     """Count j-edges, j = 0..F (0..1 on opinions), from `edge_weights`."""
-    F = cfg.params.F if isinstance(cfg, Configuration) else 1
+    F = len(cfg.state) // cfg.topology.n_vertices
     return census_from_counts(np.bincount(edge_weights(cfg), minlength=F + 1))
 
 

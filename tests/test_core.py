@@ -15,6 +15,7 @@ from axsim import (
     cvm_projection,
     is_absorbed,
     random_config,
+    random_opinions,
     voter_projection,
 )
 from axsim.core import _check_culture
@@ -117,6 +118,23 @@ class TestRandomConfig:
         assert all(abs(c - n * p) <= 3 * sigma for c in counts)
 
 
+class TestRandomOpinions:
+    @pytest.mark.parametrize("alphabet", [(1, 0), (1, 0, -1), (), (0, 2), (0, 1.0), (0.0, 1.0),
+                                          (2 ** 63,), (-2 ** 63 - 1, -2 ** 63)], ids=repr)
+    def test_refuses_an_alphabet_it_cannot_draw_from(self, alphabet):
+        with pytest.raises(InvalidInput,
+                           match="^alphabet must be ascending consecutive int64s, got "):
+            random_opinions(Topology("path", 5), alphabet, 0)
+
+    @pytest.mark.parametrize("alphabet", [(0, 1), (-1, 0, 1), (2 ** 63 - 2, 2 ** 63 - 1),
+                                          (-2 ** 63,)], ids=repr)
+    def test_python_ints_from_the_seeded_stream(self, alphabet):
+        cfg = random_opinions(Topology("path", 7), alphabet, 4)
+        expected = np.random.default_rng(4).integers(alphabet[0], alphabet[-1] + 1, 7)
+        assert cfg.opinions == tuple(expected.tolist()) and cfg.alphabet == alphabet
+        assert cfg == OpinionConfig(Topology("path", 7), cfg.opinions, alphabet)
+
+
 class TestAbsorption:
     def test_monocultural(self):
         assert is_absorbed(make_cfg("path", [(1, 1)] * 4, 2, 2))
@@ -215,6 +233,15 @@ class TestBulkValidation:
             assert repr(cfg) == repr(OpinionConfig(topo, tuple(map(int, opinions)), alphabet))
         plain = (0, 1, 1, 0)
         assert OpinionConfig(topo, plain).opinions is plain  # nothing to convert: kept as given
+
+    @pytest.mark.parametrize("opinions,alphabet", [((2 ** 63, 2 ** 63), (2 ** 63,)),
+                                                   ((0, -2 ** 63 - 1), (-2 ** 63 - 1, 0))])
+    def test_an_opinion_beyond_int64_is_refused(self, opinions, alphabet):
+        topo = Topology("path", 2)
+        with pytest.raises(InvalidInput, match="^opinions must fit int64s, got alphabet "):
+            OpinionConfig(topo, opinions, alphabet)
+        extremes = (-2 ** 63, 2 ** 63 - 1)
+        assert OpinionConfig(topo, extremes, extremes).opinions == extremes
 
     @given(st.integers(1, 4), st.integers(2, 5), st.data())
     def test_accepts_exactly_what_the_loop_accepts(self, F, q, data):

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from functools import cache, partial
@@ -428,6 +429,18 @@ class TestRunModel:
             run_model("voter", cfg, StopRule(t_max=1.0), 0)
         with pytest.raises(InvalidInput):
             run_model("axelrod", voter_projection(cfg), StopRule(t_max=1.0), 0)
+
+    @pytest.mark.parametrize("model,alphabet", [("voter", (1, 0)), ("cvm", (1, 0, -1)),
+                                                ("cvm", (0, -1, 1))])
+    def test_a_permuted_alphabet_is_refused(self, model, alphabet):
+        """A log stores no alphabet, so a run or replay from a permuted one
+        could not reload to its initial state."""
+        init = OpinionConfig(Topology("path", len(alphabet)), alphabet, alphabet)
+        message = f"^{re.escape(f'{model} initial must use opinions {sorted(alphabet)}')}$"
+        with pytest.raises(InvalidInput, match=message):
+            run_model(model, init, StopRule(t_max=1.0), 0)
+        with pytest.raises(InvalidInput, match=message):
+            replay(init, [], model)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "3", None], ids=repr)
     def test_seed_must_be_an_integer_of_at_least_0(self, seed):

@@ -5,6 +5,7 @@ import re
 import sys
 import tempfile
 from array import array
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -28,6 +29,7 @@ from axsim import (
     final_stats_row,
     load_event_log,
     random_config,
+    random_opinions,
     replay,
     run_model,
     save_event_log,
@@ -147,9 +149,10 @@ class TestReplay:
         assert replay(init, [UpdateEvent(0.1, 0, 1, -1, 1)], "voter").opinions == (1, 1, 1, 0)
 
 
-# The full logs of three small runs, as the earlier `str.format` writer
-# wrote them: a culture run to absorption, a CVM run and a voter run, both
-# to a t_max.
+# The full logs of small runs. The first three, as the earlier `str.format`
+# writer wrote them: a culture run to absorption, a CVM run and a voter run,
+# both to a t_max. The last two start from `random_opinions` draws, so they
+# pin its stream too.
 PINNED_LOGS = {
     "axelrod": (
         "axelrod", random_config(ModelParams(3, 4), Topology("path", 6), 3),
@@ -178,6 +181,20 @@ PINNED_LOGS = {
         "0.4957247206237576,1,0,-1,1\n0.6115893589642334,0,1,-1,0\n"
         "0.7298954852564069,0,1,-1,0\n0.7426728826875105,2,1,-1,1\n"
         "0.8134320057956755,0,1,-1,1\n0.9929114653817903,3,4,-1,1\n"),
+    "voter-drawn": (
+        "voter", partial(random_opinions, Topology("cycle", 6), (0, 1)), StopRule(t_max=1.0), 3,
+        "# model=voter\n# topology=cycle\n# size=6\n# seed=3\n# end_time=1.0\n"
+        "# absorbed=0\n# initial=1;1;0;0;0;1\ntime,source,target,feature,delta_w\n"
+        "0.10449717232565109,5,4,-1,1\n0.12302784678236733,4,5,-1,0\n"
+        "0.4370823937925655,3,2,-1,0\n0.48295831182656823,0,5,-1,0\n"
+        "0.5112843374776965,3,4,-1,1\n0.5298012293628148,3,4,-1,0\n"),
+    "cvm-drawn": (
+        "cvm", partial(random_opinions, Topology("path", 7), (-1, 0, 1)), StopRule(t_max=2.0), 5,
+        "# model=cvm\n# topology=path\n# size=7\n# seed=5\n# end_time=2.0\n"
+        "# absorbed=1\n# initial=-1;0;1;1;1;-1;0\ntime,source,target,feature,delta_w\n"
+        "0.03784082726056145,1,2,-1,1\n0.13705654077399948,1,0,-1,1\n"
+        "0.611031159603377,6,5,-1,1\n0.745642170738926,5,4,-1,1\n"
+        "1.0730071816446543,2,3,-1,1\n"),
 }
 
 

@@ -1,18 +1,23 @@
-"""The columnar culture state: `Configuration.state` is one row-major int64
-array from the draw, through both loops, to the event log and back.
+"""The flat state: `Configuration.state` and `OpinionConfig.state` are one
+row-major int64 array each, from the draw, through both loops, to the event
+log and back.
 
-`Configuration` must behave as the frozen dataclass of per-vertex tuples it
-replaced (equality, hash, repr, pickling, no assignment), whichever way a
-state was made. The hot paths must not build the per-vertex tuples.
+`Configuration` and `OpinionConfig` must behave as the frozen dataclasses of
+tuples they replaced (equality, hash, repr, pickling, no assignment),
+whichever way a state was made. The hot paths must not build the tuples.
 """
 import copy
 import dataclasses
 import pickle
+from functools import partial
 
+import numpy as np
 import pytest
 
 from axsim import (
     AXELROD,
+    CVM,
+    VOTER,
     Configuration,
     ExperimentConfig,
     ModelParams,
@@ -20,9 +25,11 @@ from axsim import (
     StopRule,
     Topology,
     random_config,
+    random_opinions,
     run_model,
 )
-from axsim import engine, experiments
+from axsim import duality, engine, experiments
+from axsim.core import CVM_ALPHABET, VOTER_ALPHABET
 from axsim.logio import event_log_text, load_event_log, replay
 
 PARAMS, TOPO, SEED = ModelParams(3, 12), Topology("cycle", 5), 8
@@ -42,11 +49,11 @@ def kernel(request, monkeypatch):
     return request.param
 
 
-def _final(kernel_name, initial, stop):
+def _final(kernel_name, initial, stop, model=AXELROD):
     with pytest.MonkeyPatch.context() as mp:
         if kernel_name == "python":
             mp.setattr(engine, "_kernel_lib", lambda: None)
-        return run_model(AXELROD, initial, stop, SEED).final
+        return run_model(model, initial, stop, SEED).final
 
 
 def _logged(tmp_path, traj):
@@ -113,9 +120,105 @@ class TestValueSemantics:
         assert repr(cfg) == REPR
 
 
+OPINION_TOPO, OPINION_SEED = Topology("cycle", 6), 1
+# Per model: the alphabet and `random_opinions(OPINION_TOPO, alphabet,
+# OPINION_SEED)`'s opinions and `repr` when the opinions were a tuple.
+OPINIONS = {
+    VOTER: (VOTER_ALPHABET, (0, 1, 1, 1, 0, 0),
+            "OpinionConfig(topology=Topology(kind='cycle', size=6), "
+            "opinions=(0, 1, 1, 1, 0, 0), alphabet=(0, 1))"),
+    CVM: (CVM_ALPHABET, (0, 0, 1, 1, -1, -1),
+          "OpinionConfig(topology=Topology(kind='cycle', size=6), "
+          "opinions=(0, 0, 1, 1, -1, -1), alphabet=(-1, 0, 1))"),
+}
+
+
+def opinion_ways(tmp_path, model):
+    """One opinion state built from a tuple, a list and an array, drawn, as
+    either loop's final of a run with no events, reloaded from that run's log,
+    and replayed."""
+    alphabet, opinions, _ = OPINIONS[model]
+    drawn = random_opinions(OPINION_TOPO, alphabet, OPINION_SEED)
+    stop = StopRule(max_events=0)
+    bundle, replayed = _logged(tmp_path, run_model(model, drawn, stop, SEED))
+    return {
+        "tuple": OpinionConfig(OPINION_TOPO, opinions, alphabet),
+        "list": OpinionConfig(OPINION_TOPO, list(opinions), alphabet),
+        "ndarray": OpinionConfig(OPINION_TOPO, np.array(opinions), alphabet),
+        "random_opinions": drawn,
+        "compiled": _final("compiled", drawn, stop, model),
+        "python": _final("python", drawn, stop, model),
+        "reload": bundle.initial,
+        "replay": replayed,
+    }
+
+
+class TestOpinionValueSemantics:
+    @pytest.mark.parametrize("model", OPINIONS)
+    def test_every_way_is_one_value(self, tmp_path, model):
+        _, opinions, pinned = OPINIONS[model]
+        ways = opinion_ways(tmp_path, model)
+        assert len(set(ways.values())) == 1
+        assert len({hash(c) for c in ways.values()}) == 1
+        for name, cfg in ways.items():
+            assert cfg == ways["tuple"], name
+            assert repr(cfg) == pinned, name
+            assert type(cfg.opinions) is tuple and cfg.opinions == opinions, name
+            assert all(type(o) is int for o in cfg.opinions), name
+            assert cfg.state.typecode == "q" and cfg.state.tolist() == list(opinions), name
+
+    def test_every_sequence_is_one_value(self):
+        """A list, a range, an array, numpy ints or bytes give the tuple's
+        value, hash and repr, and a tuple of Python ints as `opinions`."""
+        topo, plain = Topology("path", 3), (-1, 0, 1)
+        cfg = OpinionConfig(topo, plain, CVM_ALPHABET)
+        for given in ([-1, 0, 1], range(-1, 2), np.array(plain), np.array(plain, np.int8),
+                      (np.int64(-1), False, True)):
+            other = OpinionConfig(topo, given, CVM_ALPHABET)
+            assert other == cfg and hash(other) == hash(cfg) and repr(other) == repr(cfg)
+            assert type(other.opinions) is tuple and other.opinions == plain
+            assert all(type(o) is int for o in other.opinions)
+        traj = run_model(VOTER, OpinionConfig(topo, [0, 1, 0]), StopRule(t_max=1.0), SEED)
+        assert type(traj.initial.opinions) is tuple and traj.initial.opinions == (0, 1, 0)
+        # Bytes are a sequence of ints here, not the raw int64s `array` reads from them.
+        assert OpinionConfig(topo, bytes([0, 1, 0])) == OpinionConfig(topo, (0, 1, 0))
+
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(OpinionConfig)] == [
+            "topology", "state", "alphabet"]
+
+    def test_unequal_where_a_field_differs(self):
+        alphabet, opinions, _ = OPINIONS[CVM]
+        cfg = OpinionConfig(OPINION_TOPO, opinions, alphabet)
+        assert cfg != OpinionConfig(OPINION_TOPO, (0,) * 6, alphabet)
+        assert cfg != OpinionConfig(Topology("path", 6), opinions, alphabet)
+        assert cfg != OpinionConfig(OPINION_TOPO, opinions, (-1, 0, 1, 2))
+        assert cfg != opinions
+
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_pickle_and_deepcopy_round_trip(self, cached):
+        alphabet, _, pinned = OPINIONS[VOTER]
+        cfg = random_opinions(OPINION_TOPO, alphabet, OPINION_SEED)
+        if cached:
+            cfg.opinions
+        for back in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg)):
+            assert back == cfg and hash(back) == hash(cfg) and repr(back) == pinned
+            assert back.state is not cfg.state
+
+    @pytest.mark.parametrize("name", ["state", "opinions", "topology", "alphabet", "other"])
+    def test_assignment_raises_as_on_a_frozen_dataclass(self, name):
+        alphabet, _, pinned = OPINIONS[VOTER]
+        cfg = random_opinions(OPINION_TOPO, alphabet, OPINION_SEED)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(cfg, name)
+        assert repr(cfg) == pinned
+
+
 def _built_tuples(*configs) -> list:
-    """The configurations among `configs` that built their `cultures` cache."""
-    return [cfg for cfg in configs if "cultures" in vars(cfg)]
+    """The states among `configs` that built their `cultures` or `opinions` cache."""
+    return [cfg for cfg in configs if {"cultures", "opinions"} & vars(cfg).keys()]
 
 
 def _spy_runs(monkeypatch) -> list:
@@ -131,7 +234,8 @@ def _spy_runs(monkeypatch) -> list:
 
 
 class TestNoTuplesOnHotPaths:
-    """The replicate loops and the log round trip never build `cultures`."""
+    """The replicate loops and the log round trips never build `cultures` or
+    `opinions`."""
 
     def test_absorb_replicate_with_the_urn(self, kernel, monkeypatch):
         trajs = _spy_runs(monkeypatch)
@@ -171,7 +275,7 @@ class TestNoTuplesOnHotPaths:
         init = OpinionConfig(Topology("cycle", 40), (-1, 0, 1, 0) * 10, (-1, 0, 1))
         traj = run_model("cvm", init, StopRule(t_max=5.0), SEED)
         assert len(traj.events) > 0 and len(lifted) == 2
-        assert _built_tuples(*lifted) == []
+        assert _built_tuples(*lifted, traj.final) == []
 
     def test_event_log_round_trip(self, kernel, tmp_path):
         initial = random_config(ModelParams(3, 12), Topology("path", 60), 3)
@@ -180,3 +284,26 @@ class TestNoTuplesOnHotPaths:
         assert len(bundle.events) > 0
         assert _built_tuples(traj.initial, traj.final, bundle.initial, final) == []
         assert bundle.initial == initial and final == traj.final
+
+    def test_duality_replicate(self, kernel, monkeypatch):
+        """Neither the run nor `check_voter_duality`'s replay builds `opinions`."""
+        trajs, replayed = _spy_runs(monkeypatch), []
+        monkeypatch.setattr(duality, "replay",
+                            lambda *a, **k: replayed.append(replay(*a, **k)) or replayed[-1])
+        config = ExperimentConfig(kind="duality-check", topology="cycle", N=32, t_query=2.0,
+                                  replicates=1)
+        row = experiments._duality_replicate(config, 0, SEED)
+        (traj,), (final,) = trajs, replayed
+        assert row["mismatches"] == 0 and len(traj.events) > 0
+        assert final == traj.final
+        assert _built_tuples(traj.initial, traj.final, final) == []
+
+    @pytest.mark.parametrize("model", OPINIONS)
+    def test_opinion_log_round_trip(self, kernel, tmp_path, model):
+        """The log reloads to the run's initial state and replays to its final."""
+        draw = partial(random_opinions, Topology("path", 40), OPINIONS[model][0])
+        traj = run_model(model, draw, StopRule(t_max=3.0), 4)
+        bundle, final = _logged(tmp_path, traj)
+        assert len(bundle.events) > 0
+        assert _built_tuples(traj.initial, traj.final, bundle.initial, final) == []
+        assert bundle.initial == traj.initial and final == traj.final
