@@ -114,10 +114,8 @@ class Table1:
 def table1_cell(F: int, q: int) -> str:
     if F >= q:
         return "—"
-    b = _bound_fraction(F, q)
-    if b <= 0:
-        return "neg."
-    return f"{float(1 / b):.4f}"
+    upper = theorem2_bound(F, q).domain_length_upper
+    return "neg." if upper is None else f"{upper:.4f}"
 
 
 def table1_generate() -> Table1:

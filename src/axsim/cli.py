@@ -13,7 +13,7 @@ import sys
 from .bounds import Table1
 from .core import InvalidInput
 from .engine import MODELS
-from .experiments import KINDS, ExperimentConfig, execute
+from .experiments import _ALWAYS_READ, KINDS, ExperimentConfig, execute
 
 
 def _parse_config_file(path: str) -> dict:
@@ -61,16 +61,13 @@ def _snapshot_times(spec: str) -> tuple:
     return tuple(float(s) for s in spec.split(",") if s.strip())
 
 
-def _add_common(p):
-    p.add_argument("--config", help="key=value file supplying flag defaults")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--workers", type=int, default=None)
-
-
-# ExperimentConfig field -> {flag: argparse keywords}. Every flag defaults to None,
-# so a flag left unset keeps the field's default.
+# ExperimentConfig field -> {flag: argparse keywords}. Each flag stores into the
+# field it sets, bar --x/--y/--z, which join into xyz. Every flag defaults to
+# None, so a flag left unset keeps the field's default.
 _FLAGS = {
+    "master_seed": {"--seed": dict(type=int, metavar="SEED")},
+    "output_dir": {"--out": dict(metavar="OUT", help="output directory")},
+    "workers": {"--workers": dict(type=int)},
     "model": {"--model": dict(choices=tuple(MODELS))},
     "F": {"--F": dict(type=int)},
     "q": {"--q": dict(type=int)},
@@ -79,13 +76,13 @@ _FLAGS = {
     "replicates": {"--replicates": dict(type=int)},
     "t_max": {"--t-max": dict(type=float)},
     "max_events": {"--max-events": dict(type=int)},
-    "snapshot_times": {"--snapshots": dict(type=_snapshot_times,
+    "snapshot_times": {"--snapshots": dict(type=_snapshot_times, metavar="SNAPSHOTS",
                                            help="comma-separated sample times")},
     "attach_urn": {"--attach-urn": dict(action="store_true")},
     "save_events": {"--save-events": dict(action="store_true")},
     "theta": {"--theta": dict(type=float)},
-    "xyz": {flag: dict(type=int) for flag in ("--x", "--y", "--z")},
-    "t_query": {"--t": dict(type=float)},
+    "xyz": {flag: dict(type=int, dest=flag[2:]) for flag in ("--x", "--y", "--z")},
+    "t_query": {"--t": dict(type=float, metavar="T")},
 }
 
 
@@ -94,28 +91,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for name, kind in KINDS.items():
         p = sub.add_parser(name, help=kind.help)
-        _add_common(p)
-        for field in kind.fields:
+        p.add_argument("--config", help="key=value file supplying flag defaults")
+        for field in _ALWAYS_READ[1:] + kind.fields:  # kind is the subcommand
             for flag, kwargs in _FLAGS[field].items():
-                p.add_argument(flag, default=None, **kwargs)
+                p.add_argument(flag, **{"dest": field, "default": None, **kwargs})
         if name == "table1":
             p.add_argument("--format", choices=("text", "csv"), default="text")
     return ap
-
-
-# CLI option -> ExperimentConfig field, where the names differ.
-_FIELDS = {"seed": "master_seed", "out": "output_dir", "t": "t_query",
-           "snapshots": "snapshot_times"}
 
 
 def _experiment_config(args) -> ExperimentConfig:
     """ExperimentConfig from the options actually given; the rest keep its defaults."""
     given = {k: v for k, v in vars(args).items()
              if v is not None and k not in ("command", "config", "format")}
-    xyz = tuple(given.pop(k) for k in ("x", "y", "z") if k in given)
-    if xyz:
-        given["xyz"] = xyz
-    return ExperimentConfig(kind=args.command, **{_FIELDS.get(k, k): v for k, v in given.items()})
+    given["xyz"] = tuple(given.pop(k) for k in ("x", "y", "z") if k in given)  # () is the default
+    return ExperimentConfig(kind=args.command, **given)
 
 
 def main(argv=None) -> int:

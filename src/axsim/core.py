@@ -42,6 +42,15 @@ def check_int(name: str, value):
         raise InvalidInput(f"{name} must be an integer, got {value!r}")
 
 
+def _plain(value):
+    """A numpy bool, integer or real as the Python bool, int or float; any
+    other value as it is."""
+    for numpy_type, python_type in ((np.bool_, bool), (np.integer, int), (np.floating, float)):
+        if isinstance(value, numpy_type):
+            return python_type(value)
+    return value
+
+
 @dataclass(frozen=True)
 class ModelParams:
     F: int
@@ -177,6 +186,7 @@ class OpinionConfig:
     def __init__(self, topology: Topology, opinions, alphabet: tuple = VOTER_ALPHABET):
         if len(opinions) != topology.n_vertices:
             raise InvalidInput("one opinion per vertex required")
+        alphabet = tuple(map(_plain, alphabet))  # a list or array as the tuple
         allowed = set(alphabet)
         # Bulk test first; a float equal to an opinion (0.0 == 0) fails only
         # the type test. The loop finds the first fault and words its error.
@@ -284,8 +294,9 @@ def random_opinions(topology: Topology, alphabet: tuple, seed) -> OpinionConfig:
     """Every opinion i.i.d. uniform on `alphabet`, a non-empty run of ascending
     consecutive int64 integers such as `VOTER_ALPHABET` or `CVM_ALPHABET`
     (InvalidInput otherwise), drawn from `seed` as in `random_config`."""
+    alphabet = tuple(map(_plain, alphabet))  # a list or array as the tuple
     if not (len(alphabet) and all(map(is_int, alphabet)) and -2 ** 63 <= alphabet[0]
-            and tuple(alphabet) == tuple(range(alphabet[0], alphabet[0] + len(alphabet)))
+            and alphabet == tuple(range(alphabet[0], alphabet[0] + len(alphabet)))
             and alphabet[-1] < 2 ** 63):
         raise InvalidInput(f"alphabet must be ascending consecutive int64s, got {alphabet!r}")
     draw = as_generator(seed).integers(alphabet[0], alphabet[-1] + 1, topology.n_vertices, np.int64)

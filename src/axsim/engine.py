@@ -535,16 +535,12 @@ def _python_loop(cfg, stop: StopRule, rng, times: list, urn_rng) -> _Path:
     return _Path(events, t, tuple(counts), snapshots, absorbed, cfg._with(array("q", state)), urn)
 
 
-_ckernel = None  # the `_ckernel` module, once `_kernel_lib` has imported it
-
-
 @cache
 def _kernel_lib():
     """The compiled loop and replay (`_ckernel`), built and loaded on the
     first call in a process; None where they cannot be, and then the Python
-    run and replay loops run. `_ckernel` is imported here, so importing
-    axsim does not pay for it."""
-    global _ckernel
+    run and replay loops run. `_ckernel` is imported where it is used, so
+    importing axsim does not pay for it."""
     from . import _ckernel
     return _ckernel.load()
 
@@ -557,7 +553,7 @@ def _check_initial(model, initial):
         return
     if not isinstance(initial, OpinionConfig):
         raise InvalidInput(f"{model} takes an OpinionConfig")
-    if tuple(initial.alphabet) != alphabet:
+    if initial.alphabet != alphabet:
         raise InvalidInput(f"{model} initial must use opinions {sorted(alphabet)}")
 
 
@@ -603,6 +599,7 @@ def run_model(model, initial, stop: StopRule, seed: int | Seeded, snapshot_times
     if lib is None:
         path = _python_loop(cfg, loop_stop, rng, loop_times, urn_rng)
     else:
+        from . import _ckernel
         path = _ckernel.compiled_loop(lib, cfg, loop_stop, rng, loop_times, urn_rng)
 
     final, counts, taken, end_time = path.final, path.counts, path.snapshots, path.t

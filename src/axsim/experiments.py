@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bounds as bounds_mod
-from .core import (InvalidInput, ModelParams, Topology, check_int, check_seed, is_int,
+from .core import (InvalidInput, ModelParams, Topology, _plain, check_int, check_seed, is_int,
                    random_config, random_opinions)
 from .duality import arrow_log_from_trajectory, check_voter_duality
 from .engine import (AXELROD, MODELS, VOTER, Seeded, StopRule, _rng_pair, check_run,
@@ -134,15 +134,6 @@ class ExperimentConfig:
                 else partial(_draw_opinions, MODELS[model], topo))
         stop = self.stop_rule() if self.t_query is None else StopRule(t_max=self.t_query)
         return Setup(model, draw, stop, tuple(sorted(self.snapshot_times)))
-
-
-def _plain(value):
-    """A numpy bool, integer or real as the Python bool, int or float; any
-    other value as it is."""
-    for numpy_type, python_type in ((np.bool_, bool), (np.integer, int), (np.floating, float)):
-        if isinstance(value, numpy_type):
-            return python_type(value)
-    return value
 
 
 class Setup(NamedTuple):
@@ -456,7 +447,7 @@ KINDS = {
     "lemma5-estimate": Kind(_lemma5, ("F", "q", "N", "xyz", "t_query", "replicates"),
                             "conditional feature-agreement probability on a path"),
 }
-_ALWAYS_READ = ("kind", "master_seed", "workers", "output_dir")
+_ALWAYS_READ = ("kind", "master_seed", "output_dir", "workers")
 
 
 def execute(config: ExperimentConfig) -> ExperimentSummary:

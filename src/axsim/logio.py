@@ -30,6 +30,7 @@ from .core import (
     ModelParams,
     OpinionConfig,
     Topology,
+    check_seed,
 )
 from .engine import AXELROD, MODELS, _check_initial, check_times
 from .events import EventTable, UpdateEvent
@@ -186,6 +187,17 @@ def _meta(meta: dict, key: str, parse, path: str):
         raise InvalidInput(f"{path}: bad '# {key}={meta[key]}': {exc}") from exc
 
 
+def _absorbed(value: str) -> bool:
+    if int(value) not in (0, 1):
+        raise ValueError("expected 0 or 1")
+    return int(value) == 1
+
+
+def _seed(value: str) -> int:
+    check_seed(seed := int(value))  # its InvalidInput is a ValueError, which `_meta` words
+    return seed
+
+
 def _state(text: str, n_vertices: int, params: ModelParams) -> array:
     """The '# initial=' value as a `Configuration.state`."""
     # One line per culture: a culture ends with ";" or with the text.
@@ -244,7 +256,7 @@ def load_event_log(path: str) -> LogBundle:
         raise InvalidInput(f"{path}, line {k + 1}: expected the row header {_HEADER!r}")
     events = _events(text[end + 1:], k + 2, path, topo.n_vertices, features, end_time)
     return LogBundle(model, initial, events, end_time,
-                     bool(_meta(meta, "absorbed", int, path)), _meta(meta, "seed", int, path))
+                     _meta(meta, "absorbed", _absorbed, path), _meta(meta, "seed", _seed, path))
 
 
 def _within(column, n: int, stop: int) -> bool:
@@ -291,7 +303,8 @@ def replay(initial, events, model: str, upto: float | None = None):
         raise InvalidInput(f"replayed event names a feature outside 0..{F - 1}")
     lib = engine._kernel_lib()
     if lib is not None:
-        engine._ckernel.replay(lib, state, F, ev, n, culture)
+        from . import _ckernel
+        _ckernel.replay(lib, state, F, ev, n, culture)
     else:
         features = ev.copied_feature if culture else repeat(0)
         for v, u, i in islice(zip(ev.target, ev.source, features), n):

@@ -74,8 +74,9 @@ def edge_weights(cfg) -> np.ndarray:
 
 def edge_census(cfg) -> EdgeCensus:
     """Count j-edges, j = 0..F (0..1 on opinions), from `edge_weights`."""
+    weights = edge_weights(cfg)  # refuses a non-state before `state` is read
     F = len(cfg.state) // cfg.topology.n_vertices
-    return census_from_counts(np.bincount(edge_weights(cfg), minlength=F + 1))
+    return census_from_counts(np.bincount(weights, minlength=F + 1))
 
 
 def count_domains(cfg) -> DomainStats:

@@ -311,6 +311,22 @@ class TestKindsTable:
                         + (["--format"] if kind == "table1" else []))  # output format only
             assert flags == expected, kind
 
+    def test_each_flag_stores_into_its_field_under_its_own_placeholder(self):
+        """`--seed` stores into `master_seed`, `--t` into `t_query` and so on,
+        while `--help` shows each flag's own name as its placeholder."""
+        dests = {"--config": "config", "--seed": "master_seed", "--out": "output_dir",
+                 "--workers": "workers", "--x": "x", "--y": "y", "--z": "z", "--format": "format",
+                 **{flags[0]: field for field, flags in FIELD_FLAGS.items() if field != "xyz"}}
+        (subparsers,) = (a for a in build_parser()._actions
+                         if isinstance(a, argparse._SubParsersAction))
+        for kind, sub in subparsers.choices.items():
+            text = sub.format_help()
+            for action in sub._actions[1:]:  # after -h/--help
+                (flag,) = action.option_strings
+                assert action.dest == dests[flag], (kind, flag)
+                if action.nargs != 0 and action.choices is None:
+                    assert f"{flag} {flag[2:].replace('-', '_').upper()}" in text, (kind, flag)
+
 
 class TestDeterminism:
     def _simulate(self, capsys, out_dir, workers):

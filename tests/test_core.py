@@ -252,3 +252,17 @@ class TestBulkValidation:
         params, topo = ModelParams(F, q), Topology("path", n)
         assert (_error(lambda: Configuration(topo, params, cultures))
                 == _error(lambda: _culture_loop(cultures, params)))
+
+
+@pytest.mark.parametrize("make,error,message", [
+    (lambda: Topology("star", 3), InvalidInput, "unknown topology kind 'star'"),
+    (lambda: Topology("path", 3).neighbors(3), InvalidInput, "vertex 3 out of range"),
+    (lambda: Configuration(Topology("path", 3), ModelParams(2, 2), ((0, 0), (1, 1))),
+     InvalidInput, "one culture per vertex required"),
+    (lambda: OpinionConfig(Topology("path", 3), (0, 1)), InvalidInput,
+     "one opinion per vertex required"),
+    (lambda: cvm_projection(random_config(ModelParams(2, 3), Topology("path", 3), 0)),
+     UnsupportedProjection, "cvm projection requires F = q = 2"),
+], ids=["topology-kind", "neighbors", "culture-count", "opinion-count", "cvm-projection"])
+def test_refusal_type_and_message(make, error, message):
+    assert _error(make) == (error, message)

@@ -255,3 +255,12 @@ class TestConditionalEstimate:
         assert 0 <= est["successes"] <= est["hits"] <= est["replicates"] == 500
         if est["defined"]:
             assert est["estimate"] == pytest.approx(est["successes"] / est["hits"])
+
+
+def test_refusal_type_and_message():
+    init = OpinionConfig(Topology("path", 4), (1, 0, -1, 0), (-1, 0, 1))
+    traj = run_model("cvm", init, StopRule(t_max=1.0), 2)
+    with pytest.raises(InvalidInput) as info:
+        arrow_log_from_trajectory(traj)
+    assert type(info.value) is InvalidInput
+    assert str(info.value) == "no arrow-log form for model 'cvm'"

@@ -811,3 +811,28 @@ class TestSeedingAndEvents:
                 random_config(ModelParams(2, 2), topo, 2))
         traj = run_model(model, init, StopRule(t_max=2.0), 9)
         assert traj.final_census == edge_census(traj.final)
+
+
+PAIR = Configuration(Topology("path", 2), ModelParams(2, 2), ((0, 1), (0, 0)))
+# Target 1 copies feature 0 from vertex 0 and also changes its other two
+# features, so W moves by +1 - 3 = -2, which no copy step does.
+BEFORE = Configuration(Topology("path", 3), ModelParams(3, 3), ((0, 0, 0), (1, 1, 1), (1, 1, 1)))
+AFTER = Configuration(Topology("path", 3), ModelParams(3, 3), ((0, 0, 0), (0, 2, 2), (1, 1, 1)))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: propose_and_apply(PAIR, GraphicalDraw(0.1, 0, 1, 2, 0.5)),
+     "feature draw out of range"),
+    (lambda: propose_and_apply(PAIR, GraphicalDraw(0.1, 0, 1, -1, 0.5)),
+     "feature draw out of range"),
+    (lambda: propose_and_apply(PAIR, GraphicalDraw(0.1, 0, 1, 0, 1.0)),
+     "tie draw outside (0,1)"),
+    (lambda: propose_and_apply(PAIR, GraphicalDraw(0.1, 0, 1, 0, 0.0)),
+     "tie draw outside (0,1)"),
+    (lambda: classify_delta_w(BEFORE, UpdateEvent(0.1, 1, 0, 0, -1), AFTER),
+     "delta_w -2 outside {0,1,2}"),
+], ids=["feature-2", "feature--1", "tie-1", "tie-0", "delta-w"])
+def test_refusal_type_and_message(call, message):
+    with pytest.raises(InvalidInput) as info:
+        call()
+    assert type(info.value) is InvalidInput and str(info.value) == message

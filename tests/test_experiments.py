@@ -699,3 +699,18 @@ def test_importing_the_cli_leaves_the_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
     assert out.stdout.split("\n") == ["[]", "False", ""]
+
+
+@pytest.mark.parametrize("config,message", [
+    (dict(kind="nope"), "unknown experiment kind 'nope'"),
+    (dict(kind="lemma5-estimate", N=10, t_query=1.0), "lemma5-estimate needs x,y,z"),
+    (dict(kind="lemma5-estimate", N=10, xyz=(2, 5), t_query=1.0),
+     "lemma5-estimate needs x,y,z"),
+    (dict(kind="lemma5-estimate", N=10, xyz=(2, 5, 8)), "lemma5-estimate needs a time t"),
+    (dict(kind="duality-check", N=10), "duality-check needs a time t"),
+], ids=["kind", "no-xyz", "two-of-xyz", "lemma5-no-t", "duality-no-t"])
+def test_refusal_type_and_message(tmp_path, config, message):
+    with pytest.raises(InvalidInput) as info:
+        execute(ExperimentConfig(output_dir=str(tmp_path), **config))
+    assert type(info.value) is InvalidInput and str(info.value) == message
+    assert not any(tmp_path.iterdir())

@@ -299,6 +299,24 @@ class TestCorruptLogs:
         with pytest.raises(InvalidInput, match="no '# model=' line"):
             load_event_log(path)
 
+    @pytest.mark.parametrize("line,fault", [
+        ("# model=nonsense", "unknown model 'nonsense'"),
+        ("# absorbed=7", "bad '# absorbed=7': expected 0 or 1"),
+        ("# absorbed=-1", "bad '# absorbed=-1': expected 0 or 1"),
+        ("# seed=-3", "bad '# seed=-3': seed must be an integer >= 0, got -3"),
+    ])
+    def test_metadata_the_writer_never_writes(self, tmp_path, line, fault):
+        key = line.partition("=")[0]
+
+        def edit(lines, k):
+            i = next(j for j, l in enumerate(lines) if l.startswith(key + "="))
+            lines[i] = line
+
+        path, _ = self.write(tmp_path, edit)
+        with pytest.raises(InvalidInput) as info:
+            load_event_log(path)
+        assert type(info.value) is InvalidInput and str(info.value) == f"{path}: {fault}"
+
     def test_row_after_end_time(self, tmp_path):
         def edit(lines, k):
             end = float(next(l for l in lines if l.startswith("# end_time="))[11:])

@@ -183,6 +183,26 @@ class TestOpinionValueSemantics:
         # Bytes are a sequence of ints here, not the raw int64s `array` reads from them.
         assert OpinionConfig(topo, bytes([0, 1, 0])) == OpinionConfig(topo, (0, 1, 0))
 
+    @pytest.mark.parametrize("model", OPINIONS)
+    def test_every_alphabet_sequence_is_one_value(self, model):
+        """An alphabet given as a list or an array is held as the tuple of
+        Python ints, by the constructor, by `random_opinions` and by a run."""
+        alphabet, opinions, pinned = OPINIONS[model]
+        ways = []  # per given alphabet: built, drawn, and a run's initial and final
+        for given in (alphabet, list(alphabet), np.array(alphabet)):
+            built = OpinionConfig(OPINION_TOPO, opinions, given)
+            traj = run_model(model, built, StopRule(t_max=1.0), SEED)
+            ways.append((built, random_opinions(OPINION_TOPO, given, OPINION_SEED),
+                         traj.initial, traj.final))
+        for built, drawn, initial, final in ways:
+            assert [repr(built), repr(drawn), repr(initial)] == [pinned] * 3
+            for cfg in (built, drawn, initial, final):
+                assert type(cfg.alphabet) is tuple and cfg.alphabet == alphabet
+                assert all(type(a) is int for a in cfg.alphabet)
+        for same in zip(*ways):  # one value, hash and repr whichever alphabet was given
+            assert len(set(same)) == 1 and len({hash(c) for c in same}) == 1
+            assert len({repr(c) for c in same}) == 1
+
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(OpinionConfig)] == [
             "topology", "state", "alphabet"]

@@ -22,7 +22,8 @@ from axsim import (
 )
 from axsim.core import edge_overlap_count
 from axsim.logio import replay
-from axsim.stats import DomainStats, EdgeCensus, census_from_counts, domains_from_census
+from axsim.stats import (DomainStats, EdgeCensus, census_from_counts, domains_from_census,
+                         edge_weights)
 
 
 def make_cfg(kind, cultures, F, q):
@@ -268,3 +269,15 @@ class TestFlipCountBisection:
         (ev,) = traj.events
         assert flip_count(traj, ev.target, [0.0, ev.time, ev.time + 1]) == [1, 0]
         assert flip_count(traj, ev.target, [ev.time, ev.time + 1]) == [0]
+
+
+@pytest.mark.parametrize("state,message", [
+    ((0, 1, 0), "cannot census tuple"),
+    (None, "cannot census NoneType"),
+    (census_from_counts((1, 2)), "cannot census EdgeCensus"),
+], ids=["tuple", "None", "census"])
+@pytest.mark.parametrize("read", [edge_weights, edge_census])
+def test_refusal_type_and_message(read, state, message):
+    with pytest.raises(InvalidInput) as info:
+        read(state)
+    assert type(info.value) is InvalidInput and str(info.value) == message

@@ -260,3 +260,22 @@ class TestExactOracle:
         var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
         se = (var / len(vals)) ** 0.5
         assert abs(mean - exact) <= max(3 * se, 1e-9)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: UrnState((1, -1, 0)), "negative ball count"),
+    (lambda: urn_coupled_step(UrnState((1, 1, 1)), 3, np.random.default_rng(0)),
+     "delta_w 3 outside {0,1,2}"),
+    (lambda: urn_coupled_step(UrnState((1, 1, 1)), -1, np.random.default_rng(0)),
+     "delta_w -1 outside {0,1,2}"),
+    (lambda: urn_potentials(UrnState((1, 1, 1)), census_from_counts((1, 1, 1, 1))),
+     "urn and census disagree on F"),
+    (lambda: urn_rounds_run(UrnState((1, 1)), ModelParams(2, 3), 0),
+     "urn state does not match F"),
+    (lambda: urn_exact_expectation(UrnState((1, 1)), ModelParams(2, 3)),
+     "urn state does not match F"),
+], ids=["negative", "delta-w-3", "delta-w--1", "potentials-F", "rounds-F", "exact-F"])
+def test_refusal_type_and_message(call, message):
+    with pytest.raises(InvalidInput) as info:
+        call()
+    assert type(info.value) is InvalidInput and str(info.value) == message
