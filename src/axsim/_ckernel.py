@@ -6,7 +6,10 @@ compiler into `__pycache__` next to it, unless that build exists already,
 and loads it with ctypes. `compiled_loop` runs one culture or voter
 trajectory through the one loop, `axsim_run`; it takes the arguments of its
 twin `engine._python_loop` and hands back the same `_Path` for the same
-Generator, bit for bit. `replay` re-applies logged events.
+Generator, bit for bit. `replay` re-applies logged events. `log_rows`,
+`state_line`, `parse_rows` and `parse_state` write and read an event log's
+text through `lib.with_gil`, the same library loaded with `ctypes.PyDLL`,
+since those functions call CPython's C API.
 """
 from __future__ import annotations
 
@@ -99,6 +102,16 @@ def load():
     lib.axsim_replay.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
                                  ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p]
     lib.axsim_replay.restype = None
+    lib.with_gil = text = ctypes.PyDLL(path)
+    text.axsim_log_rows.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64,
+                                    *[ctypes.c_void_p] * 5]
+    text.axsim_state_line.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64]
+    text.axsim_log_rows.restype = text.axsim_state_line.restype = ctypes.py_object
+    text.axsim_parse_rows.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64,
+                                      *[ctypes.c_void_p] * 5]
+    text.axsim_parse_state.argtypes = [ctypes.c_char_p, ctypes.c_int64, ctypes.c_int64,
+                                       ctypes.c_int64, ctypes.c_void_p]
+    text.axsim_parse_rows.restype = text.axsim_parse_state.restype = ctypes.c_int64
     return lib
 
 
@@ -167,3 +180,38 @@ def replay(lib, state: array, F: int, events: EventTable, n: int, features: bool
     opinion where `features` is false. The caller has checked every index."""
     lib.axsim_replay(_address(state), F, n, _address(events.target), _address(events.source),
                      _address(events.copied_feature) if features else None)
+
+
+def log_rows(lib, head: str, events: EventTable) -> str:
+    """`head`, then a "%r,%d,%d,%d,%d" row of time, source, target,
+    copied_feature and delta_w per event, each ending in "\n"."""
+    data = head.encode("ascii")  # the str is written as ASCII
+    return lib.with_gil.axsim_log_rows(
+        data, len(data), len(events), *map(_address, (events.time, events.source, events.target,
+                                                      events.copied_feature, events.delta_w)))
+
+
+def state_line(lib, state: array, F: int) -> str:
+    """`str` of each value of `state`, "," between the F values of a vertex
+    and ";" between vertices."""
+    return lib.with_gil.axsim_state_line(_address(state), len(state), F)
+
+
+def parse_rows(lib, data: bytes) -> EventTable | None:
+    """The event rows of `data`, each ending in b"\n", as `log_rows` writes
+    them; None where the text is otherwise."""
+    n = data.count(b"\n")
+    columns = (array("d", bytes(8 * n)), *(array("q", bytes(8 * n)) for _ in range(4)))
+    time, target, source, feature, delta_w = map(_address, columns)
+    if lib.with_gil.axsim_parse_rows(data, len(data), n, time, source, target, feature,
+                                     delta_w):
+        return None
+    return EventTable._of(columns)
+
+
+def parse_state(lib, data: bytes, n_vertices: int, F: int) -> array | None:
+    """The state `state_line` writes as `data`, of F values a vertex; None
+    where the text is otherwise."""
+    state = array("q", bytes(8 * n_vertices * F))
+    return None if lib.with_gil.axsim_parse_state(data, len(data), len(state), F,
+                                                  _address(state)) else state

@@ -35,12 +35,22 @@
  * its work area, one block sized from F and E, which the first call
  * allocates and the last one frees; `axsim_free` frees it after an abandoned
  * run. That allocation is the only step that can fail (AXSIM_NOMEM).
+ *
+ * The event log's text is written and read here too, as `logio` does in
+ * Python, through CPython's own conversions, so every byte and bit is what
+ * `repr`, `str`, `float` and `int` give: `axsim_log_rows` writes the rows
+ * and `axsim_state_line` the '# initial=' value, each into the str it
+ * returns; `axsim_parse_rows` and `axsim_parse_state` read them back, and
+ * refuse any text Python might read otherwise, which `logio` then parses as
+ * Python does. These four call the C API, so they run with the GIL held,
+ * through a `ctypes.PyDLL` handle of this same library.
  */
 #include <math.h>
 #include <stdbool.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/types.h>
 
 #include "numpy/random/bitgen.h"
 
@@ -49,6 +59,21 @@ void random_standard_uniform_fill(bitgen_t *state, intptr_t cnt, double *out);
 void random_standard_exponential_fill(bitgen_t *state, intptr_t cnt, double *out);
 void random_bounded_uint64_fill(bitgen_t *state, uint64_t off, uint64_t rng, intptr_t cnt,
                                 bool use_masked, uint64_t *out);
+
+/* From Python.h, whose path the build does not take; the process that loads
+ * this library provides them. */
+typedef struct _object PyObject;
+typedef ssize_t Py_ssize_t;
+typedef uint32_t Py_UCS4;
+char *PyOS_double_to_string(double val, char format_code, int precision, int flags, int *type);
+double PyOS_string_to_double(const char *str, char **endptr, PyObject *overflow_exception);
+void PyMem_Free(void *ptr);
+void PyErr_Clear(void);
+PyObject *PyUnicode_New(Py_ssize_t size, Py_UCS4 maxchar);
+const char *PyUnicode_AsUTF8AndSize(PyObject *unicode, Py_ssize_t *size);
+int PyUnicode_Resize(PyObject **unicode, Py_ssize_t length);
+void Py_DecRef(PyObject *op);
+enum { DTSF_ADD_DOT_0 = 0x02 };  /* Py_DTSF_ADD_DOT_0 */
 
 enum { AXSIM_DONE = 0, AXSIM_FULL = 1, AXSIM_NOMEM = -1 };
 enum { FIRST_BLOCK = 16, MAX_BLOCK = 4096 };
@@ -351,4 +376,174 @@ void axsim_replay(int64_t *state, int64_t F, int64_t n, const int64_t *target,
         const int64_t i = feature != NULL ? feature[k] : 0;
         state[target[k] * F + i] = state[source[k] * F + i];
     }
+}
+
+/* The event log's text. A str that `PyUnicode_New(size, 127)` makes is
+ * compact ASCII, whose UTF-8 pointer is its own data (CPython's
+ * unicodeobject.h), so the writers write into the str they return. */
+
+enum { REPR_MAX = 24 };  /* the longest float repr: "-2.2250738585072014e-308" */
+
+/* The characters of `str(v)`. */
+static int64_t int_width(int64_t v)
+{
+    uint64_t m = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    int64_t n = 1 + (v < 0);
+    for (; m >= 10; m /= 10)
+        n++;
+    return n;
+}
+
+/* `str(v)` at p; returns its end. */
+static char *put_int(char *p, int64_t v)
+{
+    uint64_t m = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    char digits[20];
+    int k = 0;
+    do {
+        digits[k++] = (char)('0' + m % 10);
+        m /= 10;
+    } while (m);
+    if (v < 0)
+        *p++ = '-';
+    while (k)
+        *p++ = digits[--k];
+    return p;
+}
+
+/* A new str of `size` characters, and in *data where to write them. */
+static PyObject *new_ascii(int64_t size, char **data)
+{
+    PyObject *text = PyUnicode_New(size, 127);
+    if (text != NULL)
+        *data = (char *)PyUnicode_AsUTF8AndSize(text, NULL);
+    return text;
+}
+
+/* `head`, then one row "%r,%d,%d,%d,%d" of time, source, target, feature
+ * and delta per event, each ending in "\n", as `logio.event_log_text` in
+ * Python; NULL with the error set where memory runs out. The time is
+ * `float.__repr__`'s own call. The str is sized from the columns: every int
+ * exactly, every time at its longest, and then cut to what was written. */
+PyObject *axsim_log_rows(const char *head, int64_t head_len, int64_t n, const double *time,
+                         const int64_t *source, const int64_t *target, const int64_t *feature,
+                         const int64_t *delta)
+{
+    int64_t size = head_len;
+    for (int64_t k = 0; k < n; k++)
+        size += REPR_MAX + int_width(source[k]) + int_width(target[k])
+                + int_width(feature[k]) + int_width(delta[k]) + 5;
+    char *start, *p;
+    PyObject *text = new_ascii(size, &start);
+    if (text == NULL)
+        return NULL;
+    memcpy(start, head, (size_t)head_len);
+    p = start + head_len;
+    for (int64_t k = 0; k < n; k++) {
+        char *repr = PyOS_double_to_string(time[k], 'r', 0, DTSF_ADD_DOT_0, NULL);
+        if (repr == NULL) {
+            Py_DecRef(text);
+            return NULL;
+        }
+        const size_t len = strlen(repr);
+        memcpy(p, repr, len);
+        PyMem_Free(repr);
+        p += len;
+        *p++ = ',';
+        p = put_int(p, source[k]);
+        *p++ = ',';
+        p = put_int(p, target[k]);
+        *p++ = ',';
+        p = put_int(p, feature[k]);
+        *p++ = ',';
+        p = put_int(p, delta[k]);
+        *p++ = '\n';
+    }
+    if (PyUnicode_Resize(&text, p - start) != 0) {
+        Py_DecRef(text);
+        return NULL;
+    }
+    return text;
+}
+
+/* The '# initial=' value of a state of n values, F a vertex: `str` of each,
+ * "," between the values of a vertex and ";" between vertices, as
+ * `logio._initial_line` in Python. */
+PyObject *axsim_state_line(const int64_t *state, int64_t n, int64_t F)
+{
+    int64_t size = n > 0 ? n - 1 : 0;
+    for (int64_t k = 0; k < n; k++)
+        size += int_width(state[k]);
+    char *p;
+    PyObject *text = new_ascii(size, &p);
+    if (text == NULL)
+        return NULL;
+    for (int64_t k = 0; k < n; k++) {
+        if (k)
+            *p++ = k % F ? ',' : ';';
+        p = put_int(p, state[k]);
+    }
+    return text;
+}
+
+/* An optional sign and ASCII digits at p, read as `int` reads them, into
+ * *out; returns their end, or NULL where there is no digit or the value is
+ * not an int64. The text ends in a 0 byte, which no digit is. */
+static const char *get_int(const char *p, int64_t *out)
+{
+    const bool negative = *p == '-';
+    p += *p == '-' || *p == '+';
+    const char *digits = p;
+    const uint64_t limit = (uint64_t)INT64_MAX + negative;
+    uint64_t m = 0;
+    for (; '0' <= *p && *p <= '9'; p++) {
+        const uint64_t d = (uint64_t)(*p - '0');
+        if (m > (limit - d) / 10)
+            return NULL;
+        m = 10 * m + d;
+    }
+    if (p == digits)
+        return NULL;
+    *out = negative ? (int64_t)(0 - m) : (int64_t)m;
+    return p;
+}
+
+/* n event rows "time,source,target,feature,delta" at text, each ending in
+ * "\n", with nothing after them, into the columns: 0, or -1 where the text
+ * is otherwise. The time is read by `PyOS_string_to_double`, which `float`
+ * calls on text with no space, underscore or non-ASCII digit, and which
+ * reads none of those; each int as `get_int`. text[len] must be the 0 byte
+ * a bytes object ends in, which stops every read at the text's end. */
+int64_t axsim_parse_rows(const char *text, int64_t len, int64_t n, double *time,
+                         int64_t *source, int64_t *target, int64_t *feature, int64_t *delta)
+{
+    int64_t *const ints[4] = {source, target, feature, delta};
+    const char *p = text;
+    for (int64_t k = 0; k < n; k++) {
+        char *end;
+        time[k] = PyOS_string_to_double(p, &end, NULL);
+        if (end == p) {
+            PyErr_Clear();  /* the ValueError of a time it cannot read */
+            return -1;
+        }
+        p = end;
+        for (int i = 0; i < 4; i++)
+            if (*p++ != ',' || (p = get_int(p, ints[i] + k)) == NULL)
+                return -1;
+        if (*p++ != '\n')
+            return -1;
+    }
+    return p == text + len ? 0 : -1;
+}
+
+/* The '# initial=' value at text, n ints F a vertex as `axsim_state_line`
+ * writes them, into state: 0, or -1 where the text is otherwise. text[len]
+ * must be 0, as in `axsim_parse_rows`. */
+int64_t axsim_parse_state(const char *text, int64_t len, int64_t n, int64_t F, int64_t *state)
+{
+    const char *p = text;
+    for (int64_t k = 0; k < n; k++)
+        if ((k && *p++ != (k % F ? ',' : ';')) || (p = get_int(p, state + k)) == NULL)
+            return -1;
+    return p == text + len ? 0 : -1;
 }

@@ -61,11 +61,16 @@ def binom_pj(F: int, q: int, j: int) -> float:
 class RoundsExpectations:
     E_T1: float
     E_B1_series: tuple  # E(box-1 count at round ends T_1, T_2, ...)
-    closed_form_limit: float  # equals theorem2_bound(F, q) identically
+    closed_form_limit: float  # p0 minus the whole series over N: theorem2_bound(F, q)
 
 
 def rounds_expectations(N: int, F: int, q: int, n_terms: int = 10) -> RoundsExpectations:
-    """Expectation chain of the rounds urn started from the edge-weight law."""
+    """Expectation chain of the rounds urn started from the edge-weight law.
+
+    The limit is derived from the chain itself, in exact fractions: the
+    initial box-0 share p0, less the sum over every round of the geometric
+    box-1 series, per edge. It equals `theorem2_bound`'s value, which that
+    derives from the bound's closed form."""
     if F >= q:
         raise InvalidInput("rounds expectations require F < q")
     p0 = (1 - 1 / q) ** F
@@ -73,7 +78,9 @@ def rounds_expectations(N: int, F: int, q: int, n_terms: int = 10) -> RoundsExpe
     ratio = (F - 1) / (q - 1)
     first = N * (F / (q - 1)) * (1 - p0 - 1 / q)
     series = tuple(first * ratio ** k for k in range(n_terms))
-    limit = float(_bound_fraction(F, q))
+    exact_p0 = Fraction(q - 1, q) ** F
+    first_per_edge = Fraction(F, q - 1) * (1 - exact_p0 - Fraction(1, q))
+    limit = float(exact_p0 - first_per_edge / (1 - Fraction(F - 1, q - 1)))
     return RoundsExpectations(e_t1, series, limit)
 
 

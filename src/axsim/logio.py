@@ -6,17 +6,17 @@ time,source,target,feature,delta_w, in nondecreasing time. Times are written
 with repr so reimport is bit-exact and replay reproduces the final
 configuration. Rows are written from the columns of an `EventTable`.
 
-Reading a log parses its rows, and a culture log's initial state, in one
-`np.loadtxt` pass each and checks them by column. Text that pass might read
-otherwise than Python's `int` and `float` do, or that fails a check, is
-parsed row by row with those, which names the first faulty line.
+The compiled library writes the rows and the '# initial=' value, and reads
+them back in one pass each, through the C functions behind `repr`, `float`
+and `int`; the Python writers are its oracles and its fallback. Text those
+readers refuse, since Python might read it otherwise, or that fails a check
+by column, is parsed row by row with Python's `int` and `float`, which
+names the first faulty line.
 """
 from __future__ import annotations
 
-import io
 import math
 import os
-import warnings
 from array import array
 from dataclasses import dataclass, field
 from itertools import chain, islice, repeat
@@ -59,11 +59,14 @@ def atomic_write_text(path: str, text: str):
 
 
 def _initial_line(initial) -> str:
-    # Each distinct value is formatted once; a vertex's row is its F values (one opinion).
     state = initial.state
-    text = {v: str(v) for v in set(state)}
-    values = map(text.__getitem__, state)
-    return ";".join(map(",".join, zip(*[values] * (len(state) // initial.topology.n_vertices))))
+    F = len(state) // initial.topology.n_vertices  # a vertex's row is its F values (one opinion)
+    lib = engine._kernel_lib()
+    if lib is not None:
+        from . import _ckernel
+        return _ckernel.state_line(lib, state, F)
+    text = {v: str(v) for v in set(state)}  # each distinct value is formatted once
+    return ";".join(map(",".join, zip(*[map(text.__getitem__, state)] * F)))
 
 
 def event_log_text(traj) -> str:
@@ -83,6 +86,10 @@ def event_log_text(traj) -> str:
         _HEADER,
     ]
     ev = EventTable.of(traj.events)
+    lib = engine._kernel_lib()
+    if lib is not None:
+        from . import _ckernel
+        return _ckernel.log_rows(lib, "\n".join(lines) + "\n", ev)
     rows = map("%r,%d,%d,%d,%d".__mod__, zip(ev.time.tolist(), ev.source.tolist(),
                                             ev.target.tolist(), ev.copied_feature.tolist(),
                                             ev.delta_w.tolist()))
@@ -93,37 +100,26 @@ def save_event_log(traj, path: str):
     atomic_write_text(path, event_log_text(traj))
 
 
-# The row header names the columns of an event row; `_ROW` parses one.
-_ROW = np.dtype([(name, "f8" if name == "time" else "i8") for name in _HEADER.split(",")])
 # Line breaks of `str.splitlines` besides "\n" ("\r" and "\r\n" are "\n" once
-# read in text mode), and the bytes `save_event_log` writes rows and states with.
+# read in text mode).
 _BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-_PLAIN = b"0123456789.e+-,\n"
 
 
-def _bulk(text: str, dtype: np.dtype):
-    """The lines of `text`, each ending in "\n", parsed by one `np.loadtxt`
-    pass into records of `dtype`, or None unless `text` is plain and every
-    line a record.
-
-    On plain text (`_PLAIN` bytes only) `np.loadtxt` and Python's `int` and
-    `float` accept the same fields and read the same values, bit for bit.
-    Elsewhere they differ (`loadtxt` refuses `1_0` and skips blank lines), so
-    the caller parses other text as Python does.
-    """
+def _bulk(text: str, state: tuple | None = None):
+    """`text` read in one pass by the compiled readers: event rows, each
+    ending in "\n", as an `EventTable`, or with `state`, (vertices, F), a
+    '# initial=' value as a state array. They take times `float` reads with
+    no space or underscore to strip, and ints of ASCII digits with an
+    optional sign that fit int64, and read them as `float` and `int` do, bit
+    for bit. None where the library does not build or the text holds
+    anything else, which the caller parses as Python does."""
+    lib = engine._kernel_lib()
+    if lib is None:
+        return None
+    from . import _ckernel
     data = text.encode()
-    if data.translate(None, _PLAIN):
-        return None
-    try:
-        with warnings.catch_warnings():
-            # Blank lines only make `loadtxt` warn of no data, and numpy before
-            # 2.0 warns where it reads an int from a float such as "1.0".
-            warnings.simplefilter("error")
-            rows = np.loadtxt(io.BytesIO(data), dtype, delimiter=",", comments=None,
-                              ndmin=1, encoding="ascii")
-    except (ValueError, Warning):
-        return None
-    return rows if len(rows) == data.count(b"\n") else None
+    return _ckernel.parse_rows(lib, data) if state is None else _ckernel.parse_state(
+        lib, data, *state)
 
 
 def _event(row: str, n_vertices: int, features: range, end_time: float,
@@ -158,16 +154,15 @@ def _events(body: str, line: int, path: str, n_vertices: int, features: range,
     Rows are parsed in bulk and checked by column; where that fails they are
     parsed one by one, which names the first faulty line.
     """
-    rows = _bulk(body, _ROW)
-    if rows is not None:
-        t, u, v = rows["time"], rows["source"], rows["target"]
-        feature, delta_w = rows["feature"], rows["delta_w"]
-        if (0 <= t.min() and t.max() <= end_time and (t[:-1] <= t[1:]).all()
-                and 0 <= min(u.min(), v.min()) and max(u.max(), v.max()) < n_vertices
-                and features.start <= feature.min() and feature.max() < features.stop
-                and 0 <= delta_w.min() and delta_w.max() <= 2):
-            return EventTable(t.tobytes(), v.tobytes(), u.tobytes(), feature.tobytes(),
-                              delta_w.tobytes())
+    table = _bulk(body)
+    if table is not None:
+        t = np.frombuffer(table.time, np.float64)
+        v, u, feature, delta_w = (np.frombuffer(c, np.int64) for c in table.columns()[1:])
+        if not len(t) or (0 <= t.min() and t.max() <= end_time and (t[:-1] <= t[1:]).all()
+                          and 0 <= min(u.min(), v.min()) and max(u.max(), v.max()) < n_vertices
+                          and features.start <= feature.min() and feature.max() < features.stop
+                          and 0 <= delta_w.min() and delta_w.max() <= 2):
+            return table
     events = []
     for n, row in enumerate(body.splitlines(), start=line):
         try:
@@ -200,12 +195,11 @@ def _seed(value: str) -> int:
 
 def _state(text: str, n_vertices: int, params: ModelParams) -> array:
     """The '# initial=' value as a `Configuration.state`."""
-    # One line per culture: a culture ends with ";" or with the text.
-    rows = _bulk(text.replace(";", "\n") + "\n", np.dtype("i8," * params.F))
-    if rows is not None and len(rows) == n_vertices:
-        values = rows.view(np.int64)
+    state = _bulk(text, (n_vertices, params.F))
+    if state is not None:
+        values = np.frombuffer(state, np.int64)
         if 0 <= values.min() and values.max() < params.q:
-            return array("q", values.tobytes())
+            return state
     # Python's `int` reads what the bulk pass did not take, and words the fault.
     chunks = text.split(";")
     if len(chunks) != n_vertices or set(map(str.count, chunks, repeat(","))) != {params.F - 1}:
@@ -217,6 +211,12 @@ def _state(text: str, n_vertices: int, params: ModelParams) -> array:
         bad = next(v for v in values if not 0 <= v < params.q)
         raise InvalidInput(f"feature state {bad} outside 0..{params.q - 1}")
     return array("q", values)
+
+
+def _opinions(text: str, n_vertices: int):
+    """The '# initial=' value of an opinion log, for `OpinionConfig` to check."""
+    state = _bulk(text, (n_vertices, 1))
+    return list(map(int, text.split(";"))) if state is None else state
 
 
 def load_event_log(path: str) -> LogBundle:
@@ -248,7 +248,7 @@ def load_event_log(path: str) -> LogBundle:
         initial = Configuration._of(topo, params, state)
         features = range(params.F)
     else:
-        opinions = _meta(meta, "initial", lambda v: list(map(int, v.split(";"))), path)
+        opinions = _meta(meta, "initial", lambda v: _opinions(v, topo.n_vertices), path)
         initial = OpinionConfig(topo, opinions, MODELS[model])
         features = range(-1, 0)
     end = text.find("\n", pos)

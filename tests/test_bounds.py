@@ -104,6 +104,8 @@ class TestRoundsExpectations:
             assert b == pytest.approx(a * 2 / 7)
 
     def test_limit_equals_theorem2_identically(self):
+        """Two derivations of one number: the rounds-urn chain's limit, summed
+        in exact fractions, and Theorem 2's closed form."""
         for F in TABLE_FS:
             for q in TABLE_QS:
                 if F >= q:

@@ -18,10 +18,15 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tempfile
+from array import array
 from functools import partial
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from axsim import (
     Configuration,
@@ -31,15 +36,18 @@ from axsim import (
     OpinionConfig,
     StopRule,
     Topology,
+    EventTable,
     UpdateEvent,
     edge_census,
+    event_log_text,
     execute,
+    load_event_log,
     random_config,
     random_opinions,
     replay,
     run_model,
 )
-from axsim import _ckernel, engine
+from axsim import _ckernel, engine, logio
 from test_events import per_event_replay
 
 
@@ -397,14 +405,30 @@ SANITIZE = ("-O1", "-g", "-fsanitize=address,undefined", "-fno-sanitize-recover=
             "-fno-omit-frame-pointer", "-shared", "-fPIC", "-ffp-contract=off")
 
 
+# Rows of each grid run's log that the grid writes and reloads: all those of
+# every run but the 17 longest, which make 97% of the grid's events (voter
+# runs to t = 10,000 on up to 9 vertices, of up to 90,000 events each).
+LOG_ROWS = 1000
+
+
 def grid_digest() -> str:
     """sha256 over the `fingerprint` of a grid of runs on the loop
-    `run_model` picks, and over the `repr` of each run's `replay` in full and
-    cut at its middle event: the both-kernel grid's lattices, cases and stop
-    rules from given and drawn initial states, a long run with thousands of
-    events, runs that start with the first or the last weight-class list
-    full, the exact-law lattices, and voter runs on the voter grid's
-    lattices under every stop rule, with and without snapshots."""
+    `run_model` picks, over the `repr` of each run's `replay` in full and
+    cut at its middle event, and over each run's event log text, cut to its
+    first `LOG_ROWS` events, and the columns and initial state that text
+    reloads to: the both-kernel grid's lattices,
+    cases and stop rules from given and drawn initial states, a long run with
+    thousands of events, runs that start with the first or the last
+    weight-class list full, the exact-law lattices, and voter runs on the
+    voter grid's lattices under every stop rule, with and without snapshots."""
+    with tempfile.TemporaryDirectory() as d, open(os.path.join(d, "log.csv"), "w+b") as log:
+        return _grid_digest(log)
+
+
+def _grid_digest(log) -> str:
+    """`grid_digest`, with each run's log written to the open file `log`
+    and reloaded from it (one file rewritten in place: opening one per run
+    would take about as long as the rest of the grid)."""
     digest = hashlib.sha256()
 
     def add(*args, **kwargs):
@@ -413,6 +437,14 @@ def grid_digest() -> str:
         times = traj.events.time
         for upto in (None, times[len(times) // 2]) if times else (None,):
             digest.update(repr(replay(traj.initial, traj.events, traj.model, upto)).encode())
+        text = event_log_text(dataclasses.replace(traj, events=traj.events[:LOG_ROWS])).encode()
+        log.seek(0)
+        log.write(text)
+        log.truncate()
+        log.flush()
+        bundle = load_event_log(log.name)
+        digest.update(b"".join([text, bundle.initial.state.tobytes(),
+                                *(col.tobytes() for col in bundle.events.columns())]))
 
     lattices = (("path", VERTICES), ("cycle", VERTICES), ("path", 2), ("cycle", 3))
     for case, (kind, size), seed in itertools.product(CASES, lattices, SEEDS[:2]):
@@ -574,6 +606,105 @@ def test_replay_cuts_at_the_first_later_row_on_both_loops(lib):
             assert list(replay_on(loop, init, rows, "voter", upto).opinions) == want, upto
 
 
+def on_python(fn, *args):
+    """`fn(*args)` with the loader returning None: the Python writers and readers."""
+    with mock.patch.object(engine, "_kernel_lib", return_value=None):
+        return fn(*args)
+
+
+def log_of(events):
+    """A trajectory as `event_log_text` reads one, with these events."""
+    return SimpleNamespace(model="axelrod", initial=random_config(ModelParams(2, 3),
+                                                                  Topology("path", 4), 1),
+                           seed=1, end_time=1.0, absorbed=False, events=events)
+
+
+INT64 = st.integers(-2 ** 63, 2 ** 63 - 1)
+SPECIAL_TIMES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                 sys.float_info.max, -sys.float_info.max, 2.2250738585072014e-308, 1e16, 1e-5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), INT64, INT64,
+                          INT64, INT64), max_size=30))
+@example([(t, 2 ** 63 - 1, -2 ** 63, -1, 0) for t in SPECIAL_TIMES])
+@example([(1.5, -2 ** 63, 2 ** 63 - 1, 10 ** 18, -10 ** 18)])
+@example([])
+def test_compiled_rows_equal_the_percent_pass(lib, rows):
+    """`axsim_log_rows` writes what the `%` pass writes, byte for byte: every
+    double's `repr` (drawn finite ones, both zeros, both infinities, nan, the
+    smallest subnormal and the largest double) and every int64."""
+    traj = log_of(EventTable.of(rows))
+    text = event_log_text(traj)
+    assert type(text) is str and text.isascii()
+    assert text == on_python(event_log_text, traj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 6), st.data())
+def test_compiled_state_line_equals_pythons(lib, F, V, data):
+    """`axsim_state_line` writes `_initial_line`'s text on states of F
+    values a vertex, int64 ends and negative values included."""
+    values = data.draw(st.lists(INT64, min_size=V * F, max_size=V * F))
+    state = SimpleNamespace(state=array("q", values), topology=Topology("path", V))
+    assert logio._initial_line(state) == on_python(logio._initial_line, state)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(), INT64, INT64, INT64, INT64), max_size=30))
+@example([(t, 2 ** 63 - 1, -2 ** 63, -1, 0) for t in SPECIAL_TIMES])
+def test_compiled_reader_reads_back_what_the_writer_wrote(lib, rows):
+    """Every double by its `repr` (so nan too, and the sign of zero) and
+    every int64, at both ends."""
+    events = EventTable.of(rows)
+    got = _ckernel.parse_rows(lib, _ckernel.log_rows(lib, "", events).encode())
+    assert list(map(repr, got.time)) == list(map(repr, events.time))
+    assert [c.tobytes() for c in got.columns()[1:]] == [c.tobytes() for c in events.columns()[1:]]
+
+
+@pytest.mark.parametrize("text,value", [
+    ("9223372036854775807", 2 ** 63 - 1), ("-9223372036854775808", -2 ** 63),
+    ("+007", 7), ("-0", 0),
+    ("9223372036854775808", None), ("-9223372036854775809", None),
+    ("18446744073709551617", None),  # 2**64 + 1, which wraps to 1 in uint64
+    ("-18446744073709551615", None), ("", None), ("-", None), ("1-", None), ("1_0", None),
+    (" 1", None), ("\u0661", None)])
+def test_compiled_readers_take_only_int64_digit_strings(lib, text, value):
+    """What they refuse, the caller parses with Python's `int`."""
+    data = text.encode()
+    row = _ckernel.parse_rows(lib, b"0.5,1,%s,0,1\n" % data)
+    state = _ckernel.parse_state(lib, b"0,%s;1,2" % data, 2, 2)
+    if value is None:
+        assert row is None and state is None
+    else:
+        assert list(row.target) == [value] and list(state) == [0, value, 1, 2]
+
+
+@pytest.mark.parametrize("case", [(3, 12), (1, 2), "cvm", "voter"], ids=str)
+def test_logs_are_the_same_on_both_writers_and_readers(lib, case, tmp_path):
+    """Culture, voter and CVM (-1) logs: the compiled and the Python writers
+    give the same text, and a log read without the library loads to the same
+    columns and initial state as with it."""
+    path = str(tmp_path / "log.csv")
+    for kind, seed in itertools.product(("path", "cycle"), SEEDS[:4]):
+        if case == "voter":
+            model, init = "voter", voter_initial(kind, VERTICES, seed)
+        else:
+            model, init = initial(case, kind, seed)
+        traj = run_model(model, init, StopRule(t_max=10.0), seed)
+        text = event_log_text(traj)
+        assert text == on_python(event_log_text, traj)
+        assert logio._initial_line(init) == on_python(logio._initial_line, init)
+        with open(path, "w") as fh:
+            fh.write(text)
+        got, want = load_event_log(path), on_python(load_event_log, path)
+        assert got.initial == want.initial == init
+        assert got.initial.state.tobytes() == want.initial.state.tobytes()
+        assert [c.tobytes() for c in got.events.columns()] == [
+            c.tobytes() for c in want.events.columns()]
+        assert got.events == traj.events
+
+
 def test_import_neither_builds_nor_loads_the_library():
     probe = (
         "import ctypes, subprocess\n"
@@ -649,6 +780,34 @@ def test_numpy_prototypes_match_numpys_header(tmp_path):
     proc = subprocess.run([*_ckernel._CC, "-Wall", "-Werror", "-fsyntax-only", "-I", python_include,
                            "-I", np.get_include(), str(check)],
                           capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cpython_prototypes_match_pythons_header(tmp_path):
+    """`_kernel.c` declares the CPython functions its log text functions
+    call by hand, as it does numpy's, so the build needs no Python include
+    path. Compiled against Python.h, a declaration that differs fails here,
+    and so does the value it passes for `Py_DTSF_ADD_DOT_0`."""
+    if shutil.which(_ckernel._CC[0]) is None:
+        pytest.skip("no C compiler on this host")
+    python_include = sysconfig.get_paths()["include"]
+    if not os.path.exists(os.path.join(python_include, "Python.h")):
+        pytest.skip("no Python.h on this host")
+    with open(_ckernel._KERNEL_C) as fh:
+        source = fh.read()
+    declarations, flag = re.search(r"^/\* From Python\.h.*?\*/\n(.*?)"
+                                   r"^enum \{ DTSF_ADD_DOT_0 = (\w+) \};", source,
+                                   re.M | re.S).groups()
+    names = sorted(re.findall(r"\b(Py\w+)\(", declarations))
+    assert names == ["PyErr_Clear", "PyMem_Free", "PyOS_double_to_string",
+                     "PyOS_string_to_double", "PyUnicode_AsUTF8AndSize", "PyUnicode_New",
+                     "PyUnicode_Resize", "Py_DecRef"]
+    assert set(re.findall(r"\b(Py[A-Z]\w*|Py_[A-Z]\w*)\(", source)) == set(names)
+    check = tmp_path / "prototypes.c"
+    check.write_text("#include \"Python.h\"\n" + declarations
+                     + f"_Static_assert(Py_DTSF_ADD_DOT_0 == {flag}, \"Py_DTSF_ADD_DOT_0\");\n")
+    proc = subprocess.run([*_ckernel._CC, "-Wall", "-Werror", "-fsyntax-only", "-I", python_include,
+                           str(check)], capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
